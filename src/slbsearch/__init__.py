@@ -1,6 +1,6 @@
 """Search over digraphs whose edge costs arrive through tightening estimators."""
 
-from ._kernels import NUMBA_AVAILABLE, default_backend_name, get_backend
+from ._kernels import default_backend_name
 from .anytime import AnytimeResult, IterationRecord, a_beauty
 from .bench import RunRecord, SuiteReport, run_suite
 from .estimation import METRICS_CSV_FIELDS, EstimationCache, Metrics, metrics_csv_row
@@ -59,7 +59,6 @@ __all__ = [
     "IterationRecord",
     "METRICS_CSV_FIELDS",
     "Metrics",
-    "NUMBA_AVAILABLE",
     "Path",
     "Problem",
     "RunRecord",
@@ -80,7 +79,6 @@ __all__ = [
     "full_estimate",
     "gen_grid_graph",
     "gen_random_graph",
-    "get_backend",
     "load_problem",
     "load_suite",
     "load_weighted",

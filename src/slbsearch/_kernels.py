@@ -1,35 +1,19 @@
-"""Search kernels over flat arrays, built for two backends from one source.
+"""The search kernel: lazy or eager best-first search over flat arrays.
 
-The hot loops are written once, in nopython-compatible style, inside
-``_build``. Called with jit=True the loops are compiled with numba; with
-jit=False the same closures run as plain Python over numpy arrays. The
-backend is picked by the SLBSEARCH_BACKEND environment variable ("numba" or
-"numpy"); unset, it defaults to numba when importable.
-
-Estimation state lives in caller-owned arrays (next_index, tight_lower,
-tight_upper, invoked, layer_counts, tw_box) so a cache can be threaded
-through several searches. Search state (g, closed, the heap and the parent
-tree) is caller-owned too, so a pass can be resumed to drain a tie and its
-closed set read afterwards. Metric counters sit in small boxes mutated in
-place: counters = [expansions, evaluations, prunings], tw_box = [simulated
-estimation time].
+``run_search`` is plain Python. The frontier is a ``heapq`` of
+``(key, seq, vertex)`` tuples; ``seq`` is a unique insertion counter, so
+entries with equal keys pop in FIFO order. The graph arrays and the
+estimation cache stay numpy and are read and written through
+``memoryview``, which copies nothing and yields native ints, floats and
+bools. The per-pass search state (g, closed, parent tree, heap, pops and
+ties) is caller-owned Python lists, so a pass can be resumed to drain a
+tie and its closed set read afterwards.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-try:
-    import numba
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    NUMBA_AVAILABLE = False
-
-ENV_VAR = "SLBSEARCH_BACKEND"
+import math
+from heapq import heappop, heappush
 
 # run_search status codes
 FOUND = 0
@@ -37,313 +21,154 @@ EXHAUSTED = 1
 CORRUPT = 2  # a closed vertex improved; impossible with valid bounds
 
 
-def _build(jit: bool):
-    if jit:
-        deco = numba.njit(cache=True)
-    else:
-        def deco(f):
-            return f
-
-    @deco
-    def heap_push(keys, seqs, verts, size, key, seq, v):
-        # binary min-heap on (key, seq); seq is the insertion counter, so
-        # equal keys pop in FIFO order
-        i = size
-        keys[i] = key
-        seqs[i] = seq
-        verts[i] = v
-        while i > 0:
-            p = (i - 1) >> 1
-            if keys[i] < keys[p] or (keys[i] == keys[p] and seqs[i] < seqs[p]):
-                keys[i], keys[p] = keys[p], keys[i]
-                seqs[i], seqs[p] = seqs[p], seqs[i]
-                verts[i], verts[p] = verts[p], verts[i]
-                i = p
-            else:
-                break
-        return size + 1
-
-    @deco
-    def heap_pop(keys, seqs, verts, size):
-        key = keys[0]
-        seq = seqs[0]
-        v = verts[0]
-        size -= 1
-        if size > 0:
-            keys[0] = keys[size]
-            seqs[0] = seqs[size]
-            verts[0] = verts[size]
-            i = 0
-            while True:
-                l = 2 * i + 1
-                r = l + 1
-                m = i
-                if l < size and (
-                    keys[l] < keys[m] or (keys[l] == keys[m] and seqs[l] < seqs[m])
-                ):
-                    m = l
-                if r < size and (
-                    keys[r] < keys[m] or (keys[r] == keys[m] and seqs[r] < seqs[m])
-                ):
-                    m = r
-                if m == i:
-                    break
-                keys[i], keys[m] = keys[m], keys[i]
-                seqs[i], seqs[m] = seqs[m], seqs[i]
-                verts[i], verts[m] = verts[m], verts[i]
-                i = m
-        return key, seq, v, size
-
-    @deco
-    def apply_next(
-        eid,
-        est_offsets,
-        est_lower,
-        est_upper,
-        est_time,
-        next_index,
-        tight_lower,
-        tight_upper,
-        invoked,
-        layer_counts,
-        tw_box,
-    ):
-        # apply the next unapplied estimator of one edge; charge its
-        # time_cost once per cache lifetime
-        layer = next_index[eid]
-        flat = est_offsets[eid] + layer
-        if not invoked[flat]:
-            invoked[flat] = True
-            layer_counts[layer] += 1
-            tw_box[0] += est_time[flat]
-        if est_lower[flat] > tight_lower[eid]:
-            tight_lower[eid] = est_lower[flat]
-        if est_upper[flat] < tight_upper[eid]:
-            tight_upper[eid] = est_upper[flat]
-        next_index[eid] = layer + 1
-        return tight_lower[eid]
-
-    @deco
-    def apply_final(
-        eid,
-        est_offsets,
-        est_lower,
-        est_upper,
-        est_time,
-        next_index,
-        tight_lower,
-        tight_upper,
-        invoked,
-        layer_counts,
-        tw_box,
-    ):
-        # jump straight to the last (tightest) estimator; intermediate
-        # layers are skipped, never charged, and marked consumed
-        last = est_offsets[eid + 1] - est_offsets[eid] - 1
-        flat = est_offsets[eid] + last
-        if not invoked[flat]:
-            invoked[flat] = True
-            layer_counts[last] += 1
-            tw_box[0] += est_time[flat]
-        if est_lower[flat] > tight_lower[eid]:
-            tight_lower[eid] = est_lower[flat]
-        if est_upper[flat] < tight_upper[eid]:
-            tight_upper[eid] = est_upper[flat]
-        next_index[eid] = last + 1
-        return tight_lower[eid]
-
-    @deco
-    def run_search(
-        indptr,
-        succ_vertex,
-        succ_edge,
-        est_offsets,
-        est_lower,
-        est_upper,
-        est_time,
-        next_index,
-        tight_lower,
-        tight_upper,
-        invoked,
-        layer_counts,
-        tw_box,
-        counters,
-        start,
-        goal_mask,
-        l_est,
-        l_prune,
-        eager,
-        drain,
-        drain_key,
-        g,
-        closed,
-        hkeys,
-        hseqs,
-        hverts,
-        hstate,
-        pop_verts,
-        pop_keys,
-        parent_vertex,
-        parent_edge,
-    ):
-        """Best-first search on accumulated lower bounds.
-
-        Lazy mode (eager=False): while a successor's tentative bound still
-        beats its recorded one and the edge has unapplied estimators, take
-        one estimation step; previously cached work is consumed as a single
-        free step, after which genuinely new estimators are invoked and
-        charged. Estimation stops early once the tentative bound exceeds
-        l_est. Successors are recorded only if they improve and their bound
-        does not exceed l_prune; improving bounds above l_prune count as
-        prunings.
-
-        Eager mode: every examined edge is fully estimated up front and no
-        estimation cutoff applies (the baseline behavior).
-
-        The caller owns every array: g (inf), closed (False) and the
-        parent tree (-1) arrive initialised, and the heap arrays (capacity
-        m + 2) with hstate = [heap size, insertion counter, pop count]
-        persist between calls. A first call (drain=False) pushes the start
-        and returns at the first goal pop. A later call with drain=True
-        resumes the same frontier and pops every entry whose key is at
-        most drain_key, expanding non-goal vertices as usual; goals are
-        recorded as pops but never expanded.
-
-        Returns (status, vertex): FOUND with the goal, EXHAUSTED when the
-        heap runs out (or, draining, its top key passes drain_key), CORRUPT
-        with the closed vertex that improved. Pops are appended to the
-        caller's arrays and counted in hstate[2].
-        """
-        # int() keeps the counters plain ints when run without numba
-        size = int(hstate[0])
-        seq = int(hstate[1])
-        npops = int(hstate[2])
-        status = EXHAUSTED
-        found = -1
-        if not drain:
-            g[start] = 0.0
-            size = heap_push(hkeys, hseqs, hverts, size, 0.0, seq, start)
-            seq += 1
-        while size > 0:
-            if drain and hkeys[0] > drain_key:
-                break
-            key, _, v, size = heap_pop(hkeys, hseqs, hverts, size)
-            if closed[v] or key != g[v]:
-                continue  # stale entry superseded by a better key
-            pop_verts[npops] = v
-            pop_keys[npops] = key
-            npops += 1
-            if goal_mask[v]:
-                if drain:
-                    continue
-                status = FOUND
-                found = v
-                break
-            closed[v] = True
-            counters[0] += 1
-            for ptr in range(indptr[v], indptr[v + 1]):
-                s = succ_vertex[ptr]
-                eid = succ_edge[ptr]
-                counters[1] += 1
-                k_e = est_offsets[eid + 1] - est_offsets[eid]
-                gt = key
-                if eager:
-                    while next_index[eid] < k_e:
-                        apply_next(
-                            eid,
-                            est_offsets,
-                            est_lower,
-                            est_upper,
-                            est_time,
-                            next_index,
-                            tight_lower,
-                            tight_upper,
-                            invoked,
-                            layer_counts,
-                            tw_box,
-                        )
-                    gt = key + tight_lower[eid]
-                else:
-                    pos = 0
-                    while gt < g[s] and pos < k_e:
-                        if pos < next_index[eid]:
-                            val = tight_lower[eid]
-                        else:
-                            val = apply_next(
-                                eid,
-                                est_offsets,
-                                est_lower,
-                                est_upper,
-                                est_time,
-                                next_index,
-                                tight_lower,
-                                tight_upper,
-                                invoked,
-                                layer_counts,
-                                tw_box,
-                            )
-                        pos = next_index[eid]
-                        gt = key + val
-                        if gt > l_est:
-                            break
-                if gt < g[s]:
-                    if closed[s]:
-                        status = CORRUPT
-                        found = s
-                        break
-                    if gt <= l_prune:
-                        g[s] = gt
-                        parent_vertex[s] = v
-                        parent_edge[s] = eid
-                        size = heap_push(hkeys, hseqs, hverts, size, gt, seq, s)
-                        seq += 1
-                    else:
-                        counters[2] += 1
-            if status == CORRUPT:
-                break
-        hstate[0] = size
-        hstate[1] = seq
-        hstate[2] = npops
-        return status, found
-
-    return {
-        "heap_push": heap_push,
-        "heap_pop": heap_pop,
-        "apply_next": apply_next,
-        "apply_final": apply_final,
-        "run_search": run_search,
-    }
-
-
-class Backend:
-    """Bundle of kernel callables for one execution mode."""
-
-    def __init__(self, name: str):
-        if name == "numba" and not NUMBA_AVAILABLE:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        if name not in ("numba", "numpy"):
-            raise ValueError(f"unknown backend {name!r}")
-        self.name = name
-        fns = _build(jit=(name == "numba"))
-        self.heap_push = fns["heap_push"]
-        self.heap_pop = fns["heap_pop"]
-        self.apply_next = fns["apply_next"]
-        self.apply_final = fns["apply_final"]
-        self.run_search = fns["run_search"]
-
-
-_BACKENDS: dict[str, Backend] = {}
-
-
 def default_backend_name() -> str:
-    env = os.environ.get(ENV_VAR, "").strip().lower()
-    if env:
-        return env
-    return "numba" if NUMBA_AVAILABLE else "numpy"
+    """Name of the kernel that runs: always ``"numpy"``.
+
+    There is one kernel, plain Python over numpy arrays without a JIT. The
+    name remains so that benchmark results stay stamped with, and
+    comparable by, the kernel that produced them.
+    """
+    return "numpy"
 
 
-def get_backend(name: str | None = None) -> Backend:
-    resolved = name if name is not None else default_backend_name()
-    if resolved not in _BACKENDS:
-        _BACKENDS[resolved] = Backend(resolved)
-    return _BACKENDS[resolved]
+def run_search(
+    arr,
+    cache,
+    start,
+    goals,
+    l_est,
+    l_prune,
+    eager,
+    g,
+    closed,
+    parent_vertex,
+    parent_edge,
+    heap,
+    pops,
+    ties,
+    seq,
+    drain_key=None,
+):
+    """Best-first search on accumulated lower bounds.
+
+    Lazy mode (eager=False): while a successor's tentative bound still
+    beats its recorded one and the edge has unapplied estimators, take one
+    estimation step; previously cached work is consumed as a single free
+    step, after which genuinely new estimators are invoked and charged once
+    per cache lifetime. Estimation stops early once the tentative bound
+    exceeds l_est. Successors are recorded only if they improve and their
+    bound does not exceed l_prune; improving bounds above l_prune count as
+    prunings.
+
+    Eager mode: every examined edge is fully estimated up front and no
+    estimation cutoff applies (the baseline behavior).
+
+    arr is the graph's GraphArrays and cache its EstimationCache; the
+    cache's counters and simulated estimation time are advanced in place.
+    goals is a set of vertices. The caller owns the lists g (inf), closed
+    (False) and the parent tree (-1), plus the heap, pops and ties lists and
+    the insertion counter seq, which persist between calls. A first call
+    (drain_key None) pushes the start and returns at the first goal pop. A
+    later call with a drain_key resumes the same frontier and pops every
+    entry whose key is at most drain_key, expanding non-goal vertices as
+    usual; goals are recorded as pops but never expanded.
+
+    Returns (status, vertex, seq): FOUND with the goal, EXHAUSTED when the
+    heap runs out (or, draining, its top key passes drain_key), CORRUPT
+    with the closed vertex that improved; seq is the counter to resume
+    with. Every pop is appended to pops as (vertex, key), and every edge
+    whose tentative bound ties its head's recorded one is appended to ties
+    as (head, tail, edge): with the parent tree these are the only edges
+    that can end a pass tight (see ``search._tight_route``).
+    """
+    indptr = memoryview(arr.indptr)
+    succ_vertex = memoryview(arr.succ_vertex)
+    succ_edge = memoryview(arr.succ_edge)
+    est_offsets = memoryview(arr.est_offsets)
+    est_lower = memoryview(arr.est_lower)
+    est_upper = memoryview(arr.est_upper)
+    est_time = memoryview(arr.est_time)
+    next_index = memoryview(cache.next_index)
+    tight_lower = memoryview(cache.tightest_lower)
+    tight_upper = memoryview(cache.tightest_upper)
+    invoked = memoryview(cache.invoked)
+    layer_counts = memoryview(cache.layer_counts)
+    counters = cache._counters
+    expansions, evaluations, prunings = counters
+    tw = cache._tw  # summed in charge order, as a running total
+    record_pop = pops.append
+    record_tie = ties.append
+    drain = drain_key is not None
+    if eager:
+        l_est = math.inf
+    if not drain:
+        g[start] = 0.0
+        heappush(heap, (0.0, seq, start))
+        seq += 1
+    status = EXHAUSTED
+    found = -1
+    while heap:
+        if drain and heap[0][0] > drain_key:
+            break
+        key, _, v = heappop(heap)
+        if closed[v] or key != g[v]:
+            continue  # stale entry superseded by a better key
+        record_pop((v, key))
+        if v in goals:
+            if drain:
+                continue
+            status = FOUND
+            found = v
+            break
+        closed[v] = True
+        expansions += 1
+        for ptr in range(indptr[v], indptr[v + 1]):
+            s = succ_vertex[ptr]
+            eid = succ_edge[ptr]
+            evaluations += 1
+            base = est_offsets[eid]
+            k_e = est_offsets[eid + 1] - base
+            g_s = g[s]
+            # eager: run the sequence to its end; lazy: stop once the
+            # bound no longer beats g[s] or passes l_est
+            gt = key
+            pos = 0
+            while pos < k_e and (eager or gt < g_s):
+                layer = next_index[eid]
+                if pos < layer:
+                    pos = layer  # cached work, consumed as one free step
+                else:
+                    flat = base + layer
+                    if not invoked[flat]:
+                        invoked[flat] = True
+                        layer_counts[layer] += 1
+                        tw += est_time[flat]
+                    if est_lower[flat] > tight_lower[eid]:
+                        tight_lower[eid] = est_lower[flat]
+                    if est_upper[flat] < tight_upper[eid]:
+                        tight_upper[eid] = est_upper[flat]
+                    pos = layer + 1
+                    next_index[eid] = pos
+                gt = key + tight_lower[eid]
+                if gt > l_est:
+                    break
+            if gt < g_s:
+                if closed[s]:
+                    status = CORRUPT
+                    found = s
+                    break
+                if gt <= l_prune:
+                    g[s] = gt
+                    parent_vertex[s] = v
+                    parent_edge[s] = eid
+                    heappush(heap, (gt, seq, s))
+                    seq += 1
+                else:
+                    prunings += 1
+            elif gt == g_s:
+                record_tie((s, v, eid))
+        if status == CORRUPT:
+            break
+    counters[:] = expansions, evaluations, prunings
+    cache._tw = tw
+    return status, found, seq

@@ -16,7 +16,6 @@ l_over / l_under.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .estimation import EstimationCache, Metrics
 from .graph import Path, Problem
 from .search import beauty
 
-__all__ = ["IterationRecord", "AnytimeResult", "a_beauty", "write_iteration_csv"]
+__all__ = ["IterationRecord", "AnytimeResult", "a_beauty"]
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ def a_beauty(
     max_iterations: int = 10,
     epsilon: float | None = None,
     cache: EstimationCache | None = None,
-    backend: str | None = None,
 ) -> AnytimeResult:
     """Iterate the lazy search to a certified tightest bound.
 
@@ -96,7 +94,7 @@ def a_beauty(
         )
         force = it == max_iterations or close_enough
         l_est = l_over if force else l_under
-        res = beauty(problem, cache, l_est=l_est, l_prune=l_over, backend=backend)
+        res = beauty(problem, cache, l_est=l_est, l_prune=l_over)
         if not res.found:
             log.append(IterationRecord(it, None, math.inf, math.inf, res.metrics))
             return AnytimeResult(None, math.inf, tuple(log))
@@ -149,11 +147,3 @@ def iteration_csv_rows(instance_id: str, algorithm: str, result: AnytimeResult):
             "T_w": rec.metrics_delta.estimation_time,
             "T_v": rec.metrics_delta.search_time,
         }
-
-
-def write_iteration_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=ITERATION_CSV_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)

@@ -41,7 +41,7 @@ from .anytime import (
 )
 from .estimation import METRICS_CSV_FIELDS, EstimationCache, Metrics, metrics_csv_row
 from .generators import WeightedDigraph, gen_grid_graph, gen_random_graph
-from .graph import Problem
+from .graph import Problem, validate_graph
 from .oracle import oracle_lstar
 from .search import beauty, ei_ucs
 from .synth import synth_estimators
@@ -120,6 +120,17 @@ def _materialize(spec: dict):
     raise ValueError(f"unknown instance model {model!r}")
 
 
+def _check_graph(inst_id: str, problem: Problem) -> None:
+    """Reject a graph read from a file that validate_graph finds defective."""
+    violations = validate_graph(problem.graph)
+    if violations:
+        v = violations[0]
+        raise ValueError(
+            f"instance {inst_id!r}: invalid graph, {len(violations)} violations "
+            f"(first: edge {v.edge}: {v.kind}: {v.detail})"
+        )
+
+
 def _run_one(kind: str, max_iters, problem: Problem) -> dict:
     cache = EstimationCache(problem.graph)
     t0 = time.perf_counter()
@@ -193,6 +204,8 @@ def run_suite(config: dict, out_dir=None) -> SuiteReport:
                 problem = payload
             else:
                 problem = synth_estimators(payload, seed)
+            if spec["model"] in ("problem_file", "weighted_file"):
+                _check_graph(inst_id, problem)
             l_star = oracle_lstar(problem)
             cell: dict[str, RunRecord] = {}
             timed_out = False

@@ -205,7 +205,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
+        # RuntimeError: the search found bounds no valid estimator yields
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import get_backend
 from .graph import EdgeBoundState, EstimatedDigraph
 
 __all__ = ["Metrics", "EstimationCache", "METRICS_CSV_FIELDS", "metrics_csv_row"]
@@ -141,7 +140,6 @@ class EstimationCache:
         graph: EstimatedDigraph,
         tau_v: float = 1.0,
         wall_clock_scale: float = 0.0,
-        backend: str | None = None,
     ):
         arr = graph.arrays()
         self.graph = graph
@@ -152,11 +150,10 @@ class EstimationCache:
         self.tightest_upper = np.full(m, math.inf)
         self.invoked = np.zeros(int(arr.est_offsets[-1]), np.bool_)
         self.layer_counts = np.zeros(arr.k_max, np.int64)
-        self._tw = np.zeros(1)
-        self._counters = np.zeros(3, np.int64)  # expansions, evaluations, prunings
+        self._tw = 0.0  # simulated estimation time, summed in charge order
+        self._counters = [0, 0, 0]  # expansions, evaluations, prunings
         self.tau_v = float(tau_v)
         self.wall_clock_scale = float(wall_clock_scale)
-        self._kernels = get_backend(backend)
 
     # -- estimation steps ---------------------------------------------------
 
@@ -169,31 +166,29 @@ class EstimationCache:
     def has_remaining(self, eid: int) -> bool:
         return int(self.next_index[eid]) < self.sequence_length(eid)
 
-    def _step(self, fn, eid: int) -> float:
-        before = self._tw[0]
-        low = fn(
-            eid,
-            self._arr.est_offsets,
-            self._arr.est_lower,
-            self._arr.est_upper,
-            self._arr.est_time,
-            self.next_index,
-            self.tightest_lower,
-            self.tightest_upper,
-            self.invoked,
-            self.layer_counts,
-            self._tw,
-        )
-        self.sleep_for(self._tw[0] - before)
-        return float(low)
+    def _apply(self, eid: int, layer: int) -> float:
+        """Apply sequence position layer (0-based) and mark the edge consumed
+        up to it; charge its time_cost once per cache lifetime."""
+        flat = int(self._arr.est_offsets[eid]) + layer
+        if not self.invoked[flat]:
+            self.invoked[flat] = True
+            self.layer_counts[layer] += 1
+            cost = float(self._arr.est_time[flat])
+            self._tw += cost
+            self.sleep_for(cost)
+        low = max(float(self.tightest_lower[eid]), float(self._arr.est_lower[flat]))
+        up = min(float(self.tightest_upper[eid]), float(self._arr.est_upper[flat]))
+        self.tightest_lower[eid] = low
+        self.tightest_upper[eid] = up
+        self.next_index[eid] = layer + 1
+        return low
 
     def apply_next(self, eid: int) -> tuple[float, int]:
         """Apply the next unapplied estimator; return (tightest lower, layer)."""
         if not self.has_remaining(eid):
             raise ValueError(f"edge {eid}: estimator sequence exhausted")
-        layer = int(self.next_index[eid]) + 1
-        low = self._step(self._kernels.apply_next, eid)
-        return low, layer
+        layer = int(self.next_index[eid])
+        return self._apply(eid, layer), layer + 1
 
     def apply_final(self, eid: int) -> float:
         """Jump to the last estimator of the sequence; return tightest lower.
@@ -203,7 +198,7 @@ class EstimationCache:
         """
         if not self.has_remaining(eid):
             raise ValueError(f"edge {eid}: estimator sequence exhausted")
-        return self._step(self._kernels.apply_final, eid)
+        return self._apply(eid, self.sequence_length(eid) - 1)
 
     # -- state inspection ---------------------------------------------------
 
@@ -237,10 +232,10 @@ class EstimationCache:
     def snapshot_metrics(self) -> Metrics:
         return Metrics(
             layer_invocations=tuple(int(c) for c in self.layer_counts),
-            expansions=int(self._counters[0]),
-            evaluations=int(self._counters[1]),
-            prunings=int(self._counters[2]),
-            estimation_time=float(self._tw[0]),
+            expansions=self._counters[0],
+            evaluations=self._counters[1],
+            prunings=self._counters[2],
+            estimation_time=self._tw,
             tau_v=self.tau_v,
         )
 

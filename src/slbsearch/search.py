@@ -33,16 +33,22 @@ route lies in that subgraph and none of its edges can rise, so a goal
 popped at the optimum is always certified in the pass that pops it. With
 no such route the pass returns the popped path's bracket unchanged, and
 only edges on tight routes are ever charged.
+
+Each pass runs the kernel (``_kernels.run_search``) over search state that
+the pass owns as plain Python lists: g, the closed set, the parent tree,
+the heap, the pops and the tied edges. The tie check reads
+them after the kernel returns; the tight edges it walks are the parent
+edges and the ties the kernel recorded, so its memory grows with the
+route's backward cone, not with the graph.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._kernels import CORRUPT, EXHAUSTED, FOUND, get_backend
+from ._kernels import CORRUPT, EXHAUSTED, FOUND, run_search
 from .estimation import EstimationCache, Metrics
 from .graph import Path, Problem
 
@@ -54,8 +60,8 @@ class SearchTree:
     """Parent pointers produced by a search, enough to rebuild any path."""
 
     start: int
-    parent_vertex: np.ndarray
-    parent_edge: np.ndarray
+    parent_vertex: Sequence[int]
+    parent_edge: Sequence[int]
 
     def trace(self, vertex: int) -> Path:
         """Walk parents back to the start; empty path if vertex is the start."""
@@ -99,84 +105,60 @@ class SearchResult:
 class _Pass:
     """One kernel pass whose search state (g, closed, heap, tree) we own.
 
-    Owning the state lets a pass be resumed to drain a tie at its goal key
-    and lets the certification step read the closed set afterwards.
+    The state is plain lists. Owning it lets a pass be resumed to drain a
+    tie at its goal key and lets the certification step read the closed
+    set afterwards.
     """
 
-    def __init__(self, problem, cache, l_est, l_prune, eager, backend):
-        arr = problem.graph.arrays()
+    def __init__(self, problem, cache, l_est, l_prune, eager):
         n = problem.graph.vertex_count
-        cap = len(arr.succ_vertex) + 2
         self.problem = problem
         self.cache = cache
-        self.arr = arr
-        self.kernels = get_backend(backend)
+        self.arr = problem.graph.arrays()
         self.thresholds = (float(l_est), float(l_prune), bool(eager))
-        self.goal_mask = np.zeros(n, np.bool_)
-        self.goal_mask[list(problem.goals)] = True
-        self.g = np.full(n, np.inf)
-        self.closed = np.zeros(n, np.bool_)
-        self.hkeys = np.empty(cap)
-        self.hseqs = np.empty(cap, np.int64)
-        self.hverts = np.empty(cap, np.int64)
-        self.hstate = np.zeros(3, np.int64)  # heap size, insertion counter, pops
-        self.pop_verts = np.empty(n + 1, np.int64)
-        self.pop_keys = np.empty(n + 1)
-        self.parent_vertex = np.full(n, -1, np.int64)
-        self.parent_edge = np.full(n, -1, np.int64)
+        self.g = [math.inf] * n
+        self.closed = [False] * n
+        self.parent_vertex = [-1] * n
+        self.parent_edge = [-1] * n
+        self.heap: list[tuple[float, int, int]] = []  # (key, seq, vertex)
+        self.seq = 0
+        self._pops: list[tuple[int, float]] = []
+        self.ties: list[tuple[int, int, int]] = []  # (head, tail, edge)
 
     def run(self, drain_key: float | None = None) -> tuple[int, int]:
         """Search to the first goal pop, or drain every entry keyed <= drain_key."""
-        arr, cache = self.arr, self.cache
+        cache = self.cache
         l_est, l_prune, eager = self.thresholds
-        tw_before = cache._tw[0]
-        status, vertex = self.kernels.run_search(
-            arr.indptr,
-            arr.succ_vertex,
-            arr.succ_edge,
-            arr.est_offsets,
-            arr.est_lower,
-            arr.est_upper,
-            arr.est_time,
-            cache.next_index,
-            cache.tightest_lower,
-            cache.tightest_upper,
-            cache.invoked,
-            cache.layer_counts,
-            cache._tw,
-            cache._counters,
+        tw_before = cache._tw
+        status, vertex, self.seq = run_search(
+            self.arr,
+            cache,
             self.problem.start,
-            self.goal_mask,
+            self.problem.goals,
             l_est,
             l_prune,
             eager,
-            drain_key is not None,
-            math.inf if drain_key is None else float(drain_key),
             self.g,
             self.closed,
-            self.hkeys,
-            self.hseqs,
-            self.hverts,
-            self.hstate,
-            self.pop_verts,
-            self.pop_keys,
             self.parent_vertex,
             self.parent_edge,
+            self.heap,
+            self._pops,
+            self.ties,
+            self.seq,
+            None if drain_key is None else float(drain_key),
         )
         if status == CORRUPT:
             raise RuntimeError(
                 f"closed vertex {vertex} improved during search; "
                 "edge bounds are inconsistent (negative or non-nested?)"
             )
-        cache.sleep_for(cache._tw[0] - tw_before)
-        return int(status), int(vertex)
+        cache.sleep_for(cache._tw - tw_before)
+        return status, vertex
 
     @property
     def pops(self) -> tuple[tuple[int, float], ...]:
-        return tuple(
-            (int(self.pop_verts[i]), float(self.pop_keys[i]))
-            for i in range(int(self.hstate[2]))
-        )
+        return tuple(self._pops)
 
     @property
     def tree(self) -> SearchTree:
@@ -207,7 +189,9 @@ def beauty_ps(
     return (not l_cur > l_under), l_under, l_cur
 
 
-def _tight_route(run: _Pass, k: float, dead: set[int]) -> Path | None:
+def _tight_route(
+    run: _Pass, k: float, ties_into: dict[int, list[tuple[int, int]]], dead: set[int]
+) -> Path | None:
     """A start-to-goal route through tight edges of the closed set, or None.
 
     An edge (u, h) is tight when u is closed, g[h] <= k and g[u] plus the
@@ -215,19 +199,17 @@ def _tight_route(run: _Pass, k: float, dead: set[int]) -> Path | None:
     stores. Routes end at a goal with g == k and avoid the dead edges. The
     route is found backwards from the goals, so only vertices that reach a
     goal through tight edges are visited.
-    """
-    arr, g = run.arr, run.g
-    tails = np.repeat(np.arange(len(g)), np.diff(arr.indptr))
-    heads = arr.succ_vertex
-    cand = np.flatnonzero(run.closed[tails] & (g[heads] <= k))
-    t, h, e = tails[cand], heads[cand], arr.succ_edge[cand]
-    tight = g[t] + run.cache.tightest_lower[e] == g[h]
-    t, h, e = t[tight], h[tight], e[tight]
-    order = np.argsort(h, kind="stable")
-    t, h, e = t[order], h[order], e[order]
-    first = np.searchsorted(h, np.arange(len(g) + 1))
 
-    start = run.problem.start
+    A tight edge into h is either h's parent edge or one the kernel
+    recorded as a tie into h: any other edge examined from a closed vertex
+    lost to a strictly smaller bound or was pruned above every recorded
+    one, and neither bounds nor g can move back. So the candidates are
+    those, tested again here (post-search tightening may have raised a
+    parent edge), in ascending tail and then edge order. Bounds are never
+    negative, so every vertex the walk reaches has g <= k.
+    """
+    start, g, closed = run.problem.start, run.g, run.closed
+    tight_lower = run.cache.tightest_lower
     toward_goal: dict[int, tuple[int, int]] = {}  # vertex -> (edge, next vertex)
     stack = [v for v in sorted(run.problem.goals) if g[v] == k]
     seen = set(stack)
@@ -239,9 +221,12 @@ def _tight_route(run: _Pass, k: float, dead: set[int]) -> Path | None:
                 eid, v = toward_goal[v]
                 edges.append(eid)
             return Path(tuple(edges), v)
-        for i in range(first[v], first[v + 1]):
-            u, eid = int(t[i]), int(e[i])
-            if u not in seen and eid not in dead:
+        into = ties_into.get(v, [])
+        if run.parent_edge[v] >= 0:
+            into = into + [(run.parent_vertex[v], run.parent_edge[v])]
+        for u, eid in sorted(into):
+            tight = closed[u] and g[u] + float(tight_lower[eid]) == g[v]
+            if tight and u not in seen and eid not in dead:
                 seen.add(u)
                 toward_goal[u] = (eid, v)
                 stack.append(u)
@@ -257,8 +242,11 @@ def _certify_tie(run: _Pass, k: float) -> Path | None:
     routes are ever charged.
     """
     cache = run.cache
+    ties_into: dict[int, list[tuple[int, int]]] = {}
+    for h, u, eid in run.ties:
+        ties_into.setdefault(h, []).append((u, eid))
     dead: set[int] = set()
-    while (route := _tight_route(run, k, dead)) is not None:
+    while (route := _tight_route(run, k, ties_into, dead)) is not None:
         for eid in route.edges:
             if cache.has_remaining(eid):
                 low = float(cache.tightest_lower[eid])
@@ -269,11 +257,11 @@ def _certify_tie(run: _Pass, k: float) -> Path | None:
     return None
 
 
-def _search(problem, cache, l_est, l_prune, eager, backend):
+def _search(problem, cache, l_est, l_prune, eager):
     if cache is None:
         cache = EstimationCache(problem.graph)
     before = cache.snapshot_metrics()
-    run = _Pass(problem, cache, l_est, l_prune, eager, backend)
+    run = _Pass(problem, cache, l_est, l_prune, eager)
     status, goal_v = run.run()
     if status == EXHAUSTED:
         return SearchResult(
@@ -281,7 +269,7 @@ def _search(problem, cache, l_est, l_prune, eager, backend):
         )
     assert status == FOUND
     path = run.tree.trace(goal_v)
-    k = float(run.g[goal_v])
+    k = run.g[goal_v]
     opt, l_under, l_over = beauty_ps(path, k, cache)
     if not opt and not eager:
         # the optimum may still be tied at k: drain the tie, then look for
@@ -300,7 +288,6 @@ def beauty(
     cache: EstimationCache | None = None,
     l_est: float = math.inf,
     l_prune: float = math.inf,
-    backend: str | None = None,
 ) -> SearchResult:
     """Lazy bound-tightening search.
 
@@ -313,13 +300,12 @@ def beauty(
     tight route at that key is sought (see the module docstring). Pass a
     shared cache to reuse estimation work across calls.
     """
-    return _search(problem, cache, l_est, l_prune, eager=False, backend=backend)
+    return _search(problem, cache, l_est, l_prune, eager=False)
 
 
 def ei_ucs(
     problem: Problem,
     cache: EstimationCache | None = None,
-    backend: str | None = None,
 ) -> SearchResult:
     """Estimation-indifferent baseline: fully estimate every touched edge.
 
@@ -327,4 +313,4 @@ def ei_ucs(
     thresholds, but pays for every estimator on every examined edge, so
     its result is always certified (opt=True when a path is found).
     """
-    return _search(problem, cache, math.inf, math.inf, eager=True, backend=backend)
+    return _search(problem, cache, math.inf, math.inf, eager=True)

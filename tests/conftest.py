@@ -6,7 +6,7 @@ from slbsearch import (
     EstimatedDigraph,
     EstimatorSpec,
     Problem,
-    NUMBA_AVAILABLE,
+    default_backend_name,
 )
 
 # Reference instance used across the suite: five vertices, start 0, goals
@@ -90,11 +90,12 @@ def ref():
     return make_reference_problem()
 
 
-BACKENDS = ["numpy", "numba"] if NUMBA_AVAILABLE else ["numpy"]
+@pytest.fixture(params=[default_backend_name()])
+def kernel(request):
+    """The one search kernel, named as benchmark results are stamped.
 
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
+    Tests that take it keep the ``[numpy]`` id they have always had.
+    """
     return request.param
 
 

@@ -31,10 +31,10 @@ from slbsearch.anytime import ITERATION_CSV_FIELDS, iteration_csv_rows
 
 
 class TestAnytimeGolden:
-    def test_two_iterations_to_certainty(self, backend):
+    def test_two_iterations_to_certainty(self, kernel):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
-        result = a_beauty(problem, max_iterations=10, cache=cache, backend=backend)
+        result = a_beauty(problem, max_iterations=10, cache=cache)
 
         assert result.path == Path((E02, E24), 4)
         assert result.l_star == 7.0
@@ -46,10 +46,10 @@ class TestAnytimeGolden:
         assert second.path == Path((E02, E24), 4)
         assert (second.l_under, second.l_over) == (7.0, 7.0)
 
-    def test_iteration_work_split(self, backend):
+    def test_iteration_work_split(self, kernel):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
-        result = a_beauty(problem, cache=cache, backend=backend)
+        result = a_beauty(problem, cache=cache)
         first, second = result.log
         # pass one probes every reachable edge once and refines the found
         # path's tail edge during post-search tightening
@@ -62,44 +62,44 @@ class TestAnytimeGolden:
         assert cache.invoked_layers(E23) == (1,)
         assert cache.invocation_count() == 8
 
-    def test_forced_final_iteration_certifies(self, backend):
+    def test_forced_final_iteration_certifies(self, kernel):
         problem = make_reference_problem()
-        result = a_beauty(problem, max_iterations=2, backend=backend)
+        result = a_beauty(problem, max_iterations=2)
         assert result.iterations == 2
         assert result.l_star == 7.0
         assert result.log[-1].l_under == result.log[-1].l_over == 7.0
 
-    def test_single_iteration_budget_is_exact_search(self, backend):
+    def test_single_iteration_budget_is_exact_search(self, kernel):
         problem = make_reference_problem()
-        result = a_beauty(problem, max_iterations=1, backend=backend)
+        result = a_beauty(problem, max_iterations=1)
         assert result.iterations == 1
         assert result.l_star == 7.0
         assert result.path == Path((E02, E24), 4)
 
-    def test_forced_final_may_invoke_more_than_minimum(self, backend):
+    def test_forced_final_may_invoke_more_than_minimum(self, kernel):
         # a budget-2 run must certify at iteration 2 even though its
         # thresholds are looser than the converged run's
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
-        result = a_beauty(problem, max_iterations=2, cache=cache, backend=backend)
+        result = a_beauty(problem, max_iterations=2, cache=cache)
         assert result.log[-1].l_under == 7.0
         assert cache.invocation_count() >= 8
 
 
 class TestBracketInvariants:
-    def test_lower_bound_rises_upper_never_rises(self, backend):
+    def test_lower_bound_rises_upper_never_rises(self, kernel):
         problem = make_reference_problem()
-        result = a_beauty(problem, backend=backend)
+        result = a_beauty(problem)
         unders = [rec.l_under for rec in result.log]
         overs = [rec.l_over for rec in result.log]
         assert all(a < b for a, b in zip(unders, unders[1:]))
         assert all(a >= b for a, b in zip(overs, overs[1:]))
         assert all(u <= o for u, o in zip(unders, overs))
 
-    def test_no_estimator_paid_twice(self, backend):
+    def test_no_estimator_paid_twice(self, kernel):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
-        result = a_beauty(problem, cache=cache, backend=backend)
+        result = a_beauty(problem, cache=cache)
         total = sum(rec.metrics_delta.invocations for rec in result.log)
         assert total == cache.invocation_count()
         for eid in range(len(problem.graph.edges)):
@@ -130,10 +130,10 @@ class TestTiedOptimum:
             (make_closed_tie_problem, Path((2, 4, 5), 4)),
         ],
     )
-    def test_tie_certified_in_the_pass_that_pops_it(self, make, route, backend):
+    def test_tie_certified_in_the_pass_that_pops_it(self, make, route, kernel):
         problem = make()
         cache = EstimationCache(problem.graph)
-        result = a_beauty(problem, max_iterations=10, cache=cache, backend=backend)
+        result = a_beauty(problem, max_iterations=10, cache=cache)
         first, second = result.log
         assert first.l_under == 1.0
         assert second.path == route
@@ -141,10 +141,10 @@ class TestTiedOptimum:
         assert result.path == route
         _check_run(problem, result, cache)
 
-    def test_closed_bracket(self, backend):
+    def test_closed_bracket(self, kernel):
         problem = make_closed_bracket_problem()
         cache = EstimationCache(problem.graph)
-        result = a_beauty(problem, max_iterations=10, cache=cache, backend=backend)
+        result = a_beauty(problem, max_iterations=10, cache=cache)
         first, second = result.log
         assert first.path == Path((0, 2), 3)
         assert (first.l_under, first.l_over) == (1.0, 5.0)
@@ -176,18 +176,18 @@ class TestTiedOptimum:
 
 
 class TestEpsilonRule:
-    def test_wide_epsilon_forces_early_finish(self, backend):
+    def test_wide_epsilon_forces_early_finish(self, kernel):
         # after pass one the bracket is [5, 8]; 8/5 <= 1.7 triggers the
         # forced pass immediately, same as the converged run here
         problem = make_reference_problem()
-        result = a_beauty(problem, max_iterations=10, epsilon=0.7, backend=backend)
+        result = a_beauty(problem, max_iterations=10, epsilon=0.7)
         assert result.iterations == 2
         assert result.l_star == 7.0
 
-    def test_zero_epsilon_behaves_like_plain_loop(self, backend):
+    def test_zero_epsilon_behaves_like_plain_loop(self, kernel):
         problem = make_reference_problem()
-        with_eps = a_beauty(problem, epsilon=0.0, backend=backend)
-        without = a_beauty(problem, backend=backend)
+        with_eps = a_beauty(problem, epsilon=0.0)
+        without = a_beauty(problem)
         assert with_eps.l_star == without.l_star
         assert with_eps.iterations == without.iterations
 
@@ -197,20 +197,18 @@ class TestEpsilonRule:
 
 
 class TestAnytimeEdgeCases:
-    def test_unreachable_goal(self, backend):
+    def test_unreachable_goal(self, kernel):
         g = EstimatedDigraph(3, [edge(0, 1, [(1, 2, 1.0)])])
         problem = Problem(g, 0, frozenset({2}))
-        result = a_beauty(problem, backend=backend)
+        result = a_beauty(problem)
         assert result.path is None
         assert result.l_star == math.inf
         assert result.iterations == 1
         assert result.log[0].path is None
 
-    def test_start_is_goal(self, backend):
+    def test_start_is_goal(self, kernel):
         problem = make_reference_problem()
-        result = a_beauty(
-            Problem(problem.graph, 0, frozenset({0})), backend=backend
-        )
+        result = a_beauty(Problem(problem.graph, 0, frozenset({0})))
         assert result.path == Path((), 0)
         assert result.l_star == 0.0
 

@@ -209,6 +209,55 @@ class TestBench:
         code = run_cli("bench", "--suite", str(path), "--out-dir", str(tmp_path / "o"))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "specs",
+        [[(-3, 4, 1.0)], [(2, 6, 1.0), (1, 9, 2.0)]],
+        ids=["negative", "non-nested"],
+    )
+    def test_bench_rejects_invalid_problem_file(self, tmp_path, capsys, specs):
+        graph = EstimatedDigraph(
+            3,
+            [edge(0, 1, specs, 2), edge(1, 2, [(1, 1, 1.0)], 1), edge(0, 2, [(5, 5, 1.0)], 5)],
+        )
+        problem_path = tmp_path / "bad.json"
+        dump_problem(Problem(graph, 0, frozenset({2})), problem_path)
+        code = run_cli(
+            "bench", "--suite", self.suite_file(tmp_path, str(problem_path)),
+            "--out-dir", str(tmp_path / "o"),
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: instance 'ref': invalid graph")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_bench_rejects_weighted_file_with_stray_endpoint(self, tmp_path, capsys):
+        path = tmp_path / "wg.json"
+        path.write_text(json.dumps({
+            "vertex_count": 2, "start": 0, "goals": [1],
+            "edges": [{"from": 0, "to": 1, "cost": 3}, {"from": 1, "to": 7, "cost": 2}],
+        }))
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({
+            "instances": [{"id": "w", "model": "weighted_file", "path": str(path)}],
+            "algorithms": ["beauty"],
+        }))
+        code = run_cli("bench", "--suite", str(suite), "--out-dir", str(tmp_path / "o"))
+        assert code == 3
+        assert "endpoint" in capsys.readouterr().err
+
+    def test_runtime_error_exits_3_with_one_line(self, tmp_path, ref_path, capsys, monkeypatch):
+        def corrupt(*args, **kwargs):
+            raise RuntimeError("closed vertex 3 improved during search")
+
+        monkeypatch.setattr("slbsearch.cli.run_suite", corrupt)
+        code = run_cli(
+            "bench", "--suite", self.suite_file(tmp_path, ref_path),
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: closed vertex 3 improved during search\n"
+
 
 def test_console_script_help():
     out = subprocess.run(

@@ -34,19 +34,19 @@ from slbsearch import (
 class TestBeautyGolden:
     """The reference instance, traced by hand."""
 
-    def test_unbounded_run(self, backend):
+    def test_unbounded_run(self, kernel):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
-        res = beauty(problem, cache, backend=backend)
+        res = beauty(problem, cache)
         assert res.path == Path((E02, E24), 4)
         assert res.opt is True
         assert (res.l_under, res.l_over) == (7.0, 7.0)
         assert res.pops == ((0, 0.0), (2, 3.0), (1, 4.0), (4, 7.0))
 
-    def test_unbounded_run_invokes_nine(self, backend):
+    def test_unbounded_run_invokes_nine(self, kernel):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
-        beauty(problem, cache, backend=backend)
+        beauty(problem, cache)
         invoked = {
             (eid, layer)
             for eid in range(6)
@@ -61,23 +61,23 @@ class TestBeautyGolden:
             (E24, 1),
         }
 
-    def test_thresholded_first_pass(self, backend):
+    def test_thresholded_first_pass(self, kernel):
         # with no lower-bound floor established, estimation breaks at the
         # first layer everywhere and the cheap-looking path wins the pop
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
-        res = beauty(problem, cache, l_est=0.0, backend=backend)
+        res = beauty(problem, cache, l_est=0.0)
         assert res.path == Path((E01, E14), 4)
         assert res.opt is False
         assert (res.l_under, res.l_over) == (5.0, 8.0)
         assert res.pops == ((0, 0.0), (2, 2.0), (1, 4.0), (4, 5.0))
 
-    def test_thresholded_second_pass_reuses_cache(self, backend):
+    def test_thresholded_second_pass_reuses_cache(self, kernel):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
-        beauty(problem, cache, l_est=0.0, backend=backend)
+        beauty(problem, cache, l_est=0.0)
         before = cache.invocation_count()
-        res = beauty(problem, cache, l_est=5.0, l_prune=8.0, backend=backend)
+        res = beauty(problem, cache, l_est=5.0, l_prune=8.0)
         assert res.path == Path((E02, E24), 4)
         assert res.opt is True
         assert (res.l_under, res.l_over) == (7.0, 7.0)
@@ -86,10 +86,10 @@ class TestBeautyGolden:
         assert cache.invoked_layers(E02) == (1, 2)
         assert cache.invoked_layers(E23) == (1,)
 
-    def test_metrics_counts(self, backend):
+    def test_metrics_counts(self, kernel):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
-        res = beauty(problem, cache, backend=backend)
+        res = beauty(problem, cache)
         # non-goal pops: v0, v2, v1
         assert res.metrics.expansions == 3
         # successor edges examined: e01, e02 from v0; e21, e23, e24 from
@@ -107,11 +107,11 @@ def _charged_once(cache, result):
 class TestTieCertification:
     """A goal popped at the optimum is certified in the pass that pops it."""
 
-    def test_another_goal_tied_at_k(self, backend):
+    def test_another_goal_tied_at_k(self, kernel):
         problem = make_goal_tie_problem()
         assert validate_graph(problem.graph) == []
         cache = EstimationCache(problem.graph)
-        res = beauty(problem, cache, l_est=1.0, backend=backend)
+        res = beauty(problem, cache, l_est=1.0)
         # goal 4 pops first at 4 and rises to 6; draining the tie pops goal 5
         assert res.pops == ((0, 0.0), (4, 4.0), (5, 4.0))
         assert res.path == Path((2,), 5)
@@ -119,11 +119,11 @@ class TestTieCertification:
         assert res.l_under == res.l_over == oracle_lstar(problem) == 4.0
         _charged_once(cache, res)
 
-    def test_unexpanded_vertex_tied_at_k(self, backend):
+    def test_unexpanded_vertex_tied_at_k(self, kernel):
         problem = make_frontier_tie_problem()
         assert validate_graph(problem.graph) == []
         cache = EstimationCache(problem.graph)
-        res = beauty(problem, cache, l_est=1.0, backend=backend)
+        res = beauty(problem, cache, l_est=1.0)
         # the drain expands vertex 2 (a second expansion); its edge to the
         # goal is only tied, never estimated, until the certification step
         # charges its single estimator
@@ -135,11 +135,11 @@ class TestTieCertification:
         assert cache.invoked_layers(3) == (1,)
         _charged_once(cache, res)
 
-    def test_tie_at_closed_interior_vertex(self, backend):
+    def test_tie_at_closed_interior_vertex(self, kernel):
         problem = make_closed_tie_problem()
         assert validate_graph(problem.graph) == []
         cache = EstimationCache(problem.graph)
-        res = beauty(problem, cache, l_est=1.0, backend=backend)
+        res = beauty(problem, cache, l_est=1.0)
         assert res.pops == ((0, 0.0), (1, 2.0), (2, 2.0), (3, 3.0), (4, 4.0))
         # vertex 3 was recorded through 1, whose edge rose to 4; the
         # certified route takes the other tied parent, 2
@@ -149,7 +149,7 @@ class TestTieCertification:
         assert cache.invoked_layers(1) == (1, 2)
         _charged_once(cache, res)
 
-    def test_rising_route_dropped_and_next_route_tried(self, backend):
+    def test_rising_route_dropped_and_next_route_tried(self, kernel):
         # edges 0-1, 0-2 and 0-3 all enter a vertex at 1, and 1-4, 2-4 and
         # 3-4 all reach goal 4 at 2. The popped path (through 1) rises; the
         # backward route search tries 3 before 2, and edge 2 (0-3) rises
@@ -167,7 +167,7 @@ class TestTieCertification:
         )
         problem = Problem(g, 0, frozenset({4}))
         cache = EstimationCache(g)
-        res = beauty(problem, cache, l_est=0.0, backend=backend)
+        res = beauty(problem, cache, l_est=0.0)
         assert res.path == Path((1, 4), 4)
         assert res.opt is True
         assert res.l_under == res.l_over == oracle_lstar(problem) == 2.0
@@ -175,13 +175,13 @@ class TestTieCertification:
         assert cache.invoked_layers(2) == (1, 2)
         _charged_once(cache, res)
 
-    def test_no_tied_route_keeps_bracket_and_charges(self, backend):
+    def test_no_tied_route_keeps_bracket_and_charges(self, kernel):
         # pass 1 of the reference anytime run: pops goal 4 at 5, rises to
         # 8, and L* = 7, so no route is tight at 5. The tie check must
         # return the popped bracket and charge nothing beyond post-search.
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
-        res = beauty(problem, cache, l_est=0.0, backend=backend)
+        res = beauty(problem, cache, l_est=0.0)
         assert res.path == Path((E01, E14), 4)
         assert res.opt is False
         assert (res.l_under, res.l_over) == (5.0, 8.0)
@@ -195,23 +195,23 @@ class TestTieCertification:
 
 
 class TestEiUcs:
-    def test_same_answer_and_pops_as_unbounded(self, backend):
+    def test_same_answer_and_pops_as_unbounded(self, kernel):
         problem = make_reference_problem()
-        lazy = beauty(problem, EstimationCache(problem.graph), backend=backend)
-        eager = ei_ucs(problem, EstimationCache(problem.graph), backend=backend)
+        lazy = beauty(problem, EstimationCache(problem.graph))
+        eager = ei_ucs(problem, EstimationCache(problem.graph))
         assert eager.path == lazy.path
         assert eager.pops == lazy.pops
         assert (eager.l_under, eager.l_over) == (7.0, 7.0)
         assert eager.opt is True
 
-    def test_invokes_every_touched_estimator(self, backend):
+    def test_invokes_every_touched_estimator(self, kernel):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
-        ei_ucs(problem, cache, backend=backend)
+        ei_ucs(problem, cache)
         assert cache.invocation_count() == 10
 
-    def test_certified_even_on_ties(self, backend):
-        res = ei_ucs(make_reference_problem(), backend=backend)
+    def test_certified_even_on_ties(self, kernel):
+        res = ei_ucs(make_reference_problem())
         assert res.opt and res.l_under == res.l_over
 
 
@@ -267,31 +267,31 @@ class TestSearchTree:
 
 
 class TestEdgeCases:
-    def test_unreachable_goal(self, backend):
+    def test_unreachable_goal(self, kernel):
         g = EstimatedDigraph(3, [edge(0, 1, [(1, 2, 1.0)])])
         problem = Problem(g, 0, frozenset({2}))
-        res = beauty(problem, backend=backend)
+        res = beauty(problem)
         assert res.path is None
         assert not res.found
         assert (res.l_under, res.l_over) == (math.inf, math.inf)
 
-    def test_unreachable_goal_eager(self, backend):
+    def test_unreachable_goal_eager(self, kernel):
         g = EstimatedDigraph(3, [edge(0, 1, [(1, 2, 1.0)])])
         problem = Problem(g, 0, frozenset({2}))
-        res = ei_ucs(problem, backend=backend)
+        res = ei_ucs(problem)
         assert res.path is None
 
-    def test_start_is_goal(self, backend):
+    def test_start_is_goal(self, kernel):
         problem = make_reference_problem()
         at_start = Problem(problem.graph, 0, frozenset({0, 4}))
-        res = beauty(at_start, backend=backend)
+        res = beauty(at_start)
         assert res.path == Path((), 0)
         assert res.found
         assert (res.l_under, res.l_over) == (0.0, 0.0)
         assert res.opt is True
         assert res.metrics.invocations == 0
 
-    def test_self_loops_and_parallel_edges(self, backend):
+    def test_self_loops_and_parallel_edges(self, kernel):
         g = EstimatedDigraph(
             2,
             [
@@ -301,11 +301,11 @@ class TestEdgeCases:
             ],
         )
         problem = Problem(g, 0, frozenset({1}))
-        res = beauty(problem, backend=backend)
+        res = beauty(problem)
         assert res.path == Path((2,), 1)
         assert (res.l_under, res.l_over) == (3.0, 3.0)
 
-    def test_zero_cost_cycle_terminates(self, backend):
+    def test_zero_cost_cycle_terminates(self, kernel):
         g = EstimatedDigraph(
             3,
             [
@@ -315,10 +315,10 @@ class TestEdgeCases:
             ],
         )
         problem = Problem(g, 0, frozenset({2}))
-        res = beauty(problem, backend=backend)
+        res = beauty(problem)
         assert res.found and res.l_over == 2.0
 
-    def test_negative_input_bounds_clamped_by_vacuous_prior(self, backend):
+    def test_negative_input_bounds_clamped_by_vacuous_prior(self, kernel):
         # invalid per validate_graph, but the bound fold never drops below
         # the fresh-state floor of zero, so the search still terminates
         # with monotone keys instead of looping or corrupting state
@@ -332,10 +332,10 @@ class TestEdgeCases:
             ],
         )
         problem = Problem(g, 0, frozenset({4}))
-        assert beauty(problem, backend=backend).path is None
-        assert ei_ucs(problem, backend=backend).path is None
+        assert beauty(problem).path is None
+        assert ei_ucs(problem).path is None
 
-    def test_poisoned_cache_detected_not_corrupted(self, backend):
+    def test_poisoned_cache_detected_not_corrupted(self, kernel):
         # the closed-set guard: cached bounds that no valid estimator
         # could produce make the search raise rather than silently emit a
         # wrong tree
@@ -353,4 +353,4 @@ class TestEdgeCases:
         cache.next_index[2] = 1
         cache.tightest_lower[2] = -9.0
         with pytest.raises(RuntimeError):
-            beauty(problem, cache, backend=backend)
+            beauty(problem, cache)
