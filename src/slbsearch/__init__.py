@@ -1,9 +1,8 @@
 """Search over digraphs whose edge costs arrive through tightening estimators."""
 
-from ._kernels import default_backend_name
 from .anytime import AnytimeResult, IterationRecord, a_beauty
 from .bench import RunRecord, SuiteReport, run_suite
-from .estimation import METRICS_CSV_FIELDS, EstimationCache, Metrics, metrics_csv_row
+from .estimation import EstimationCache, Metrics, write_metrics_csv
 from .generators import WeightedDigraph, gen_grid_graph, gen_random_graph
 from .graph import (
     Edge,
@@ -36,7 +35,7 @@ from .oracle import (
     oracle_enumerate,
     oracle_lstar,
 )
-from .search import SearchResult, SearchTree, beauty, beauty_ps, ei_ucs
+from .search import SearchResult, beauty, beauty_ps, default_backend_name, ei_ucs
 from .synth import (
     DEFAULT_MULTIPLIER_TABLE,
     DEFAULT_TIME_COSTS,
@@ -57,13 +56,11 @@ __all__ = [
     "EstimatorSpec",
     "FullEstimate",
     "IterationRecord",
-    "METRICS_CSV_FIELDS",
     "Metrics",
     "Path",
     "Problem",
     "RunRecord",
     "SearchResult",
-    "SearchTree",
     "SuiteReport",
     "SynthConfig",
     "Violation",
@@ -82,7 +79,6 @@ __all__ = [
     "load_problem",
     "load_suite",
     "load_weighted",
-    "metrics_csv_row",
     "oracle_cstar",
     "oracle_enumerate",
     "oracle_lstar",
@@ -95,4 +91,5 @@ __all__ = [
     "validate_graph",
     "weighted_from_json",
     "weighted_to_json",
+    "write_metrics_csv",
 ]

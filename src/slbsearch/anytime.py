@@ -107,43 +107,3 @@ def a_beauty(
             break
     return AnytimeResult(path, l_over, tuple(log))
 
-
-ITERATION_CSV_FIELDS = (
-    "instance_id",
-    "algorithm",
-    "iteration",
-    "l_under",
-    "l_over",
-    "w_1",
-    "w_2",
-    "w_3",
-    "expansions",
-    "evaluations",
-    "prunings",
-    "T_w",
-    "T_v",
-)
-
-
-def iteration_csv_rows(instance_id: str, algorithm: str, result: AnytimeResult):
-    for rec in result.log:
-        w = rec.metrics_delta.layer_invocations
-
-        def layer(i):
-            return w[i] if i < len(w) else 0
-
-        yield {
-            "instance_id": instance_id,
-            "algorithm": algorithm,
-            "iteration": rec.iteration,
-            "l_under": rec.l_under,
-            "l_over": rec.l_over,
-            "w_1": layer(0),
-            "w_2": layer(1),
-            "w_3": layer(2),
-            "expansions": rec.metrics_delta.expansions,
-            "evaluations": rec.metrics_delta.evaluations,
-            "prunings": rec.metrics_delta.prunings,
-            "T_w": rec.metrics_delta.estimation_time,
-            "T_v": rec.metrics_delta.search_time,
-        }

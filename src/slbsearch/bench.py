@@ -25,7 +25,6 @@ the baseline's.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -33,13 +32,8 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .anytime import (
-    ITERATION_CSV_FIELDS,
-    AnytimeResult,
-    a_beauty,
-    iteration_csv_rows,
-)
-from .estimation import METRICS_CSV_FIELDS, EstimationCache, Metrics, metrics_csv_row
+from .anytime import a_beauty
+from .estimation import EstimationCache, Metrics, write_metrics_csv
 from .generators import WeightedDigraph, gen_grid_graph, gen_random_graph
 from .graph import Problem, validate_graph
 from .oracle import oracle_lstar
@@ -47,6 +41,10 @@ from .search import beauty, ei_ucs
 from .synth import synth_estimators
 
 __all__ = ["RunRecord", "SuiteReport", "run_suite"]
+
+# the columns of runs.csv (and solve --metrics-out) around the metrics
+RUN_HEAD = ("instance_id", "algorithm")
+RUN_TAIL = ("l_under", "l_over", "optimal_flag", "iterations")
 
 
 @dataclass(frozen=True)
@@ -90,12 +88,59 @@ def _parse_algorithm(name: str):
     raise ValueError(f"unknown algorithm {name!r}")
 
 
+# instance model -> required key -> the kind of value it takes
+_MODEL_KEYS = {
+    "random": {
+        "n": "an integer", "edge_prob": "a number", "cost_min": "an integer",
+        "cost_max": "an integer", "rng_seed": "an integer",
+    },
+    "grid": {
+        "rows": "an integer", "cols": "an integer", "cost_min": "an integer",
+        "cost_max": "an integer", "rng_seed": "an integer",
+    },
+    "weighted_file": {"path": "a string"},
+    "problem_file": {"path": "a string"},
+}
+
+
+def _is(kind: str, value) -> bool:
+    if kind == "a string":
+        return isinstance(value, str)
+    number = (int,) if kind == "an integer" else (int, float)
+    return isinstance(value, number) and not isinstance(value, bool) and not math.isnan(value)
+
+
+def _check_suite(config: dict) -> None:
+    """Reject a malformed suite document, naming the instance and the key."""
+    instances = config.get("instances", [])
+    if not isinstance(instances, (list, tuple)) or not all(
+        isinstance(spec, dict) for spec in instances
+    ):
+        raise ValueError("suite key 'instances' must be a list of objects")
+    for i, spec in enumerate(instances):
+        if "id" not in spec or "model" not in spec:
+            raise ValueError(f"instance {i}: instance spec needs 'id' and 'model'")
+        where = f"instance {spec['id']!r}"
+        model = spec["model"]
+        if not isinstance(model, str) or model not in _MODEL_KEYS:
+            raise ValueError(f"{where}: unknown instance model {model!r}")
+        for key, kind in _MODEL_KEYS[model].items():
+            if key not in spec:
+                raise ValueError(f"{where}: model {model!r} needs key {key!r}")
+            if not _is(kind, spec[key]):
+                raise ValueError(f"{where}: key {key!r} must be {kind}")
+    for key, kind in (("seeds", "an integer"), ("algorithms", "a string")):
+        values = config.get(key, [])
+        if not isinstance(values, (list, tuple)) or not all(_is(kind, v) for v in values):
+            raise ValueError(f"suite key {key!r} must be a list, each item {kind}")
+    if not _is("a number", config.get("timeout_seconds", 0)):
+        raise ValueError("suite key 'timeout_seconds' must be a number")
+
+
 def _materialize(spec: dict):
     """Instance spec -> (id, weighted digraph or pre-built problem)."""
     from .io import load_problem, load_weighted
 
-    if not isinstance(spec, dict) or "id" not in spec or "model" not in spec:
-        raise ValueError("instance spec needs 'id' and 'model'")
     model = spec["model"]
     if model == "random":
         wg = gen_random_graph(
@@ -115,9 +160,7 @@ def _materialize(spec: dict):
         return spec["id"], wg
     if model == "weighted_file":
         return spec["id"], load_weighted(spec["path"])
-    if model == "problem_file":
-        return spec["id"], load_problem(spec["path"])
-    raise ValueError(f"unknown instance model {model!r}")
+    return spec["id"], load_problem(spec["path"])
 
 
 def _check_graph(inst_id: str, problem: Problem) -> None:
@@ -134,21 +177,7 @@ def _check_graph(inst_id: str, problem: Problem) -> None:
 def _run_one(kind: str, max_iters, problem: Problem) -> dict:
     cache = EstimationCache(problem.graph)
     t0 = time.perf_counter()
-    if kind == "eiucs":
-        res = ei_ucs(problem, cache)
-        wall = time.perf_counter() - t0
-        out = dict(
-            l_under=res.l_under, l_over=res.l_over, optimal=res.opt,
-            iterations=1, metrics=res.metrics, log=None,
-        )
-    elif kind == "beauty":
-        res = beauty(problem, cache)
-        wall = time.perf_counter() - t0
-        out = dict(
-            l_under=res.l_under, l_over=res.l_over, optimal=res.opt,
-            iterations=1, metrics=res.metrics, log=None,
-        )
-    else:
+    if kind == "abeauty":
         ares = a_beauty(problem, max_iterations=max_iters, cache=cache)
         wall = time.perf_counter() - t0
         last = ares.log[-1]
@@ -156,6 +185,13 @@ def _run_one(kind: str, max_iters, problem: Problem) -> dict:
             l_under=last.l_under, l_over=last.l_over, optimal=ares.found,
             iterations=ares.iterations, metrics=cache.snapshot_metrics(),
             log=ares.log,
+        )
+    else:
+        res = (ei_ucs if kind == "eiucs" else beauty)(problem, cache)
+        wall = time.perf_counter() - t0
+        out = dict(
+            l_under=res.l_under, l_over=res.l_over, optimal=res.opt,
+            iterations=1, metrics=res.metrics, log=None,
         )
     out["wall_time"] = wall
     out["final_layer_invocations"] = cache.final_layer_invocations()
@@ -184,10 +220,12 @@ def _sanitize(obj):
 
 def run_suite(config: dict, out_dir=None) -> SuiteReport:
     """Run a suite and aggregate; optionally write runs.csv, iterations.csv
-    and summary.json under out_dir."""
+    and summary.json under out_dir. A malformed suite raises ValueError
+    before anything runs."""
+    _check_suite(config)
     instances = config.get("instances", [])
     seeds = config.get("seeds", [0])
-    algorithms = list(config.get("algorithms", []))
+    algorithms = config.get("algorithms", [])
     timeout = float(config.get("timeout_seconds", math.inf))
     if not seeds:
         seeds = [0]
@@ -295,34 +333,33 @@ def _write_outputs(report: SuiteReport, out_dir: FsPath) -> None:
     import json
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "runs.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRICS_CSV_FIELDS)
-        writer.writeheader()
-        for rec in report.records:
-            writer.writerow(
-                metrics_csv_row(
-                    rec.cell_id,
-                    rec.algorithm,
-                    rec.metrics,
-                    rec.l_under,
-                    rec.l_over,
-                    rec.optimal,
-                    rec.iterations,
-                )
+    write_metrics_csv(
+        out_dir / "runs.csv",
+        RUN_HEAD,
+        RUN_TAIL,
+        [
+            (
+                (rec.cell_id, rec.algorithm),
+                rec.metrics,
+                (rec.l_under, rec.l_over, int(rec.optimal), rec.iterations),
             )
-    iter_rows = []
-    for rec in report.records:
-        if rec.log is not None:
-            iter_rows.extend(
-                iteration_csv_rows(
-                    rec.cell_id, rec.algorithm, AnytimeResult(None, math.nan, rec.log)
-                )
+            for rec in report.records
+        ],
+    )
+    write_metrics_csv(
+        out_dir / "iterations.csv",
+        ("instance_id", "algorithm", "iteration", "l_under", "l_over"),
+        (),
+        [
+            (
+                (rec.cell_id, rec.algorithm, entry.iteration, entry.l_under, entry.l_over),
+                entry.metrics_delta,
+                (),
             )
-    with open(out_dir / "iterations.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=ITERATION_CSV_FIELDS)
-        writer.writeheader()
-        for row in iter_rows:
-            writer.writerow(row)
+            for rec in report.records
+            for entry in rec.log or ()
+        ],
+    )
     summary = {
         "cells": report.aggregates.get("cells", 0),
         "excluded": report.excluded,

@@ -7,13 +7,12 @@ budget exhausted (some cell timed out).
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
 from .anytime import a_beauty
-from .bench import run_suite
-from .estimation import METRICS_CSV_FIELDS, EstimationCache, metrics_csv_row
+from .bench import RUN_HEAD, RUN_TAIL, run_suite
+from .estimation import EstimationCache, write_metrics_csv
 from .generators import gen_grid_graph, gen_random_graph
 from .graph import validate_graph
 from .io import (
@@ -84,13 +83,6 @@ def _fmt_path(problem, path) -> str:
     return "->".join(str(v) for v in path.vertices(problem.graph))
 
 
-def _write_metrics(out_path, row) -> None:
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRICS_CSV_FIELDS)
-        writer.writeheader()
-        writer.writerow(row)
-
-
 def _cmd_solve(args) -> int:
     problem = load_problem(args.graph)
     violations = validate_graph(problem.graph)
@@ -130,17 +122,15 @@ def _cmd_solve(args) -> int:
         path = res.path
 
     if args.metrics_out:
-        _write_metrics(
+        write_metrics_csv(
             args.metrics_out,
-            metrics_csv_row(
-                instance_id,
-                args.alg,
+            RUN_HEAD,
+            RUN_TAIL,
+            [(
+                (instance_id, args.alg),
                 cache.snapshot_metrics(),
-                l_under,
-                l_over,
-                optimal,
-                iterations,
-            ),
+                (l_under, l_over, int(optimal), iterations),
+            )],
         )
 
     if not found:

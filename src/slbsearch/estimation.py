@@ -12,15 +12,15 @@ of whatever ran in between.
 
 from __future__ import annotations
 
+import csv
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import EdgeBoundState, EstimatedDigraph
 
-__all__ = ["Metrics", "EstimationCache", "METRICS_CSV_FIELDS", "metrics_csv_row"]
+__all__ = ["Metrics", "EstimationCache", "write_metrics_csv"]
 
 
 @dataclass(frozen=True)
@@ -67,54 +67,25 @@ class Metrics:
         )
 
 
-METRICS_CSV_FIELDS = (
-    "instance_id",
-    "algorithm",
-    "w_1",
-    "w_2",
-    "w_3",
-    "expansions",
-    "evaluations",
-    "prunings",
-    "T_w",
-    "T_v",
-    "l_under",
-    "l_over",
-    "optimal_flag",
-    "iterations",
-)
+def write_metrics_csv(path, head, tail, rows) -> None:
+    """Write metrics rows as CSV, one schema for every file the package writes.
 
-
-def metrics_csv_row(
-    instance_id: str,
-    algorithm: str,
-    metrics: Metrics,
-    l_under: float,
-    l_over: float,
-    optimal: bool,
-    iterations: int,
-) -> dict:
-    w = metrics.layer_invocations
-
-    def layer(i):
-        return w[i] if i < len(w) else 0
-
-    return {
-        "instance_id": instance_id,
-        "algorithm": algorithm,
-        "w_1": layer(0),
-        "w_2": layer(1),
-        "w_3": layer(2),
-        "expansions": metrics.expansions,
-        "evaluations": metrics.evaluations,
-        "prunings": metrics.prunings,
-        "T_w": metrics.estimation_time,
-        "T_v": metrics.search_time,
-        "l_under": l_under,
-        "l_over": l_over,
-        "optimal_flag": int(optimal),
-        "iterations": iterations,
-    }
+    Each row is (head values, Metrics, tail values). The columns are the
+    head names, w_1..w_K (invocations per estimator layer, K the deepest
+    sequence among the rows and at least 3), expansions, evaluations,
+    prunings, T_w, T_v, then the tail names.
+    """
+    k = max([3] + [len(m.layer_invocations) for _, m, _ in rows])
+    layers = [f"w_{i}" for i in range(1, k + 1)]
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(
+            [*head, *layers, "expansions", "evaluations", "prunings", "T_w", "T_v", *tail]
+        )
+        for lead, m, trail in rows:
+            w = m.layer_invocations + (0,) * (k - len(m.layer_invocations))
+            counts = (m.expansions, m.evaluations, m.prunings)
+            out.writerow([*lead, *w, *counts, m.estimation_time, m.search_time, *trail])
 
 
 class _StatesView:
@@ -131,16 +102,9 @@ class EstimationCache:
     """Mutable estimation state plus metric counters for one graph.
 
     Not safe for concurrent mutation; give each worker its own cache.
-    wall_clock_scale > 0 additionally sleeps that many real seconds per
-    unit of simulated estimation time.
     """
 
-    def __init__(
-        self,
-        graph: EstimatedDigraph,
-        tau_v: float = 1.0,
-        wall_clock_scale: float = 0.0,
-    ):
+    def __init__(self, graph: EstimatedDigraph, tau_v: float = 1.0):
         arr = graph.arrays()
         self.graph = graph
         self._arr = arr
@@ -153,7 +117,6 @@ class EstimationCache:
         self._tw = 0.0  # simulated estimation time, summed in charge order
         self._counters = [0, 0, 0]  # expansions, evaluations, prunings
         self.tau_v = float(tau_v)
-        self.wall_clock_scale = float(wall_clock_scale)
 
     # -- estimation steps ---------------------------------------------------
 
@@ -173,9 +136,7 @@ class EstimationCache:
         if not self.invoked[flat]:
             self.invoked[flat] = True
             self.layer_counts[layer] += 1
-            cost = float(self._arr.est_time[flat])
-            self._tw += cost
-            self.sleep_for(cost)
+            self._tw += float(self._arr.est_time[flat])
         low = max(float(self.tightest_lower[eid]), float(self._arr.est_lower[flat]))
         up = min(float(self.tightest_upper[eid]), float(self._arr.est_upper[flat]))
         self.tightest_lower[eid] = low
@@ -238,7 +199,3 @@ class EstimationCache:
             estimation_time=self._tw,
             tau_v=self.tau_v,
         )
-
-    def sleep_for(self, simulated: float) -> None:
-        if self.wall_clock_scale > 0.0 and simulated > 0.0:
-            time.sleep(simulated * self.wall_clock_scale)

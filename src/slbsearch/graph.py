@@ -69,7 +69,7 @@ class Edge:
 
 @dataclass
 class GraphArrays:
-    """Flat array form of a graph, shared by every search backend.
+    """Flat array form of a graph, read by the search loop and the cache.
 
     Successors are CSR over the tail vertex, preserving edge declaration
     order within each tail. Estimator layers for edge e live in the flat

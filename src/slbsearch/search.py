@@ -34,46 +34,36 @@ popped at the optimum is always certified in the pass that pops it. With
 no such route the pass returns the popped path's bracket unchanged, and
 only edges on tight routes are ever charged.
 
-Each pass runs the kernel (``_kernels.run_search``) over search state that
-the pass owns as plain Python lists: g, the closed set, the parent tree,
-the heap, the pops and the tied edges. The tie check reads
-them after the kernel returns; the tight edges it walks are the parent
-edges and the ties the kernel recorded, so its memory grows with the
-route's backward cone, not with the graph.
+Each pass is one ``_Pass``: its ``run`` method is the search loop, plain
+Python over a ``heapq`` frontier of ``(key, seq, vertex)`` tuples, with
+the graph and cache arrays read and written through ``memoryview``. The
+pass owns its search state as plain lists (g, the closed set, the parent
+edges, the heap, the pops and the tied edges), so it can be resumed to
+drain a tie and its closed set read afterwards. The tight edges the tie
+check walks are the parent edges and the ties the loop recorded, so its
+memory grows with the route's backward cone, not with the graph.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
-from ._kernels import CORRUPT, EXHAUSTED, FOUND, run_search
 from .estimation import EstimationCache, Metrics
 from .graph import Path, Problem
 
-__all__ = ["SearchResult", "SearchTree", "beauty", "beauty_ps", "ei_ucs"]
+__all__ = ["SearchResult", "beauty", "beauty_ps", "default_backend_name", "ei_ucs"]
 
 
-@dataclass(frozen=True)
-class SearchTree:
-    """Parent pointers produced by a search, enough to rebuild any path."""
+def default_backend_name() -> str:
+    """Name of the kernel that runs: always ``"numpy"``.
 
-    start: int
-    parent_vertex: Sequence[int]
-    parent_edge: Sequence[int]
-
-    def trace(self, vertex: int) -> Path:
-        """Walk parents back to the start; empty path if vertex is the start."""
-        edges = []
-        v = vertex
-        while self.parent_edge[v] >= 0:
-            edges.append(int(self.parent_edge[v]))
-            v = int(self.parent_vertex[v])
-        if v != self.start:
-            raise ValueError(f"vertex {vertex} was not reached from {self.start}")
-        edges.reverse()
-        return Path(tuple(edges), vertex)
+    There is one kernel, plain Python over numpy arrays without a JIT. The
+    name remains so that benchmark results stay stamped with, and
+    comparable by, the kernel that produced them.
+    """
+    return "numpy"
 
 
 @dataclass(frozen=True)
@@ -103,66 +93,169 @@ class SearchResult:
 
 
 class _Pass:
-    """One kernel pass whose search state (g, closed, heap, tree) we own.
+    """One best-first pass and the search state it owns as plain lists.
 
-    The state is plain lists. Owning it lets a pass be resumed to drain a
-    tie at its goal key and lets the certification step read the closed
-    set afterwards.
+    g (inf), closed (False), the parent edges (-1), the heap, the pops and
+    the ties persist between calls to run, so a pass can be resumed to
+    drain a tie at its goal key and the certification step can read the
+    closed set afterwards.
     """
 
     def __init__(self, problem, cache, l_est, l_prune, eager):
         n = problem.graph.vertex_count
         self.problem = problem
         self.cache = cache
-        self.arr = problem.graph.arrays()
-        self.thresholds = (float(l_est), float(l_prune), bool(eager))
+        self.eager = bool(eager)
+        self.l_est = math.inf if eager else float(l_est)
+        self.l_prune = float(l_prune)
         self.g = [math.inf] * n
         self.closed = [False] * n
-        self.parent_vertex = [-1] * n
         self.parent_edge = [-1] * n
         self.heap: list[tuple[float, int, int]] = []  # (key, seq, vertex)
-        self.seq = 0
+        self.seq = 0  # insertion counter: equal keys pop in FIFO order
         self._pops: list[tuple[int, float]] = []
         self.ties: list[tuple[int, int, int]] = []  # (head, tail, edge)
 
-    def run(self, drain_key: float | None = None) -> tuple[int, int]:
-        """Search to the first goal pop, or drain every entry keyed <= drain_key."""
-        cache = self.cache
-        l_est, l_prune, eager = self.thresholds
-        tw_before = cache._tw
-        status, vertex, self.seq = run_search(
-            self.arr,
-            cache,
-            self.problem.start,
-            self.problem.goals,
-            l_est,
-            l_prune,
-            eager,
-            self.g,
-            self.closed,
-            self.parent_vertex,
-            self.parent_edge,
-            self.heap,
-            self._pops,
-            self.ties,
-            self.seq,
-            None if drain_key is None else float(drain_key),
-        )
-        if status == CORRUPT:
+    def run(self, drain_key: float | None = None) -> int | None:
+        """Best-first search on accumulated lower bounds.
+
+        Lazy mode: while a successor's tentative bound still beats its
+        recorded one and the edge has unapplied estimators, take one
+        estimation step; previously cached work is consumed as a single
+        free step, after which genuinely new estimators are invoked and
+        charged once per cache lifetime. Estimation stops early once the
+        tentative bound exceeds l_est. Successors are recorded only if they
+        improve and their bound does not exceed l_prune; improving bounds
+        above l_prune count as prunings. Eager mode fully estimates every
+        examined edge up front, with no estimation cutoff (the baseline).
+
+        A first call (drain_key None) pushes the start and returns the
+        first goal popped, or None when the heap runs out. A later call
+        with a drain_key resumes the same frontier and pops every entry
+        keyed at most drain_key, expanding non-goal vertices as usual;
+        goals are recorded as pops but never expanded, and it returns None.
+        Every pop is appended to the pops as (vertex, key), and every edge
+        whose tentative bound ties its head's recorded one to the ties as
+        (head, tail, edge): with the parent edges these are the only edges
+        that can end a pass tight (see ``_tight_route``). The cache's
+        counters and simulated estimation time advance in place; a closed
+        vertex that improves (impossible with valid bounds) raises
+        RuntimeError once they are written back.
+        """
+        arr, cache = self.problem.graph.arrays(), self.cache
+        indptr = memoryview(arr.indptr)
+        succ_vertex = memoryview(arr.succ_vertex)
+        succ_edge = memoryview(arr.succ_edge)
+        est_offsets = memoryview(arr.est_offsets)
+        est_lower = memoryview(arr.est_lower)
+        est_upper = memoryview(arr.est_upper)
+        est_time = memoryview(arr.est_time)
+        next_index = memoryview(cache.next_index)
+        tight_lower = memoryview(cache.tightest_lower)
+        tight_upper = memoryview(cache.tightest_upper)
+        invoked = memoryview(cache.invoked)
+        layer_counts = memoryview(cache.layer_counts)
+        counters = cache._counters
+        expansions, evaluations, prunings = counters
+        tw = cache._tw  # summed in charge order, as a running total
+        g, closed, parent_edge, heap = self.g, self.closed, self.parent_edge, self.heap
+        goals, seq = self.problem.goals, self.seq
+        l_est, l_prune, eager = self.l_est, self.l_prune, self.eager
+        record_pop = self._pops.append
+        record_tie = self.ties.append
+        drain = drain_key is not None
+        if not drain:
+            start = self.problem.start
+            g[start] = 0.0
+            heappush(heap, (0.0, seq, start))
+            seq += 1
+        found = None
+        corrupt = -1
+        while heap:
+            if drain and heap[0][0] > drain_key:
+                break
+            key, _, v = heappop(heap)
+            if closed[v] or key != g[v]:
+                continue  # stale entry superseded by a better key
+            record_pop((v, key))
+            if v in goals:
+                if drain:
+                    continue
+                found = v
+                break
+            closed[v] = True
+            expansions += 1
+            for ptr in range(indptr[v], indptr[v + 1]):
+                s = succ_vertex[ptr]
+                eid = succ_edge[ptr]
+                evaluations += 1
+                base = est_offsets[eid]
+                k_e = est_offsets[eid + 1] - base
+                g_s = g[s]
+                # eager: run the sequence to its end; lazy: stop once the
+                # bound no longer beats g[s] or passes l_est
+                gt = key
+                pos = 0
+                while pos < k_e and (eager or gt < g_s):
+                    layer = next_index[eid]
+                    if pos < layer:
+                        pos = layer  # cached work, consumed as one free step
+                    else:
+                        flat = base + layer
+                        if not invoked[flat]:
+                            invoked[flat] = True
+                            layer_counts[layer] += 1
+                            tw += est_time[flat]
+                        if est_lower[flat] > tight_lower[eid]:
+                            tight_lower[eid] = est_lower[flat]
+                        if est_upper[flat] < tight_upper[eid]:
+                            tight_upper[eid] = est_upper[flat]
+                        pos = layer + 1
+                        next_index[eid] = pos
+                    gt = key + tight_lower[eid]
+                    if gt > l_est:
+                        break
+                if gt < g_s:
+                    if closed[s]:
+                        corrupt = s
+                        break
+                    if gt <= l_prune:
+                        g[s] = gt
+                        parent_edge[s] = eid
+                        heappush(heap, (gt, seq, s))
+                        seq += 1
+                    else:
+                        prunings += 1
+                elif gt == g_s:
+                    record_tie((s, v, eid))
+            if corrupt >= 0:
+                break
+        self.seq = seq
+        counters[:] = expansions, evaluations, prunings
+        cache._tw = tw
+        if corrupt >= 0:
             raise RuntimeError(
-                f"closed vertex {vertex} improved during search; "
+                f"closed vertex {corrupt} improved during search; "
                 "edge bounds are inconsistent (negative or non-nested?)"
             )
-        cache.sleep_for(cache._tw - tw_before)
-        return status, vertex
+        return found
 
     @property
     def pops(self) -> tuple[tuple[int, float], ...]:
         return tuple(self._pops)
 
-    @property
-    def tree(self) -> SearchTree:
-        return SearchTree(self.problem.start, self.parent_vertex, self.parent_edge)
+    def trace(self, vertex: int) -> Path:
+        """Walk the parent edges back to the start; empty path at the start."""
+        edges = self.problem.graph.edges
+        route = []
+        v = vertex
+        while (eid := self.parent_edge[v]) >= 0:
+            route.append(eid)
+            v = edges[eid].tail
+        if v != self.problem.start:
+            raise ValueError(f"vertex {vertex} was not reached from {self.problem.start}")
+        route.reverse()
+        return Path(tuple(route), vertex)
 
 
 def beauty_ps(
@@ -209,6 +302,7 @@ def _tight_route(
     negative, so every vertex the walk reaches has g <= k.
     """
     start, g, closed = run.problem.start, run.g, run.closed
+    graph_edges = run.problem.graph.edges
     tight_lower = run.cache.tightest_lower
     toward_goal: dict[int, tuple[int, int]] = {}  # vertex -> (edge, next vertex)
     stack = [v for v in sorted(run.problem.goals) if g[v] == k]
@@ -222,8 +316,8 @@ def _tight_route(
                 edges.append(eid)
             return Path(tuple(edges), v)
         into = ties_into.get(v, [])
-        if run.parent_edge[v] >= 0:
-            into = into + [(run.parent_vertex[v], run.parent_edge[v])]
+        if (eid := run.parent_edge[v]) >= 0:
+            into = into + [(graph_edges[eid].tail, eid)]
         for u, eid in sorted(into):
             tight = closed[u] and g[u] + float(tight_lower[eid]) == g[v]
             if tight and u not in seen and eid not in dead:
@@ -262,14 +356,13 @@ def _search(problem, cache, l_est, l_prune, eager):
         cache = EstimationCache(problem.graph)
     before = cache.snapshot_metrics()
     run = _Pass(problem, cache, l_est, l_prune, eager)
-    status, goal_v = run.run()
-    if status == EXHAUSTED:
+    goal = run.run()
+    if goal is None:
         return SearchResult(
             None, False, math.inf, math.inf, cache.snapshot_metrics() - before, run.pops
         )
-    assert status == FOUND
-    path = run.tree.trace(goal_v)
-    k = run.g[goal_v]
+    path = run.trace(goal)
+    k = run.g[goal]
     opt, l_under, l_over = beauty_ps(path, k, cache)
     if not opt and not eager:
         # the optimum may still be tied at k: drain the tie, then look for
@@ -298,8 +391,11 @@ def beauty(
     optimum is still certified in this pass: when the popped path rises
     under post-search tightening, the tie at its key is drained and a
     tight route at that key is sought (see the module docstring). Pass a
-    shared cache to reuse estimation work across calls.
+    shared cache to reuse estimation work across calls. A NaN threshold
+    raises ValueError: every comparison with it is false.
     """
+    if math.isnan(l_est) or math.isnan(l_prune):
+        raise ValueError("l_est and l_prune must not be NaN")
     return _search(problem, cache, l_est, l_prune, eager=False)
 
 

@@ -16,6 +16,16 @@ E01, E02, E14, E21, E23, E24 = range(6)
 # layer time costs for the reference instance (cheap probe, pricier refine)
 T1, T2 = 1.0, 10.0
 
+# CSV headers for graphs of at most three estimator layers
+METRIC_COLUMNS = ["w_1", "w_2", "w_3", "expansions", "evaluations", "prunings", "T_w", "T_v"]
+RUNS_CSV_HEADER = [
+    "instance_id", "algorithm", *METRIC_COLUMNS,
+    "l_under", "l_over", "optimal_flag", "iterations",
+]
+ITERATIONS_CSV_HEADER = [
+    "instance_id", "algorithm", "iteration", "l_under", "l_over", *METRIC_COLUMNS,
+]
+
 
 def edge(tail, head, specs, true_cost=None):
     return Edge(tail, head, tuple(EstimatorSpec(*s) for s in specs), true_cost)

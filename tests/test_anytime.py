@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -26,8 +27,8 @@ from slbsearch import (
     SearchResult,
     a_beauty,
     oracle_lstar,
+    write_metrics_csv,
 )
-from slbsearch.anytime import ITERATION_CSV_FIELDS, iteration_csv_rows
 
 
 class TestAnytimeGolden:
@@ -218,13 +219,20 @@ class TestAnytimeEdgeCases:
 
 
 class TestIterationCsv:
-    def test_rows_carry_per_pass_deltas(self):
+    def test_rows_carry_per_pass_deltas(self, tmp_path):
         problem = make_reference_problem()
         result = a_beauty(problem)
-        rows = list(iteration_csv_rows("ref", "abeauty-10", result))
+        out = tmp_path / "iterations.csv"
+        write_metrics_csv(
+            out,
+            ("iteration", "l_under"),
+            (),
+            [((rec.iteration, rec.l_under), rec.metrics_delta, ()) for rec in result.log],
+        )
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
-        assert tuple(rows[0]) == ITERATION_CSV_FIELDS
-        assert rows[0]["iteration"] == 1
-        assert (rows[0]["w_1"], rows[0]["w_2"]) == (6, 1)
-        assert (rows[1]["w_1"], rows[1]["w_2"]) == (0, 1)
-        assert rows[1]["l_under"] == 7.0
+        assert rows[0]["iteration"] == "1"
+        assert (rows[0]["w_1"], rows[0]["w_2"]) == ("6", "1")
+        assert (rows[1]["w_1"], rows[1]["w_2"]) == ("0", "1")
+        assert rows[1]["l_under"] == "7.0"

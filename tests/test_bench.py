@@ -3,10 +3,9 @@ import json
 import math
 
 import pytest
-from conftest import make_reference_problem
+from conftest import ITERATIONS_CSV_HEADER, RUNS_CSV_HEADER, make_reference_problem
 
 from slbsearch import (
-    METRICS_CSV_FIELDS,
     run_suite,
     dump_problem,
     dump_weighted,
@@ -14,7 +13,6 @@ from slbsearch import (
     oracle_lstar,
     synth_estimators,
 )
-from slbsearch.anytime import ITERATION_CSV_FIELDS
 
 
 @pytest.fixture
@@ -164,11 +162,11 @@ class TestTimeoutsAndOutputs:
         run_suite(ref_suite(reference_file, ["beauty", "abeauty-10"]), out_dir=out)
         with open(out / "runs.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(METRICS_CSV_FIELDS)
+        assert rows[0] == RUNS_CSV_HEADER
         assert len(rows) == 1 + 3  # header + eiucs/beauty/abeauty-10
         with open(out / "iterations.csv", newline="") as fh:
             irows = list(csv.reader(fh))
-        assert irows[0] == list(ITERATION_CSV_FIELDS)
+        assert irows[0] == ITERATIONS_CSV_HEADER
         assert len(irows) == 1 + 2  # the anytime run logged two passes
         with open(out / "summary.json") as fh:
             summary = json.load(fh)

@@ -4,10 +4,9 @@ import subprocess
 import sys
 
 import pytest
-from conftest import edge, make_reference_problem
+from conftest import RUNS_CSV_HEADER, edge, make_reference_problem
 
 from slbsearch import (
-    METRICS_CSV_FIELDS,
     EstimatedDigraph,
     Problem,
     dump_problem,
@@ -128,11 +127,55 @@ class TestSolve:
         assert code == 0
         with open(metrics, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(METRICS_CSV_FIELDS)
+        assert rows[0] == RUNS_CSV_HEADER
         assert len(rows) == 2
         record = dict(zip(rows[0], rows[1]))
         assert record["algorithm"] == "beauty"
         assert record["optimal_flag"] == "1"
+
+    @pytest.mark.parametrize("flag", ["--l-est", "--l-prune"])
+    def test_nan_threshold_exits_3(self, ref_path, capsys, flag):
+        code = run_cli("solve", "--graph", ref_path, "--alg", "beauty", flag, "nan")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "no path" not in captured.out
+        assert captured.err == "error: l_est and l_prune must not be NaN\n"
+
+    def test_deep_sequences_keep_every_layer_column(self, tmp_path, capsys):
+        graph = EstimatedDigraph(
+            3,
+            [
+                edge(0, 1, [(1, 9, 1.0), (2, 8, 2.0), (3, 7, 3.0), (4, 6, 4.0)], 5),
+                edge(1, 2, [(1, 1, 1.0)], 1),
+                edge(0, 2, [(9, 9, 1.0)], 9),
+            ],
+        )
+        problem_path = tmp_path / "deep.json"
+        dump_problem(Problem(graph, 0, frozenset({2})), problem_path)
+        metrics = tmp_path / "m.csv"
+        code = run_cli(
+            "solve", "--graph", str(problem_path), "--alg", "eiucs",
+            "--metrics-out", str(metrics),
+        )
+        assert code == 0
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({
+            "instances": [{"id": "deep", "model": "problem_file", "path": str(problem_path)}],
+            "algorithms": ["abeauty-10"],
+        }))
+        out_dir = tmp_path / "o"
+        assert run_cli("bench", "--suite", str(suite), "--out-dir", str(out_dir)) == 0
+
+        def rows(name):
+            with open(name, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        solved, runs = rows(metrics), rows(out_dir / "runs.csv")
+        passes = rows(out_dir / "iterations.csv")
+        assert all("w_4" in r[0] and "w_5" not in r[0] for r in (solved, runs, passes))
+        # the fourth layer of edge 0->1 is charged once by every algorithm
+        assert [row["w_4"] for row in solved + runs] == ["1", "1", "1"]
+        assert sum(int(row["w_4"]) for row in passes) == 1
 
     def test_unreachable_goal_exits_2(self, tmp_path, capsys):
         graph = EstimatedDigraph(2, [edge(1, 0, [(1, 1, 1.0)], 1)])
@@ -208,6 +251,43 @@ class TestBench:
         path.write_text(json.dumps({"instances": [], "algorithms": ["dfs"]}))
         code = run_cli("bench", "--suite", str(path), "--out-dir", str(tmp_path / "o"))
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "suite,named",
+        [
+            (
+                {"instances": [{"id": "r", "model": "random", "edge_prob": 0.5,
+                                "cost_min": 1, "cost_max": 5, "rng_seed": 0}]},
+                "instance 'r': model 'random' needs key 'n'",
+            ),
+            ({"instances": 5}, "suite key 'instances'"),
+            (
+                {"instances": [{"id": "g", "model": "grid", "rows": 2, "cols": 2,
+                                "cost_min": 1, "cost_max": 5, "rng_seed": 0}],
+                 "seeds": ["a"]},
+                "suite key 'seeds'",
+            ),
+            (
+                {"instances": [{"id": "w", "model": "weighted_file"}]},
+                "instance 'w': model 'weighted_file' needs key 'path'",
+            ),
+            # json reads NaN, and no run time exceeds a NaN budget
+            ({"instances": [], "timeout_seconds": float("nan")}, "'timeout_seconds'"),
+        ],
+        ids=[
+            "random-without-n", "instances-not-a-list", "string-seed", "file-without-path",
+            "nan-timeout",
+        ],
+    )
+    def test_malformed_suite_exits_3(self, tmp_path, capsys, suite, named):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"algorithms": ["beauty"], **suite}))
+        code = run_cli("bench", "--suite", str(path), "--out-dir", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and named in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "specs",

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -5,11 +6,10 @@ from conftest import E01, E02, E14, E21, E23, E24, T1, T2, make_reference_proble
 
 from slbsearch import (
     EstimationCache,
-    METRICS_CSV_FIELDS,
     Metrics,
     ei_ucs,
     beauty,
-    metrics_csv_row,
+    write_metrics_csv,
 )
 
 
@@ -129,29 +129,33 @@ class TestMetrics:
         assert (d.expansions, d.evaluations, d.prunings) == (4, 5, 2)
         assert d.estimation_time == 28.0
 
-    def test_csv_row_shape(self):
+    def test_csv_row_shape(self, tmp_path):
         m = Metrics((5, 3), 7, 11, 2, 40.0)
-        row = metrics_csv_row("inst", "beauty", m, 7.0, 7.0, True, 1)
-        assert tuple(row) == METRICS_CSV_FIELDS
-        assert row["w_1"] == 5 and row["w_2"] == 3 and row["w_3"] == 0
-        assert row["T_w"] == 40.0 and row["T_v"] == 7.0
-        assert row["optimal_flag"] == 1
+        out = tmp_path / "m.csv"
+        write_metrics_csv(out, ("instance_id",), ("optimal_flag",), [(("inst",), m, (1,))])
+        header, row = out.read_text().splitlines()
+        assert header == (
+            "instance_id,w_1,w_2,w_3,expansions,evaluations,prunings,T_w,T_v,optimal_flag"
+        )
+        assert row == "inst,5,3,0,7,11,2,40.0,7.0,1"
 
-    def test_csv_row_with_three_layers(self):
+    def test_csv_row_with_three_layers(self, tmp_path):
         m = Metrics((5, 3, 2), 7, 11, 2, 40.0)
-        row = metrics_csv_row("inst", "eiucs", m, 7.0, 8.0, False, 3)
-        assert row["w_3"] == 2
-        assert row["iterations"] == 3
+        out = tmp_path / "m.csv"
+        write_metrics_csv(out, ("algorithm",), ("iterations",), [(("eiucs",), m, (3,))])
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["w_3"] == "2" and "w_4" not in row
+        assert row["iterations"] == "3"
 
-
-class TestWallClock:
-    def test_scaled_sleep_is_applied(self):
-        import time
-
-        problem = make_reference_problem()
-        cache = EstimationCache(problem.graph, wall_clock_scale=1e-4)
-        t0 = time.perf_counter()
-        ei_ucs(problem, cache)
-        elapsed = time.perf_counter() - t0
-        # 46 simulated units at 1e-4 s each
-        assert elapsed >= 46 * 1e-4
+    def test_csv_columns_follow_the_deepest_sequence(self, tmp_path):
+        rows = [
+            (("a",), Metrics((1,), 1, 1, 0, 1.0), ()),
+            (("b",), Metrics((4, 3, 2, 1, 9), 1, 1, 0, 1.0), ()),
+        ]
+        out = tmp_path / "m.csv"
+        write_metrics_csv(out, ("id",), (), rows)
+        with open(out, newline="") as fh:
+            a, b = csv.DictReader(fh)
+        assert [a[f"w_{i}"] for i in range(1, 6)] == ["1", "0", "0", "0", "0"]
+        assert [b[f"w_{i}"] for i in range(1, 6)] == ["4", "3", "2", "1", "9"]

@@ -31,7 +31,6 @@ from slbsearch import (
     gen_random_graph,
     synth_estimators,
 )
-from slbsearch._kernels import EXHAUSTED, FOUND
 from slbsearch.search import _Pass
 
 INSTANCES = {
@@ -121,17 +120,17 @@ def test_equal_keys_pop_in_insertion_order():
 def test_drain_resumes_the_same_frontier():
     problem = make_frontier_tie_problem()
     run = _Pass(problem, EstimationCache(problem.graph), 1.0, math.inf, False)
-    assert run.run() == (FOUND, 4)
+    assert run.run() == 4
     assert run.pops == ((0, 0.0), (4, 4.0))
     seq = run.seq
     # vertex 2 waits at key 4; draining expands it, and its edge into the
     # goal ties the goal's bound; the goal 3 at key 5 stays queued
-    assert run.run(drain_key=4.0) == (EXHAUSTED, -1)
+    assert run.run(drain_key=4.0) is None
     assert run.pops == ((0, 0.0), (4, 4.0), (2, 4.0))
     assert [v for v, c in enumerate(run.closed) if c] == [0, 2]
     assert run.ties == [(4, 2, 3)]
     assert run.seq == seq
-    assert run.run(drain_key=5.0) == (EXHAUSTED, -1)
+    assert run.run(drain_key=5.0) is None
     assert run.pops[-1] == (3, 5.0)
     assert run.heap == []
 
@@ -189,16 +188,15 @@ def test_tight_edges_are_parent_or_recorded_tie():
         cache = EstimationCache(problem.graph)
         l_est = float(rng.integers(0, 20))
         run = _Pass(problem, cache, l_est, math.inf, False)
-        status, goal = run.run()
-        if status != FOUND:
+        goal = run.run()
+        if goal is None:
             continue
         k = run.g[goal]
-        beauty_ps(run.tree.trace(goal), k, cache)
+        beauty_ps(run.trace(goal), k, cache)
         run.run(drain_key=k)
         ties = {(u, e) for h, u, e in run.ties}
-        parents = {
-            (run.parent_vertex[h], e) for h, e in enumerate(run.parent_edge) if e >= 0
-        }
+        edges = problem.graph.edges
+        parents = {(edges[e].tail, e) for e in run.parent_edge if e >= 0}
         for eid, ed in enumerate(problem.graph.edges):
             u, h = ed.tail, ed.head
             tight = (

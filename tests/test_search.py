@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from conftest import (
     E01,
@@ -22,13 +21,13 @@ from slbsearch import (
     EstimationCache,
     Path,
     Problem,
-    SearchTree,
     beauty,
     beauty_ps,
     ei_ucs,
     oracle_lstar,
     validate_graph,
 )
+from slbsearch.search import _Pass
 
 
 class TestBeautyGolden:
@@ -248,22 +247,24 @@ class TestBeautyPs:
 
 
 class TestSearchTree:
+    """The parent-edge tree a pass records, walked by _Pass.trace."""
+
+    def tree(self):
+        problem = make_reference_problem()
+        return _Pass(problem, EstimationCache(problem.graph), math.inf, math.inf, False)
+
     def test_traces_back_through_parents(self):
-        pv = np.array([-1, -1, 0, -1, 2], np.int64)
-        pe = np.array([-1, -1, E02, -1, E24], np.int64)
-        tree = SearchTree(0, pv, pe)
-        assert tree.trace(4) == Path((E02, E24), 4)
+        run = self.tree()
+        run.parent_edge[2] = E02
+        run.parent_edge[4] = E24
+        assert run.trace(4) == Path((E02, E24), 4)
 
     def test_start_traces_to_empty_path(self):
-        pv = np.full(5, -1, np.int64)
-        pe = np.full(5, -1, np.int64)
-        tree = SearchTree(0, pv, pe)
-        assert tree.trace(0) == Path((), 0)
+        assert self.tree().trace(0) == Path((), 0)
 
     def test_unreached_vertex_rejected(self):
-        tree = SearchTree(0, np.full(3, -1, np.int64), np.full(3, -1, np.int64))
         with pytest.raises(ValueError):
-            tree.trace(2)
+            self.tree().trace(2)
 
 
 class TestEdgeCases:
@@ -290,6 +291,16 @@ class TestEdgeCases:
         assert (res.l_under, res.l_over) == (0.0, 0.0)
         assert res.opt is True
         assert res.metrics.invocations == 0
+
+    @pytest.mark.parametrize("threshold", ["l_est", "l_prune"])
+    def test_nan_threshold_rejected(self, threshold):
+        # every comparison with NaN is false: l_prune=nan would prune every
+        # successor and report no path, l_est=nan would ignore the cutoff
+        problem = make_reference_problem()
+        cache = EstimationCache(problem.graph)
+        with pytest.raises(ValueError, match="NaN"):
+            beauty(problem, cache, **{threshold: math.nan})
+        assert cache.snapshot_metrics().expansions == 0
 
     def test_self_loops_and_parallel_edges(self, kernel):
         g = EstimatedDigraph(
