@@ -39,7 +39,6 @@ from .search import SearchResult, beauty, beauty_ps, default_backend_name, ei_uc
 from .synth import (
     DEFAULT_MULTIPLIER_TABLE,
     DEFAULT_TIME_COSTS,
-    SynthConfig,
     synth_estimators,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "RunRecord",
     "SearchResult",
     "SuiteReport",
-    "SynthConfig",
     "Violation",
     "WeightedDigraph",
     "a_beauty",

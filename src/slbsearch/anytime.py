@@ -77,8 +77,8 @@ def a_beauty(
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    if epsilon is not None and epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
+    if epsilon is not None and not epsilon >= 0:
+        raise ValueError("epsilon must be non-negative (not NaN)")
     if cache is None:
         cache = EstimationCache(problem.graph)
     l_under = 0.0

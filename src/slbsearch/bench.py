@@ -34,8 +34,8 @@ import numpy as np
 
 from .anytime import a_beauty
 from .estimation import EstimationCache, Metrics, write_metrics_csv
-from .generators import WeightedDigraph, gen_grid_graph, gen_random_graph
-from .graph import Problem, validate_graph
+from .generators import gen_grid_graph, gen_random_graph
+from .graph import Problem
 from .oracle import oracle_lstar
 from .search import beauty, ei_ucs
 from .synth import synth_estimators
@@ -107,7 +107,12 @@ def _is(kind: str, value) -> bool:
     if kind == "a string":
         return isinstance(value, str)
     number = (int,) if kind == "an integer" else (int, float)
-    return isinstance(value, number) and not isinstance(value, bool) and not math.isnan(value)
+    # NaN is the one number unequal to itself; math.isnan overflows on big ints
+    return isinstance(value, number) and not isinstance(value, bool) and value == value
+
+
+def _repeats(values) -> list:
+    return [v for i, v in enumerate(values) if v in values[:i]]
 
 
 def _check_suite(config: dict) -> None:
@@ -129,49 +134,40 @@ def _check_suite(config: dict) -> None:
                 raise ValueError(f"{where}: model {model!r} needs key {key!r}")
             if not _is(kind, spec[key]):
                 raise ValueError(f"{where}: key {key!r} must be {kind}")
+    dups = _repeats([spec["id"] for spec in instances])
+    if dups:
+        raise ValueError(f"instance id {dups[0]!r} is used twice")
     for key, kind in (("seeds", "an integer"), ("algorithms", "a string")):
         values = config.get(key, [])
         if not isinstance(values, (list, tuple)) or not all(_is(kind, v) for v in values):
             raise ValueError(f"suite key {key!r} must be a list, each item {kind}")
+        dups = _repeats(values)
+        if dups:
+            raise ValueError(f"suite key {key!r} lists {dups[0]!r} twice")
     if not _is("a number", config.get("timeout_seconds", 0)):
         raise ValueError("suite key 'timeout_seconds' must be a number")
 
 
 def _materialize(spec: dict):
-    """Instance spec -> (id, weighted digraph or pre-built problem)."""
+    """Instance spec -> weighted digraph or pre-built problem."""
     from .io import load_problem, load_weighted
 
     model = spec["model"]
     if model == "random":
-        wg = gen_random_graph(
-            spec["n"],
-            spec["edge_prob"],
-            (spec["cost_min"], spec["cost_max"]),
-            spec["rng_seed"],
-        )
-        return spec["id"], wg
+        costs = (spec["cost_min"], spec["cost_max"])
+        return gen_random_graph(spec["n"], spec["edge_prob"], costs, spec["rng_seed"])
     if model == "grid":
-        wg = gen_grid_graph(
-            spec["rows"],
-            spec["cols"],
-            (spec["cost_min"], spec["cost_max"]),
-            spec["rng_seed"],
-        )
-        return spec["id"], wg
-    if model == "weighted_file":
-        return spec["id"], load_weighted(spec["path"])
-    return spec["id"], load_problem(spec["path"])
+        costs = (spec["cost_min"], spec["cost_max"])
+        return gen_grid_graph(spec["rows"], spec["cols"], costs, spec["rng_seed"])
+    return (load_weighted if model == "weighted_file" else load_problem)(spec["path"])
 
 
-def _check_graph(inst_id: str, problem: Problem) -> None:
-    """Reject a graph read from a file that validate_graph finds defective."""
-    violations = validate_graph(problem.graph)
-    if violations:
-        v = violations[0]
-        raise ValueError(
-            f"instance {inst_id!r}: invalid graph, {len(violations)} violations "
-            f"(first: edge {v.edge}: {v.kind}: {v.detail})"
-        )
+def _built(inst_id, build, *args):
+    """build(*args), naming the instance in any ValueError it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"instance {inst_id!r}: {exc}") from None
 
 
 def _run_one(kind: str, max_iters, problem: Problem) -> dict:
@@ -235,15 +231,11 @@ def run_suite(config: dict, out_dir=None) -> SuiteReport:
     by_cell: dict[str, dict[str, RunRecord]] = {}
 
     for spec in instances:
-        inst_id, payload = _materialize(spec)
+        inst_id = spec["id"]
+        payload = _built(inst_id, _materialize, spec)
         cell_seeds = [None] if isinstance(payload, Problem) else list(seeds)
         for seed in cell_seeds:
-            if isinstance(payload, Problem):
-                problem = payload
-            else:
-                problem = synth_estimators(payload, seed)
-            if spec["model"] in ("problem_file", "weighted_file"):
-                _check_graph(inst_id, problem)
+            problem = payload if seed is None else _built(inst_id, synth_estimators, payload, seed)
             l_star = oracle_lstar(problem)
             cell: dict[str, RunRecord] = {}
             timed_out = False
@@ -267,10 +259,7 @@ def run_suite(config: dict, out_dir=None) -> SuiteReport:
                 run(name, kind, max_iters)
 
             cell_id = baseline.cell_id
-            ordered = [cell["eiucs"]] + [
-                cell[name] for name, _, _ in parsed if name != "eiucs"
-            ]
-            report.records.extend(ordered)
+            report.records.extend(cell.values())
             if timed_out:
                 report.excluded.append(cell_id)
             else:

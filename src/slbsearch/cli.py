@@ -14,14 +14,7 @@ from .anytime import a_beauty
 from .bench import RUN_HEAD, RUN_TAIL, run_suite
 from .estimation import EstimationCache, write_metrics_csv
 from .generators import gen_grid_graph, gen_random_graph
-from .graph import validate_graph
-from .io import (
-    dump_problem,
-    dump_weighted,
-    load_problem,
-    load_suite,
-    load_weighted,
-)
+from .io import dump_problem, dump_weighted, load_problem, load_suite, load_weighted
 from .search import beauty, ei_ucs
 from .synth import synth_estimators
 
@@ -85,12 +78,6 @@ def _fmt_path(problem, path) -> str:
 
 def _cmd_solve(args) -> int:
     problem = load_problem(args.graph)
-    violations = validate_graph(problem.graph)
-    if violations:
-        for v in violations:
-            print(f"invalid graph: edge {v.edge}: {v.kind}: {v.detail}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
     cache = EstimationCache(problem.graph)
     instance_id = args.graph
 

@@ -29,7 +29,7 @@ class Metrics:
 
     layer_invocations[i] counts genuine invocations of sequence position
     i + 1, estimation_time is the sum of their time_costs, and search_time
-    charges tau_v per expansion. Evaluations count successor-edge
+    charges one unit per expansion. Evaluations count successor-edge
     examinations; prunings count improving successors discarded for
     exceeding the pruning threshold.
     """
@@ -39,7 +39,6 @@ class Metrics:
     evaluations: int
     prunings: int
     estimation_time: float
-    tau_v: float = 1.0
 
     @property
     def invocations(self) -> int:
@@ -47,7 +46,7 @@ class Metrics:
 
     @property
     def search_time(self) -> float:
-        return self.tau_v * self.expansions
+        return float(self.expansions)
 
     @property
     def total_time(self) -> float:
@@ -63,7 +62,6 @@ class Metrics:
             evaluations=self.evaluations - other.evaluations,
             prunings=self.prunings - other.prunings,
             estimation_time=self.estimation_time - other.estimation_time,
-            tau_v=self.tau_v,
         )
 
 
@@ -104,7 +102,7 @@ class EstimationCache:
     Not safe for concurrent mutation; give each worker its own cache.
     """
 
-    def __init__(self, graph: EstimatedDigraph, tau_v: float = 1.0):
+    def __init__(self, graph: EstimatedDigraph):
         arr = graph.arrays()
         self.graph = graph
         self._arr = arr
@@ -116,7 +114,6 @@ class EstimationCache:
         self.layer_counts = np.zeros(arr.k_max, np.int64)
         self._tw = 0.0  # simulated estimation time, summed in charge order
         self._counters = [0, 0, 0]  # expansions, evaluations, prunings
-        self.tau_v = float(tau_v)
 
     # -- estimation steps ---------------------------------------------------
 
@@ -197,5 +194,4 @@ class EstimationCache:
             evaluations=self._counters[1],
             prunings=self._counters[2],
             estimation_time=self._tw,
-            tau_v=self.tau_v,
         )

@@ -150,10 +150,6 @@ class EstimatedDigraph:
             self._arrays = _build_arrays(self)
         return self._arrays
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 @dataclass(frozen=True)
 class Problem:

@@ -1,4 +1,10 @@
-"""JSON file formats for problems, weighted digraphs, and benchmark suites."""
+"""JSON file formats for problems, weighted digraphs, and benchmark suites.
+
+The loaders are where a graph file is checked: every Problem or
+WeightedDigraph they return has its start, goals and edge endpoints in
+range and its numbers representable as floats, and every loaded Problem
+passes validate_graph. Anything else raises one ValueError.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ import json
 from pathlib import Path as FsPath
 
 from .generators import WeightedDigraph
-from .graph import Edge, EstimatedDigraph, EstimatorSpec, Problem
+from .graph import Edge, EstimatedDigraph, EstimatorSpec, Problem, validate_graph
 
 __all__ = [
     "problem_to_json",
@@ -21,99 +27,125 @@ __all__ = [
 ]
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(f"bad input file: {msg}")
+def _bad(msg: str) -> ValueError:
+    return ValueError(f"bad input file: {msg}")
 
 
-def _as_vertex(x, what: str) -> int:
-    _require(isinstance(x, int) and not isinstance(x, bool), f"{what} must be an integer")
+def _as_vertex(x, what: str, n: int) -> int:
+    # type(x) is int also turns away bools
+    if type(x) is not int:
+        raise _bad(f"{what} must be an integer")
+    if not 0 <= x < n:
+        raise _bad(f"{what} {x} out of range for {n} vertices")
     return x
 
 
 def _as_number(x, what: str) -> float:
-    _require(
-        isinstance(x, (int, float)) and not isinstance(x, bool),
-        f"{what} must be a number",
-    )
-    return float(x)
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise _bad(f"{what} must be a number")
+    try:
+        return float(x)
+    except OverflowError:
+        raise _bad(f"{what} does not fit a float") from None
 
 
-def problem_to_jsonable(problem: Problem) -> dict:
-    edges = []
-    for e in problem.graph.edges:
-        edges.append(
-            {
-                "from": e.tail,
-                "to": e.head,
-                "estimators": [[s.lower, s.upper, s.time_cost] for s in e.estimators],
-                "true_cost": e.true_cost,
-            }
-        )
-    return {
+def _read_doc(text: str, keys=()) -> dict:
+    """Decode one JSON object holding every key in keys."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise _bad(f"not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise _bad("top level must be an object")
+    for key in keys:
+        if key not in doc:
+            raise _bad(f"missing key {key!r}")
+    return doc
+
+
+def _read_graph(text: str):
+    """(vertex_count, start, goals, edge records) of a graph document."""
+    doc = _read_doc(text, ("vertex_count", "start", "goals", "edges"))
+    n = doc["vertex_count"]
+    if type(n) is not int:
+        raise _bad("vertex_count must be an integer")
+    start = _as_vertex(doc["start"], "start", n)
+    if not (isinstance(doc["goals"], list) and doc["goals"]):
+        raise _bad("goals must be a non-empty list")
+    goals = [_as_vertex(g, "goal", n) for g in doc["goals"]]
+    if not isinstance(doc["edges"], list):
+        raise _bad("edges must be a list")
+    return n, start, goals, doc["edges"]
+
+
+_PROBLEM_EDGE = frozenset(("from", "to", "estimators"))
+_WEIGHTED_EDGE = frozenset(("from", "to", "cost"))
+
+
+def _edge_record(i: int, rec, keys: frozenset, n: int):
+    """(tail, head) of edge record i, after checking its keys and endpoints."""
+    # runs once per edge, so the messages are built only on failure
+    if not (isinstance(rec, dict) and rec.keys() >= keys):
+        if not isinstance(rec, dict):
+            raise _bad(f"edge {i} must be an object")
+        raise _bad(f"edge {i}: missing key {sorted(keys - rec.keys())[0]!r}")
+    tail, head = rec["from"], rec["to"]
+    if type(tail) is not int or type(head) is not int or not (0 <= tail < n and 0 <= head < n):
+        _as_vertex(tail, f"edge {i}: endpoint 'from'", n)
+        _as_vertex(head, f"edge {i}: endpoint 'to'", n)
+    return tail, head
+
+
+def problem_to_json(problem: Problem) -> str:
+    edges = [
+        {
+            "from": e.tail,
+            "to": e.head,
+            "estimators": [[s.lower, s.upper, s.time_cost] for s in e.estimators],
+            "true_cost": e.true_cost,
+        }
+        for e in problem.graph.edges
+    ]
+    doc = {
         "vertex_count": problem.graph.vertex_count,
         "start": problem.start,
         "goals": sorted(problem.goals),
         "edges": edges,
     }
-
-
-def problem_to_json(problem: Problem) -> str:
-    return json.dumps(problem_to_jsonable(problem), indent=2) + "\n"
-
-
-def problem_from_jsonable(doc) -> Problem:
-    _require(isinstance(doc, dict), "top level must be an object")
-    for key in ("vertex_count", "start", "goals", "edges"):
-        _require(key in doc, f"missing key {key!r}")
-    n = _as_vertex(doc["vertex_count"], "vertex_count")
-    start = _as_vertex(doc["start"], "start")
-    _require(isinstance(doc["goals"], list) and doc["goals"], "goals must be a non-empty list")
-    goals = frozenset(_as_vertex(g, "goal") for g in doc["goals"])
-    _require(isinstance(doc["edges"], list), "edges must be a list")
-    edges = []
-    for i, rec in enumerate(doc["edges"]):
-        _require(isinstance(rec, dict), f"edge {i} must be an object")
-        for key in ("from", "to", "estimators"):
-            _require(key in rec, f"edge {i}: missing key {key!r}")
-        ests = rec["estimators"]
-        _require(
-            isinstance(ests, list) and ests, f"edge {i}: estimators must be a non-empty list"
-        )
-        specs = []
-        for j, triple in enumerate(ests):
-            _require(
-                isinstance(triple, list) and len(triple) == 3,
-                f"edge {i} estimator {j}: expected [lower, upper, time_cost]",
-            )
-            specs.append(
-                EstimatorSpec(
-                    _as_number(triple[0], f"edge {i} estimator {j} lower"),
-                    _as_number(triple[1], f"edge {i} estimator {j} upper"),
-                    _as_number(triple[2], f"edge {i} estimator {j} time_cost"),
-                )
-            )
-        tc = rec.get("true_cost")
-        if tc is not None:
-            tc = _as_number(tc, f"edge {i} true_cost")
-        edges.append(
-            Edge(
-                _as_vertex(rec["from"], f"edge {i} 'from'"),
-                _as_vertex(rec["to"], f"edge {i} 'to'"),
-                tuple(specs),
-                tc,
-            )
-        )
-    graph = EstimatedDigraph(n, edges)
-    return Problem(graph, start, goals)
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def problem_from_json(text: str) -> Problem:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad input file: not valid JSON ({exc})") from exc
-    return problem_from_jsonable(doc)
+    n, start, goals, records = _read_graph(text)
+    edges = []
+    for i, rec in enumerate(records):
+        tail, head = _edge_record(i, rec, _PROBLEM_EDGE, n)
+        ests = rec["estimators"]
+        if not (isinstance(ests, list) and ests):
+            raise _bad(f"edge {i}: estimators must be a non-empty list")
+        specs = []
+        for j, triple in enumerate(ests):
+            if not (isinstance(triple, list) and len(triple) == 3):
+                raise _bad(f"edge {i} estimator {j}: expected [lower, upper, time_cost]")
+            if not all(type(x) is float for x in triple):
+                triple = [
+                    _as_number(x, f"edge {i} estimator {j} {what}")
+                    for x, what in zip(triple, ("lower", "upper", "time_cost"))
+                ]
+            specs.append(EstimatorSpec(*triple))
+        tc = rec.get("true_cost")
+        if tc is not None and type(tc) is not float:
+            tc = _as_number(tc, f"edge {i} true_cost")
+        edges.append(Edge(tail, head, tuple(specs), tc))
+    graph = EstimatedDigraph(n, edges)
+    violations = validate_graph(graph)
+    if violations:
+        v = violations[0]
+        raise ValueError(
+            f"invalid graph, {len(violations)} violations "
+            f"(first: edge {v.edge}: {v.kind}: {v.detail})"
+        )
+    return Problem(graph, start, frozenset(goals))
 
 
 def load_problem(path) -> Problem:
@@ -124,54 +156,28 @@ def dump_problem(problem: Problem, path) -> None:
     FsPath(path).write_text(problem_to_json(problem))
 
 
-def weighted_to_jsonable(wg: WeightedDigraph) -> dict:
-    return {
+def weighted_to_json(wg: WeightedDigraph) -> str:
+    doc = {
         "vertex_count": wg.vertex_count,
         "start": wg.start,
         "goals": sorted(wg.goals),
         "edges": [{"from": t, "to": h, "cost": c} for t, h, c in wg.edges],
     }
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def weighted_to_json(wg: WeightedDigraph) -> str:
-    return json.dumps(weighted_to_jsonable(wg), indent=2) + "\n"
-
-
-def weighted_from_jsonable(doc) -> WeightedDigraph:
-    _require(isinstance(doc, dict), "top level must be an object")
-    for key in ("vertex_count", "start", "goals", "edges"):
-        _require(key in doc, f"missing key {key!r}")
-    n = _as_vertex(doc["vertex_count"], "vertex_count")
-    start = _as_vertex(doc["start"], "start")
-    _require(isinstance(doc["goals"], list) and doc["goals"], "goals must be a non-empty list")
-    goals = tuple(sorted(_as_vertex(g, "goal") for g in doc["goals"]))
-    _require(isinstance(doc["edges"], list), "edges must be a list")
-    edges = []
-    for i, rec in enumerate(doc["edges"]):
-        _require(isinstance(rec, dict), f"edge {i} must be an object")
-        for key in ("from", "to", "cost"):
-            _require(key in rec, f"edge {i}: missing key {key!r}")
-        cost = rec["cost"]
-        _require(
-            isinstance(cost, int) and not isinstance(cost, bool) and cost >= 1,
-            f"edge {i}: cost must be a positive integer",
-        )
-        edges.append(
-            (
-                _as_vertex(rec["from"], f"edge {i} 'from'"),
-                _as_vertex(rec["to"], f"edge {i} 'to'"),
-                cost,
-            )
-        )
-    return WeightedDigraph(n, start, goals, tuple(edges))
+def _weighted_edge(i: int, rec, n: int) -> tuple[int, int, int]:
+    tail, head = _edge_record(i, rec, _WEIGHTED_EDGE, n)
+    cost = rec["cost"]
+    if type(cost) is not int or cost < 1:
+        raise _bad(f"edge {i}: cost must be a positive integer")
+    return tail, head, cost
 
 
 def weighted_from_json(text: str) -> WeightedDigraph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad input file: not valid JSON ({exc})") from exc
-    return weighted_from_jsonable(doc)
+    n, start, goals, records = _read_graph(text)
+    edges = tuple(_weighted_edge(i, rec, n) for i, rec in enumerate(records))
+    return WeightedDigraph(n, start, tuple(sorted(goals)), edges)
 
 
 def load_weighted(path) -> WeightedDigraph:
@@ -183,9 +189,4 @@ def dump_weighted(wg: WeightedDigraph, path) -> None:
 
 
 def load_suite(path) -> dict:
-    try:
-        doc = json.loads(FsPath(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad input file: not valid JSON ({exc})") from exc
-    _require(isinstance(doc, dict), "suite must be an object")
-    return doc
+    return _read_doc(FsPath(path).read_text())

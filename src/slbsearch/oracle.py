@@ -91,35 +91,30 @@ def oracle_cstar(problem: Problem) -> float:
     return _dijkstra_to_goals(problem, weights)
 
 
-def oracle_enumerate(problem: Problem, max_edges: int | None = None) -> float:
+def oracle_enumerate(problem: Problem) -> float:
     """Brute-force the tightest bound by walking simple paths.
 
     Exponential; meant as an independent cross-check on tiny graphs.
-    max_edges caps path length (defaults to vertex_count, enough for any
-    simple path).
     """
     graph = problem.graph
     full = full_estimate(graph)
     adj = _adjacency(graph)
-    limit = max_edges if max_edges is not None else graph.vertex_count
     goals = problem.goals
     best = math.inf
     on_path = bytearray(graph.vertex_count)
 
-    def visit(v: int, cost: float, depth: int) -> None:
+    def visit(v: int, cost: float) -> None:
         nonlocal best
         if cost >= best:
             return
         if v in goals:
             best = cost
             return
-        if depth == limit:
-            return
         on_path[v] = 1
         for eid, h in adj[v]:
             if not on_path[h]:
-                visit(h, cost + float(full.lowers[eid]), depth + 1)
+                visit(h, cost + float(full.lowers[eid]))
         on_path[v] = 0
 
-    visit(problem.start, 0.0, 0)
+    visit(problem.start, 0.0)
     return best

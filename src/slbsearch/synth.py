@@ -11,12 +11,10 @@ scalar c*f3, which also becomes the edge's true cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .generators import WeightedDigraph
 from .graph import Edge, EstimatedDigraph, EstimatorSpec, Problem
 
-__all__ = ["DEFAULT_MULTIPLIER_TABLE", "DEFAULT_TIME_COSTS", "SynthConfig", "synth_estimators"]
+__all__ = ["DEFAULT_MULTIPLIER_TABLE", "DEFAULT_TIME_COSTS", "synth_estimators"]
 
 DEFAULT_MULTIPLIER_TABLE = (
     (1, 2, 3),
@@ -33,46 +31,31 @@ DEFAULT_MULTIPLIER_TABLE = (
 DEFAULT_TIME_COSTS = (1.0, 10.0, 100.0)
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    multiplier_table: tuple[tuple[int, int, int], ...] = DEFAULT_MULTIPLIER_TABLE
-    time_costs: tuple[float, ...] = DEFAULT_TIME_COSTS
-
-    def __post_init__(self):
-        if len(self.multiplier_table) != 9:
-            raise ValueError("multiplier table must have 9 columns")
-        for col in self.multiplier_table:
-            if len(col) != len(self.time_costs):
-                raise ValueError("each column needs one multiplier per time cost")
-            if col[0] < 1 or any(a >= b for a, b in zip(col, col[1:])):
-                raise ValueError(f"column {col} must be strictly increasing and >= 1")
-        times = self.time_costs
-        if any(t <= 0 for t in times) or any(a >= b for a, b in zip(times, times[1:])):
-            raise ValueError("time costs must be positive and strictly increasing")
-
-
-def pick_multipliers(cost: int, seed: int, config: SynthConfig | None = None):
+def pick_multipliers(cost: int, seed: int):
     """Column for one edge: hash h = (cost + seed) mod 9 selects column h,
     with h = 0 falling back to the first column."""
-    table = (config or SynthConfig()).multiplier_table
     h = (cost + seed) % 9
-    return table[h - 1] if h >= 1 else table[0]
+    return DEFAULT_MULTIPLIER_TABLE[h - 1] if h >= 1 else DEFAULT_MULTIPLIER_TABLE[0]
 
 
-def synth_estimators(
-    weighted: WeightedDigraph, seed: int, config: SynthConfig | None = None
-) -> Problem:
-    """Estimated problem over the weighted graph's vertices, start and goals."""
-    config = config or SynthConfig()
+def synth_estimators(weighted: WeightedDigraph, seed: int) -> Problem:
+    """Estimated problem over the weighted graph's vertices, start and goals.
+
+    Raises ValueError for a cost below 1 or one whose bounds do not fit a
+    float.
+    """
     edges = []
     for tail, head, cost in weighted.edges:
         if cost < 1:
             raise ValueError(f"edge ({tail}, {head}): cost must be a positive integer")
-        mults = pick_multipliers(cost, seed, config)
-        top = float(cost * mults[-1])
+        mults = pick_multipliers(cost, seed)
+        try:
+            top = float(cost * mults[-1])
+        except OverflowError:
+            raise ValueError(f"edge ({tail}, {head}): cost too large for a float") from None
         specs = tuple(
             EstimatorSpec(float(cost * f), top, t)
-            for f, t in zip(mults, config.time_costs)
+            for f, t in zip(mults, DEFAULT_TIME_COSTS)
         )
         edges.append(Edge(tail, head, specs, true_cost=top))
     graph = EstimatedDigraph(weighted.vertex_count, edges)

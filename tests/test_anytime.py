@@ -196,6 +196,12 @@ class TestEpsilonRule:
         with pytest.raises(ValueError):
             a_beauty(make_reference_problem(), epsilon=-0.1)
 
+    def test_nan_epsilon_rejected(self):
+        # every l_over / l_under <= 1 + nan is false, so a NaN epsilon would
+        # silently run as if none were given
+        with pytest.raises(ValueError):
+            a_beauty(make_reference_problem(), epsilon=math.nan)
+
 
 class TestAnytimeEdgeCases:
     def test_unreachable_goal(self, kernel):

@@ -273,10 +273,25 @@ class TestBench:
             ),
             # json reads NaN, and no run time exceeds a NaN budget
             ({"instances": [], "timeout_seconds": float("nan")}, "'timeout_seconds'"),
+            # two cells under one id would share one entry of summary.json
+            (
+                {"instances": [{"id": "a", "model": "grid", "rows": 2, "cols": 2,
+                                "cost_min": 1, "cost_max": 5, "rng_seed": s}
+                               for s in (0, 1)]},
+                "instance id 'a' is used twice",
+            ),
+            ({"instances": [], "algorithms": ["beauty", "beauty"]}, "lists 'beauty' twice"),
+            ({"instances": [], "seeds": [0, 0]}, "suite key 'seeds' lists 0 twice"),
+            # a size past any float used to overflow the NaN check itself
+            (
+                {"instances": [{"id": "g", "model": "grid", "rows": 10**400, "cols": 2,
+                                "cost_min": 1, "cost_max": 5, "rng_seed": 0}]},
+                "instance 'g': ",
+            ),
         ],
         ids=[
             "random-without-n", "instances-not-a-list", "string-seed", "file-without-path",
-            "nan-timeout",
+            "nan-timeout", "duplicate-id", "duplicate-algorithm", "duplicate-seed", "huge-rows",
         ],
     )
     def test_malformed_suite_exits_3(self, tmp_path, capsys, suite, named):
@@ -338,6 +353,54 @@ class TestBench:
         assert code == 3
         assert capsys.readouterr().err == "error: closed vertex 3 improved during search\n"
 
+
+
+def _weighted_doc(cost=3, head=1):
+    return {"vertex_count": 2, "start": 0, "goals": [1],
+            "edges": [{"from": 0, "to": head, "cost": cost}]}
+
+
+def _problem_doc(bound=4.0):
+    return {"vertex_count": 2, "start": 0, "goals": [1],
+            "edges": [{"from": 0, "to": 1, "estimators": [[1.0, bound, 1.0]]}]}
+
+
+@pytest.mark.parametrize(
+    "files,argv,named",
+    [
+        ({"wg.json": _weighted_doc(head=7)}, ["synth", "--weighted-graph", "wg.json",
+         "--seed", "0", "--out", "out.json"], "edge 0: endpoint 'to' 7 out of range"),
+        ({"p.json": _problem_doc(bound=10**400)}, ["solve", "--graph", "p.json",
+         "--alg", "beauty"], "upper does not fit a float"),
+        ({"p.json": _problem_doc(bound=0.5)}, ["solve", "--graph", "p.json",
+         "--alg", "beauty"], "invalid graph, 1 violations (first: edge 0: bounds:"),
+        ({"wg.json": _weighted_doc(cost=10**400)}, ["synth", "--weighted-graph", "wg.json",
+         "--seed", "0", "--out", "out.json"], "edge (0, 1): cost too large for a float"),
+        (
+            {"wg.json": _weighted_doc(cost=10**400),
+             "suite.json": {"instances": [{"id": "w", "model": "weighted_file",
+                                           "path": "wg.json"}], "algorithms": ["beauty"]}},
+            ["bench", "--suite", "suite.json", "--out-dir", "out.json"],
+            "instance 'w': edge (0, 1): cost too large for a float",
+        ),
+        ({"p.json": _problem_doc()}, ["solve", "--graph", "p.json", "--alg", "abeauty",
+         "--epsilon", "nan"], "epsilon"),
+        ({"p.json": "[" * 100000 + "]" * 100000}, ["solve", "--graph", "p.json",
+         "--alg", "beauty"], "bad input file: not valid JSON"),
+    ],
+    ids=["synth-stray-endpoint", "solve-huge-bound", "solve-invalid-graph", "synth-huge-cost",
+         "bench-huge-cost", "solve-nan-epsilon", "solve-deep-nesting"],
+)
+def test_malformed_file_exits_3_with_one_line(tmp_path, monkeypatch, capsys, files, argv, named):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in files.items():
+        (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and named in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 def test_console_script_help():
     out = subprocess.run(

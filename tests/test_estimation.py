@@ -116,9 +116,9 @@ class TestInvocationAccounting:
 class TestMetrics:
     def test_search_time_scales_with_tau(self):
         m = Metrics((1, 2), expansions=5, evaluations=9, prunings=1,
-                    estimation_time=12.0, tau_v=2.0)
-        assert m.search_time == 10.0
-        assert m.total_time == 22.0
+                    estimation_time=12.0)
+        assert m.search_time == m.expansions == 5
+        assert m.total_time == 17.0
         assert m.invocations == 3
 
     def test_subtraction_gives_delta(self):

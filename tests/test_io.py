@@ -78,6 +78,31 @@ class TestProblemJson:
         with pytest.raises(ValueError):
             problem_from_json(json.dumps(doc))
 
+    def test_rejects_invalid_graph_in_one_error(self):
+        doc = json.loads(problem_to_json(make_reference_problem()))
+        doc["edges"][2]["estimators"][0] = [9.0, 1.0, 1.0]
+        with pytest.raises(ValueError) as exc:
+            problem_from_json(json.dumps(doc))
+        assert str(exc.value).startswith("invalid graph, 3 violations (first: edge 2: bounds:")
+
+    @pytest.mark.parametrize(
+        "field,value,named",
+        [("to", 5, "edge 1: endpoint 'to' 5 out of range for 5 vertices"),
+         ("from", -1, "edge 1: endpoint 'from' -1 out of range")],
+        ids=["to-past-end", "negative-from"],
+    )
+    def test_rejects_out_of_range_endpoint(self, field, value, named):
+        doc = json.loads(problem_to_json(make_reference_problem()))
+        doc["edges"][1][field] = value
+        with pytest.raises(ValueError, match=named):
+            problem_from_json(json.dumps(doc))
+
+    def test_rejects_number_beyond_float(self):
+        doc = json.loads(problem_to_json(make_reference_problem()))
+        doc["edges"][0]["estimators"][0][1] = 10**400
+        with pytest.raises(ValueError, match="edge 0 estimator 0 upper does not fit a float"):
+            problem_from_json(json.dumps(doc))
+
 
 class TestWeightedJson:
     def test_round_trip_is_byte_identical(self):
@@ -117,6 +142,20 @@ class TestWeightedJson:
             }
         )
         with pytest.raises(ValueError):
+            weighted_from_json(text)
+
+    @pytest.mark.parametrize(
+        "start,goals,edge,named",
+        [(0, [1], (1, 7), "edge 0: endpoint 'to' 7"), (2, [1], (0, 1), "start 2"),
+         (0, [1, 2], (0, 1), "goal 2")],
+        ids=["stray-endpoint", "start", "goal"],
+    )
+    def test_rejects_out_of_range_vertex(self, start, goals, edge, named):
+        text = json.dumps({
+            "vertex_count": 2, "start": start, "goals": goals,
+            "edges": [{"from": edge[0], "to": edge[1], "cost": 3}],
+        })
+        with pytest.raises(ValueError, match=named):
             weighted_from_json(text)
 
     def test_file_round_trip(self, tmp_path):

@@ -97,20 +97,6 @@ class TestOracleEnumerate:
         g = EstimatedDigraph(3, [edge(0, 1, [(1, 2, 1.0)])])
         assert oracle_enumerate(Problem(g, 0, frozenset({2}))) == math.inf
 
-    def test_max_edges_cap_hides_long_routes(self):
-        g = EstimatedDigraph(
-            4,
-            [
-                edge(0, 1, [(1, 1, 1.0)], 1),
-                edge(1, 2, [(1, 1, 1.0)], 1),
-                edge(2, 3, [(1, 1, 1.0)], 1),
-                edge(0, 3, [(9, 9, 1.0)], 9),
-            ],
-        )
-        problem = Problem(g, 0, frozenset({3}))
-        assert oracle_enumerate(problem) == 3.0
-        assert oracle_enumerate(problem, max_edges=1) == 9.0
-
     def test_cycles_do_not_hang_enumeration(self):
         g = EstimatedDigraph(
             3,

@@ -2,7 +2,6 @@ import pytest
 
 from slbsearch import (
     DEFAULT_MULTIPLIER_TABLE,
-    SynthConfig,
     WeightedDigraph,
     synth_estimators,
     validate_graph,
@@ -81,31 +80,7 @@ class TestSynthEstimators:
         with pytest.raises(ValueError):
             synth_estimators(single_edge(0), seed=0)
 
+    def test_cost_beyond_float_rejected(self):
+        with pytest.raises(ValueError, match="too large for a float"):
+            synth_estimators(single_edge(10**400), seed=0)
 
-class TestSynthConfig:
-    def test_default_config_is_valid(self):
-        SynthConfig()
-
-    def test_wrong_column_count_rejected(self):
-        with pytest.raises(ValueError):
-            SynthConfig(multiplier_table=((1, 2, 3),) * 8)
-
-    def test_non_increasing_column_rejected(self):
-        table = ((1, 2, 2),) + DEFAULT_MULTIPLIER_TABLE[1:]
-        with pytest.raises(ValueError):
-            SynthConfig(multiplier_table=table)
-
-    def test_non_increasing_times_rejected(self):
-        with pytest.raises(ValueError):
-            SynthConfig(time_costs=(1.0, 1.0, 100.0))
-
-    def test_custom_times_must_match_column_length(self):
-        with pytest.raises(ValueError):
-            SynthConfig(time_costs=(1.0, 10.0))
-
-    def test_custom_table_is_used(self):
-        table = tuple((f, f + 1, f + 2) for f in range(1, 10))
-        problem = synth_estimators(
-            single_edge(1), seed=0, config=SynthConfig(multiplier_table=table)
-        )
-        assert [s.lower for s in problem.graph.edges[0].estimators] == [1.0, 2.0, 3.0]
