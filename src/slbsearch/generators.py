@@ -19,32 +19,59 @@ class WeightedDigraph:
     edges: tuple[tuple[int, int, int], ...]
 
 
+# Rows of the n x n pair matrix drawn at a time by gen_random_graph.
+_BLOCK_ROWS = 256
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _check_cost_range(cost_range) -> tuple[int, int]:
     lo, hi = int(cost_range[0]), int(cost_range[1])
     if not 1 <= lo <= hi:
         raise ValueError(f"cost range [{lo}, {hi}] must satisfy 1 <= lo <= hi")
+    if hi > _INT64_MAX:
+        raise ValueError(f"cost range [{lo}, {hi}] must fit int64")
     return lo, hi
+
+
+def _rng(rng_seed) -> np.random.Generator:
+    if not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0:
+        raise ValueError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
+    return np.random.default_rng(rng_seed)
 
 
 def gen_random_graph(n: int, edge_prob: float, cost_range, rng_seed: int) -> WeightedDigraph:
     """Random layered-order digraph: each forward pair (i, j), i < j, gets an
     edge with probability edge_prob and a uniform integer cost. Start is 0,
     the single goal is n - 1. Fully deterministic in rng_seed.
+
+    The stream is that of one n x n matrix of uniforms (pair (i, j) is kept
+    when its uniform is below edge_prob) followed by one n x n matrix of
+    costs, both in row-major order. Both are drawn in blocks of rows, so
+    memory is O(n) per row block while the draws stay O(n^2).
     """
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if not 0.0 < edge_prob <= 1.0:
         raise ValueError("edge_prob must be in (0, 1]")
     lo, hi = _check_cost_range(cost_range)
-    rng = np.random.default_rng(rng_seed)
-    keep = rng.random((n, n)) < edge_prob
-    costs = rng.integers(lo, hi + 1, size=(n, n))
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if keep[i, j]:
-                edges.append((i, j, int(costs[i, j])))
-    return WeightedDigraph(n, 0, (n - 1,), tuple(edges))
+    rng = _rng(rng_seed)
+    starts = range(0, n, _BLOCK_ROWS)
+    kept = []  # row-major positions i * n + j of the kept pairs
+    for r0 in starts:
+        rows, cols = np.nonzero(rng.random((min(_BLOCK_ROWS, n - r0), n)) < edge_prob)
+        rows += r0
+        forward = cols > rows
+        kept.append(rows[forward] * n + cols[forward])
+    flat = np.concatenate(kept)
+    costs = np.empty(len(flat), dtype=np.int64)
+    for r0 in starts:
+        first, end = r0 * n, min(r0 + _BLOCK_ROWS, n) * n
+        block = rng.integers(lo, hi + 1, size=end - first)
+        a, b = np.searchsorted(flat, (first, end))
+        costs[a:b] = block[flat[a:b] - first]
+    tails, heads = np.divmod(flat, n)
+    edges = tuple(zip(tails.tolist(), heads.tolist(), costs.tolist()))
+    return WeightedDigraph(n, 0, (n - 1,), edges)
 
 
 def gen_grid_graph(rows: int, cols: int, cost_range, rng_seed: int) -> WeightedDigraph:
@@ -55,7 +82,7 @@ def gen_grid_graph(rows: int, cols: int, cost_range, rng_seed: int) -> WeightedD
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError("grid must contain at least 2 cells")
     lo, hi = _check_cost_range(cost_range)
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     costs = rng.integers(lo, hi + 1, size=(rows, cols, 2))
     edges = []
     for r in range(rows):

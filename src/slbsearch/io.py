@@ -9,6 +9,8 @@ passes validate_graph. Anything else raises one ValueError.
 from __future__ import annotations
 
 import json
+import math
+import struct
 from pathlib import Path as FsPath
 
 from .generators import WeightedDigraph
@@ -78,6 +80,10 @@ def _read_graph(text: str):
     return n, start, goals, doc["edges"]
 
 
+# Keys triples by their bits: -0.0 == 0.0 and the two hash alike, so a tuple
+# key would load a -0.0 bound that follows an equal 0.0 triple as 0.0.
+_bits = struct.Struct("3d").pack
+
 _PROBLEM_EDGE = frozenset(("from", "to", "estimators"))
 _WEIGHTED_EDGE = frozenset(("from", "to", "cost"))
 
@@ -96,28 +102,49 @@ def _edge_record(i: int, rec, keys: frozenset, n: int):
     return tail, head
 
 
+# The writers lay a file out as json.dumps(doc, indent=2) + "\n" does, with
+# one %-template per object instead of json's pure-Python indenting encoder.
+# An int's %s is json's spelling of it.
+_GRAPH_TEXT = '{\n  "vertex_count": %s,\n  "start": %s,\n  "goals": %s,\n  "edges": %s\n}\n'
+_PROBLEM_EDGE_TEXT = (
+    '{\n      "from": %s,\n      "to": %s,\n      "estimators": %s,\n      "true_cost": %s\n    }'
+)
+_SPEC_TEXT = "[\n          %s,\n          %s,\n          %s\n        ]"
+_WEIGHTED_EDGE_TEXT = '{\n      "from": %s,\n      "to": %s,\n      "cost": %s\n    }'
+
+
+def _array(items, depth: int = 1) -> str:
+    """A list of written items, laid out as json's indent=2 does at this depth."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _num(x: float) -> str:
+    # json spells the non-finite floats Infinity, -Infinity and NaN
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
 def problem_to_json(problem: Problem) -> str:
     edges = [
-        {
-            "from": e.tail,
-            "to": e.head,
-            "estimators": [[s.lower, s.upper, s.time_cost] for s in e.estimators],
-            "true_cost": e.true_cost,
-        }
+        _PROBLEM_EDGE_TEXT % (
+            e.tail,
+            e.head,
+            _array([_SPEC_TEXT % (_num(s.lower), _num(s.upper), _num(s.time_cost))
+                    for s in e.estimators], 3),
+            "null" if e.true_cost is None else _num(e.true_cost),
+        )
         for e in problem.graph.edges
     ]
-    doc = {
-        "vertex_count": problem.graph.vertex_count,
-        "start": problem.start,
-        "goals": sorted(problem.goals),
-        "edges": edges,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    goals = [str(g) for g in sorted(problem.goals)]
+    return _GRAPH_TEXT % (problem.graph.vertex_count, problem.start, _array(goals), _array(edges))
 
 
 def problem_from_json(text: str) -> Problem:
     n, start, goals, records = _read_graph(text)
     edges = []
+    shared = {}  # one frozen EstimatorSpec per distinct triple
     for i, rec in enumerate(records):
         tail, head = _edge_record(i, rec, _PROBLEM_EDGE, n)
         ests = rec["estimators"]
@@ -132,7 +159,11 @@ def problem_from_json(text: str) -> Problem:
                     _as_number(x, f"edge {i} estimator {j} {what}")
                     for x, what in zip(triple, ("lower", "upper", "time_cost"))
                 ]
-            specs.append(EstimatorSpec(*triple))
+            key = _bits(*triple)
+            spec = shared.get(key)
+            if spec is None:
+                spec = shared[key] = EstimatorSpec(*triple)
+            specs.append(spec)
         tc = rec.get("true_cost")
         if tc is not None and type(tc) is not float:
             tc = _as_number(tc, f"edge {i} true_cost")
@@ -157,13 +188,9 @@ def dump_problem(problem: Problem, path) -> None:
 
 
 def weighted_to_json(wg: WeightedDigraph) -> str:
-    doc = {
-        "vertex_count": wg.vertex_count,
-        "start": wg.start,
-        "goals": sorted(wg.goals),
-        "edges": [{"from": t, "to": h, "cost": c} for t, h, c in wg.edges],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    edges = [_WEIGHTED_EDGE_TEXT % e for e in wg.edges]
+    goals = [str(g) for g in sorted(wg.goals)]
+    return _GRAPH_TEXT % (wg.vertex_count, wg.start, _array(goals), _array(edges))
 
 
 def _weighted_edge(i: int, rec, n: int) -> tuple[int, int, int]:

@@ -45,18 +45,22 @@ def synth_estimators(weighted: WeightedDigraph, seed: int) -> Problem:
     float.
     """
     edges = []
+    shared = {}  # cost -> (its frozen EstimatorSpecs, true cost), one per distinct cost
     for tail, head, cost in weighted.edges:
-        if cost < 1:
-            raise ValueError(f"edge ({tail}, {head}): cost must be a positive integer")
-        mults = pick_multipliers(cost, seed)
-        try:
-            top = float(cost * mults[-1])
-        except OverflowError:
-            raise ValueError(f"edge ({tail}, {head}): cost too large for a float") from None
-        specs = tuple(
-            EstimatorSpec(float(cost * f), top, t)
-            for f, t in zip(mults, DEFAULT_TIME_COSTS)
-        )
-        edges.append(Edge(tail, head, specs, true_cost=top))
+        known = shared.get(cost)
+        if known is None:
+            if cost < 1:
+                raise ValueError(f"edge ({tail}, {head}): cost must be a positive integer")
+            mults = pick_multipliers(cost, seed)
+            try:
+                top = float(cost * mults[-1])
+            except OverflowError:
+                raise ValueError(f"edge ({tail}, {head}): cost too large for a float") from None
+            specs = tuple(
+                EstimatorSpec(float(cost * f), top, t)
+                for f, t in zip(mults, DEFAULT_TIME_COSTS)
+            )
+            known = shared[cost] = (specs, top)
+        edges.append(Edge(tail, head, *known))
     graph = EstimatedDigraph(weighted.vertex_count, edges)
     return Problem(graph, weighted.start, frozenset(weighted.goals))

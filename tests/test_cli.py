@@ -365,6 +365,19 @@ def _problem_doc(bound=4.0):
             "edges": [{"from": 0, "to": 1, "estimators": [[1.0, bound, 1.0]]}]}
 
 
+def _problem_doc_with_bool_after_equal_triple():
+    # true == 1.0, so it must be refused before estimators are shared by value
+    doc = _problem_doc()
+    doc["vertex_count"] = 3
+    doc["goals"] = [2]
+    doc["edges"].append({"from": 1, "to": 2, "estimators": [[True, 4.0, 1.0]]})
+    return doc
+
+
+_GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--out", "out.json",
+             "--cost-min", "1"]
+
+
 @pytest.mark.parametrize(
     "files,argv,named",
     [
@@ -387,9 +400,16 @@ def _problem_doc(bound=4.0):
          "--epsilon", "nan"], "epsilon"),
         ({"p.json": "[" * 100000 + "]" * 100000}, ["solve", "--graph", "p.json",
          "--alg", "beauty"], "bad input file: not valid JSON"),
+        ({"p.json": _problem_doc_with_bool_after_equal_triple()}, ["solve", "--graph", "p.json",
+         "--alg", "beauty"], "bad input file: edge 1 estimator 0 lower must be a number"),
+        ({}, _GEN_ARGV + ["--cost-max", "9", "--rng-seed", "-1"],
+         "rng_seed must be a non-negative integer"),
+        ({}, _GEN_ARGV + ["--cost-max", "99999999999999999999", "--rng-seed", "0"],
+         "cost range [1, 99999999999999999999] must fit int64"),
     ],
     ids=["synth-stray-endpoint", "solve-huge-bound", "solve-invalid-graph", "synth-huge-cost",
-         "bench-huge-cost", "solve-nan-epsilon", "solve-deep-nesting"],
+         "bench-huge-cost", "solve-nan-epsilon", "solve-deep-nesting", "solve-bool-bound",
+         "gen-negative-seed", "gen-cost-beyond-int64"],
 )
 def test_malformed_file_exits_3_with_one_line(tmp_path, monkeypatch, capsys, files, argv, named):
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,10 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from slbsearch import (
+    WeightedDigraph,
     a_beauty,
     gen_grid_graph,
     gen_random_graph,
@@ -10,7 +14,44 @@ from slbsearch import (
 )
 
 
+def dense_random_graph(n, edge_prob, cost_range, rng_seed):
+    """gen_random_graph as first written: two dense n x n draws and a double
+    loop over the forward pairs. The row-block generator must match it."""
+    rng = np.random.default_rng(rng_seed)
+    keep = rng.random((n, n)) < edge_prob
+    costs = rng.integers(cost_range[0], cost_range[1] + 1, size=(n, n))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if keep[i, j]:
+                edges.append((i, j, int(costs[i, j])))
+    return WeightedDigraph(n, 0, (n - 1,), tuple(edges))
+
+
 class TestRandomGraph:
+    @pytest.mark.parametrize(
+        "n,edge_prob,cost_range,seed",
+        [(2, 0.5, (1, 9), 4), (600, 0.01, (1, 20), 3), (300, 1.0, (1, 5), 1),
+         (300, 0.05, (1, 2**40), 2)],
+        ids=["two-vertices", "partial-last-block", "complete", "cost-beyond-32-bits"],
+    )
+    def test_matches_dense_draws(self, n, edge_prob, cost_range, seed):
+        wg = gen_random_graph(n, edge_prob, cost_range, seed)
+        assert wg == dense_random_graph(n, edge_prob, cost_range, seed)
+        assert all(type(x) is int for e in wg.edges for x in e)
+
+    def test_memory_is_not_quadratic_on_sparse_graphs(self):
+        n = 4000
+        tracemalloc.start()
+        try:
+            gen_random_graph(n, 0.002, (1, 20), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two dense n x n draws alone would hold 16 * n^2 bytes
+        assert peak < 16 * n * n / 10
+
+
     def test_complete_two_vertices(self):
         wg = gen_random_graph(2, 1.0, (1, 1), rng_seed=42)
         assert wg.edges == ((0, 1, 1),)
@@ -49,6 +90,10 @@ class TestRandomGraph:
             gen_random_graph(5, 0.5, (0, 5), 0)
         with pytest.raises(ValueError):
             gen_random_graph(5, 0.5, (6, 5), 0)
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            gen_random_graph(5, 0.5, (1, 5), -1)
+        with pytest.raises(ValueError, match="must fit int64"):
+            gen_random_graph(5, 0.5, (1, 2**63), 0)
 
 
 class TestGridGraph:
@@ -89,3 +134,5 @@ class TestGridGraph:
             gen_grid_graph(1, 1, (1, 5), 0)
         with pytest.raises(ValueError):
             gen_grid_graph(0, 3, (1, 5), 0)
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            gen_grid_graph(2, 3, (1, 5), -2)

@@ -1,19 +1,94 @@
 import json
+import math
 
 import pytest
-from conftest import make_reference_problem
+from conftest import edge, make_reference_problem
 
 from slbsearch import (
+    EstimatedDigraph,
+    Problem,
     WeightedDigraph,
+    gen_grid_graph,
     gen_random_graph,
     load_problem,
     load_weighted,
     problem_from_json,
     problem_to_json,
+    synth_estimators,
     weighted_from_json,
     weighted_to_json,
 )
 from slbsearch.io import dump_problem, dump_weighted, load_suite
+
+
+# The writers as first written, on json's own encoder: the files the
+# template writers produce must match these byte for byte.
+def reference_problem_json(problem):
+    edges = [
+        {
+            "from": e.tail,
+            "to": e.head,
+            "estimators": [[s.lower, s.upper, s.time_cost] for s in e.estimators],
+            "true_cost": e.true_cost,
+        }
+        for e in problem.graph.edges
+    ]
+    doc = {
+        "vertex_count": problem.graph.vertex_count,
+        "start": problem.start,
+        "goals": sorted(problem.goals),
+        "edges": edges,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_weighted_json(wg):
+    doc = {
+        "vertex_count": wg.vertex_count,
+        "start": wg.start,
+        "goals": sorted(wg.goals),
+        "edges": [{"from": t, "to": h, "cost": c} for t, h, c in wg.edges],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def make_odd_problem():
+    """Non-finite bounds, a missing true cost, three goals, a 4-layer sequence."""
+    inf, nan = math.inf, math.nan
+    edges = [
+        edge(0, 1, [(0.5, inf, 1.0), (1.0, 9.25, 2.0), (2.0, 3.0, 4.0), (2.5, 2.5, 8.0)], 2.5),
+        edge(1, 2, [(-inf, nan, 0.0)], None),
+        edge(0, 3, [(-0.0, 1e300, 1e-7)], 5e-324),
+    ]
+    return Problem(EstimatedDigraph(5, edges), 0, frozenset({4, 2, 3}))
+
+
+class TestTemplateWriters:
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_random_graph_files(self, seed):
+        wg = gen_random_graph(5000, 0.002, (1, 20), seed)
+        assert weighted_to_json(wg) == reference_weighted_json(wg)
+        problem = synth_estimators(wg, seed)
+        assert problem_to_json(problem) == reference_problem_json(problem)
+
+    def test_grid_files(self):
+        wg = gen_grid_graph(150, 150, (1, 9), 2)
+        assert weighted_to_json(wg) == reference_weighted_json(wg)
+        problem = synth_estimators(wg, 3)
+        assert problem_to_json(problem) == reference_problem_json(problem)
+
+    def test_non_finite_bounds_and_missing_true_cost(self):
+        problem = make_odd_problem()
+        text = problem_to_json(problem)
+        assert text == reference_problem_json(problem)
+        assert "Infinity" in text and "NaN" in text and "null" in text
+
+    def test_empty_edge_list(self):
+        problem = Problem(EstimatedDigraph(3, []), 0, frozenset({2}))
+        wg = WeightedDigraph(3, 0, (2,), ())
+        assert problem_to_json(problem) == reference_problem_json(problem)
+        assert weighted_to_json(wg) == reference_weighted_json(wg)
+        assert '"edges": []' in weighted_to_json(wg)
 
 
 class TestProblemJson:
@@ -22,6 +97,21 @@ class TestProblemJson:
         text = problem_to_json(problem)
         again = problem_to_json(problem_from_json(text))
         assert again == text
+
+    def test_round_trip_keeps_negative_zero_after_equal_zero(self):
+        # loaded estimators are shared per distinct triple; -0.0 == 0.0, so
+        # the sharing must still tell them apart
+        doc = {
+            "vertex_count": 3, "start": 0, "goals": [2],
+            "edges": [
+                {"from": 0, "to": 1, "estimators": [[0.0, 2.0, 1.0]], "true_cost": 1.0},
+                {"from": 1, "to": 2, "estimators": [[-0.0, 2.0, 1.0]], "true_cost": 1.0},
+            ],
+        }
+        text = json.dumps(doc, indent=2) + "\n"
+        loaded = problem_from_json(text)
+        assert math.copysign(1.0, loaded.graph.edges[1].estimators[0].lower) == -1.0
+        assert problem_to_json(loaded) == text
 
     def test_round_trip_preserves_semantics(self):
         problem = make_reference_problem()
