@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 no path to any goal, 3 invalid input, 4 benchmark
-budget exhausted (some cell timed out).
+Exit codes: 0 success, 2 no path to any goal, 3 invalid input (or too large
+to allocate), 4 benchmark budget exhausted (some cell timed out).
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         # RuntimeError: the search found bounds no valid estimator yields
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

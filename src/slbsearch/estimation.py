@@ -106,7 +106,7 @@ class EstimationCache:
         arr = graph.arrays()
         self.graph = graph
         self._arr = arr
-        m = len(graph.edges)
+        m = len(graph.tail)
         self.next_index = np.zeros(m, np.int64)
         self.tightest_lower = np.zeros(m)
         self.tightest_upper = np.full(m, math.inf)
@@ -181,8 +181,6 @@ class EstimationCache:
 
     def final_layer_invocations(self) -> int:
         """How many edges have had their last (tightest) estimator invoked."""
-        if len(self.graph.edges) == 0:
-            return 0
         return int(self.invoked[self._arr.est_offsets[1:] - 1].sum())
 
     # -- metrics ------------------------------------------------------------

@@ -15,7 +15,8 @@ applied upper bounds. Bounds are additive along paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,29 +43,21 @@ class EstimatorSpec:
     upper: float
     time_cost: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "lower", float(self.lower))
-        object.__setattr__(self, "upper", float(self.upper))
-        object.__setattr__(self, "time_cost", float(self.time_cost))
-
 
 @dataclass(frozen=True)
 class Edge:
     """Directed edge with its estimator sequence.
 
     ``true_cost`` is optional ground truth used by oracles and synthetic
-    instances; the search algorithms never read it.
+    instances; the search algorithms never read it. Edges are how a graph
+    is built by hand: a graph stores their numbers as float arrays, and
+    its ``edges`` view builds them back with float fields.
     """
 
     tail: int
     head: int
     estimators: tuple[EstimatorSpec, ...]
     true_cost: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "estimators", tuple(self.estimators))
-        if self.true_cost is not None:
-            object.__setattr__(self, "true_cost", float(self.true_cost))
 
 
 @dataclass
@@ -74,7 +67,7 @@ class GraphArrays:
     Successors are CSR over the tail vertex, preserving edge declaration
     order within each tail. Estimator layers for edge e live in the flat
     slices ``est_lower[est_offsets[e]:est_offsets[e+1]]`` (same for upper
-    and time).
+    and time); these four are the graph's own arrays, not copies.
     """
 
     indptr: np.ndarray
@@ -87,67 +80,85 @@ class GraphArrays:
     k_max: int
 
 
-def _build_arrays(graph: EstimatedDigraph) -> GraphArrays:
-    n = graph.vertex_count
-    m = len(graph.edges)
-    tail = np.empty(m, np.int64)
-    head = np.empty(m, np.int64)
-    seq_len = np.empty(m, np.int64)
-    for i, e in enumerate(graph.edges):
-        if not (0 <= e.tail < n and 0 <= e.head < n):
-            raise ValueError(f"edge {i}: endpoint out of range for {n} vertices")
-        if not e.estimators:
-            raise ValueError(f"edge {i}: empty estimator sequence")
-        tail[i] = e.tail
-        head[i] = e.head
-        seq_len[i] = len(e.estimators)
+@dataclass(frozen=True)
+class _EdgeView(Sequence):
+    """Read-only sequence of a graph's edges, each built as an Edge on demand."""
 
-    order = np.argsort(tail, kind="stable")
-    indptr = np.zeros(n + 1, np.int64)
-    if m:
-        indptr[1:] = np.cumsum(np.bincount(tail, minlength=n))
-    est_offsets = np.zeros(m + 1, np.int64)
-    est_offsets[1:] = np.cumsum(seq_len)
-    total = int(est_offsets[-1])
-    est_lower = np.empty(total)
-    est_upper = np.empty(total)
-    est_time = np.empty(total)
-    pos = 0
-    for e in graph.edges:
-        for s in e.estimators:
-            est_lower[pos] = s.lower
-            est_upper[pos] = s.upper
-            est_time[pos] = s.time_cost
-            pos += 1
-    return GraphArrays(
-        indptr=indptr,
-        succ_vertex=head[order],
-        succ_edge=order,
-        est_offsets=est_offsets,
-        est_lower=est_lower,
-        est_upper=est_upper,
-        est_time=est_time,
-        k_max=int(seq_len.max()) if m else 1,
-    )
+    _graph: EstimatedDigraph
+
+    def __len__(self) -> int:
+        return len(self._graph.tail)
+
+    def __getitem__(self, eid: int) -> Edge:
+        g = self._graph
+        eid = range(len(g.tail))[eid]  # negative indices; IndexError past the end
+        a, b = g.est_offsets[eid], g.est_offsets[eid + 1]
+        columns = (x[a:b].tolist() for x in (g.est_lower, g.est_upper, g.est_time))
+        specs = tuple(map(EstimatorSpec, *columns))
+        true_cost = float(g.true_cost[eid]) if g.true_known[eid] else None
+        return Edge(int(g.tail[eid]), int(g.head[eid]), specs, true_cost)
 
 
-@dataclass
 class EstimatedDigraph:
     """Explicit digraph. Parallel edges and self-loops are allowed.
 
-    Treat instances as immutable once constructed; the flat array form is
-    built lazily and cached.
+    Stored as flat per-edge arrays: ``tail``, ``head``, the layers of edge e
+    at ``est_offsets[e]:est_offsets[e + 1]`` of ``est_lower``, ``est_upper``
+    and ``est_time``, and ``true_cost``, read only where ``true_known`` (so
+    unknown is not NaN). ``EstimatedDigraph(n, edges)`` flattens hand-built
+    Edges; ``edges`` is a read-only view that builds them on demand. Treat
+    instances as immutable; the CSR form is built lazily and cached.
     """
 
-    vertex_count: int
-    edges: list[Edge]
-    _arrays: GraphArrays | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(self, vertex_count: int, edges: Sequence[Edge] = ()):
+        specs = [s for e in edges for s in e.estimators]
+        self._store(
+            vertex_count, [e.tail for e in edges], [e.head for e in edges],
+            np.cumsum([0] + [len(e.estimators) for e in edges]),
+            [s.lower for s in specs], [s.upper for s in specs], [s.time_cost for s in specs],
+            [e.true_cost for e in edges], [e.true_cost is not None for e in edges],
+        )  # a None true cost is stored as NaN; true_known tells the two apart
+
+    @classmethod
+    def from_arrays(cls, vertex_count, tail, head, est_offsets, est_lower, est_upper, est_time,
+                    true_cost, true_known) -> EstimatedDigraph:
+        """Graph over its flat arrays (see the class docstring); no copies at the right dtype."""
+        graph = cls.__new__(cls)
+        graph._store(vertex_count, tail, head, est_offsets, est_lower, est_upper,
+                     est_time, true_cost, true_known)
+        return graph
+
+    def _store(self, vertex_count, tail, head, est_offsets, est_lower, est_upper,
+               est_time, true_cost, true_known) -> None:
+        self.vertex_count = vertex_count
+        self.tail = np.asarray(tail, np.int64)
+        self.head = np.asarray(head, np.int64)
+        self.est_offsets = np.asarray(est_offsets, np.int64)
+        self.est_lower = np.asarray(est_lower, np.float64)
+        self.est_upper = np.asarray(est_upper, np.float64)
+        self.est_time = np.asarray(est_time, np.float64)
+        self.true_cost = np.asarray(true_cost, np.float64)
+        self.true_known = np.asarray(true_known, np.bool_)
+        self._arrays: GraphArrays | None = None
+
+    @property
+    def edges(self) -> _EdgeView:
+        return _EdgeView(self)
 
     def arrays(self) -> GraphArrays:
         if self._arrays is None:
-            self._arrays = _build_arrays(self)
+            n, tail, head = self.vertex_count, self.tail, self.head
+            lens = np.diff(self.est_offsets)
+            outside = (tail < 0) | (tail >= n) | (head < 0) | (head >= n)
+            for bad, what in ((outside, f"endpoint out of range for {n} vertices"),
+                              (lens == 0, "empty estimator sequence")):
+                if bad.any():
+                    raise ValueError(f"edge {int(np.argmax(bad))}: {what}")
+            indptr = np.zeros(n + 1, np.int64)
+            indptr[1:] = np.cumsum(np.bincount(tail, minlength=n))
+            order = np.argsort(tail, kind="stable")
+            est = (self.est_offsets, self.est_lower, self.est_upper, self.est_time)  # not copied
+            self._arrays = GraphArrays(indptr, head[order], order, *est, int(lens.max(initial=1)))
         return self._arrays
 
 
@@ -189,10 +200,7 @@ class Path:
     def vertices(self, graph: EstimatedDigraph) -> tuple[int, ...]:
         if not self.edges:
             return (self.terminal,)
-        out = [graph.edges[self.edges[0]].tail]
-        for eid in self.edges:
-            out.append(graph.edges[eid].head)
-        return tuple(out)
+        return (int(graph.tail[self.edges[0]]), *graph.head[list(self.edges)].tolist())
 
 
 @dataclass(frozen=True)
@@ -225,57 +233,49 @@ def validate_graph(graph: EstimatedDigraph) -> list[Violation]:
     time_cost. Checks per adjacent pair: interval nesting and strictly
     increasing time_cost. When true_cost is present it must lie in every
     interval of the sequence. An empty list means the graph is valid.
+
+    Every edge is screened at once with array masks; only the edges that
+    fail are then described, one Edge at a time and in edge order.
     """
+    n, tail, head = graph.vertex_count, graph.tail, graph.head
+    lo, up, t = graph.est_lower, graph.est_upper, graph.est_time
+    lens = np.diff(graph.est_offsets)
+    owner = np.repeat(np.arange(len(lens)), lens)  # the edge of each estimator
+    tc = graph.true_cost[owner]
+    ok = np.isfinite(lo) & np.isfinite(up) & (0.0 <= lo) & (lo <= up) & np.isfinite(t) & (t >= 0.0)
+    ok &= ~graph.true_known[owner] | ((lo <= tc) & (tc <= up))
+    pair_ok = (lo[1:] >= lo[:-1]) & (up[1:] <= up[:-1]) & (t[1:] > t[:-1])
+    pair_ok |= owner[1:] != owner[:-1]  # a pair across two edges
+    bad = (tail < 0) | (tail >= n) | (head < 0) | (head >= n) | (lens == 0)
+    bad[owner[~ok]] = True
+    bad[owner[1:][~pair_ok]] = True
     out: list[Violation] = []
-    n = graph.vertex_count
-    for idx, e in enumerate(graph.edges):
+    for idx in np.flatnonzero(bad).tolist():
+        e = graph.edges[idx]
         if not (0 <= e.tail < n and 0 <= e.head < n):
             out.append(Violation(idx, "endpoint", f"({e.tail}, {e.head}) out of range"))
         if not e.estimators:
             out.append(Violation(idx, "empty_sequence", "no estimators"))
             continue
         for i, s in enumerate(e.estimators):
-            ok = (
-                math.isfinite(s.lower)
-                and math.isfinite(s.upper)
-                and 0.0 <= s.lower <= s.upper
-            )
+            ok = math.isfinite(s.lower) and math.isfinite(s.upper) and 0.0 <= s.lower <= s.upper
             if not ok:
-                out.append(
-                    Violation(idx, "bounds", f"layer {i + 1}: [{s.lower}, {s.upper}]")
-                )
+                out.append(Violation(idx, "bounds", f"layer {i + 1}: [{s.lower}, {s.upper}]"))
             if not (math.isfinite(s.time_cost) and s.time_cost >= 0.0):
-                out.append(
-                    Violation(idx, "time_cost", f"layer {i + 1}: {s.time_cost}")
-                )
+                out.append(Violation(idx, "time_cost", f"layer {i + 1}: {s.time_cost}"))
         for i in range(len(e.estimators) - 1):
             cur, nxt = e.estimators[i], e.estimators[i + 1]
             if not (nxt.lower >= cur.lower and nxt.upper <= cur.upper):
-                out.append(
-                    Violation(
-                        idx,
-                        "nesting",
-                        f"layer {i + 2} does not tighten layer {i + 1}",
-                    )
-                )
+                detail = f"layer {i + 2} does not tighten layer {i + 1}"
+                out.append(Violation(idx, "nesting", detail))
             if not nxt.time_cost > cur.time_cost:
-                out.append(
-                    Violation(
-                        idx,
-                        "time_order",
-                        f"layer {i + 2} not more expensive than layer {i + 1}",
-                    )
-                )
+                detail = f"layer {i + 2} not more expensive than layer {i + 1}"
+                out.append(Violation(idx, "time_order", detail))
         if e.true_cost is not None:
             for i, s in enumerate(e.estimators):
                 if not s.lower <= e.true_cost <= s.upper:
-                    out.append(
-                        Violation(
-                            idx,
-                            "true_cost",
-                            f"{e.true_cost} outside layer {i + 1} interval",
-                        )
-                    )
+                    detail = f"{e.true_cost} outside layer {i + 1} interval"
+                    out.append(Violation(idx, "true_cost", detail))
     return out
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from pathlib import Path as FsPath
 
+import numpy as np
+
 from .generators import WeightedDigraph
-from .graph import Edge, EstimatedDigraph, EstimatorSpec, Problem, validate_graph
+from .graph import EstimatedDigraph, Problem, validate_graph
 
 __all__ = [
     "problem_to_json",
@@ -80,10 +81,6 @@ def _read_graph(text: str):
     return n, start, goals, doc["edges"]
 
 
-# Keys triples by their bits: -0.0 == 0.0 and the two hash alike, so a tuple
-# key would load a -0.0 bound that follows an equal 0.0 triple as 0.0.
-_bits = struct.Struct("3d").pack
-
 _PROBLEM_EDGE = frozenset(("from", "to", "estimators"))
 _WEIGHTED_EDGE = frozenset(("from", "to", "cost"))
 
@@ -127,48 +124,50 @@ def _num(x: float) -> str:
 
 
 def problem_to_json(problem: Problem) -> str:
+    graph = problem.graph
+    layers = zip(graph.est_lower.tolist(), graph.est_upper.tolist(), graph.est_time.tolist())
+    specs = [_SPEC_TEXT % (_num(lo), _num(up), _num(t)) for lo, up, t in layers]
+    off = graph.est_offsets.tolist()
     edges = [
-        _PROBLEM_EDGE_TEXT % (
-            e.tail,
-            e.head,
-            _array([_SPEC_TEXT % (_num(s.lower), _num(s.upper), _num(s.time_cost))
-                    for s in e.estimators], 3),
-            "null" if e.true_cost is None else _num(e.true_cost),
+        _PROBLEM_EDGE_TEXT % (tail, head, _array(specs[a:b], 3), _num(tc) if known else "null")
+        for tail, head, a, b, tc, known in zip(
+            graph.tail.tolist(), graph.head.tolist(), off, off[1:],
+            graph.true_cost.tolist(), graph.true_known.tolist(),
         )
-        for e in problem.graph.edges
     ]
     goals = [str(g) for g in sorted(problem.goals)]
-    return _GRAPH_TEXT % (problem.graph.vertex_count, problem.start, _array(goals), _array(edges))
+    return _GRAPH_TEXT % (graph.vertex_count, problem.start, _array(goals), _array(edges))
 
 
 def problem_from_json(text: str) -> Problem:
     n, start, goals, records = _read_graph(text)
-    edges = []
-    shared = {}  # one frozen EstimatorSpec per distinct triple
+    rows = []  # per edge: tail, head, end of its layers, true cost
+    layers = []  # lower, upper, time_cost of every estimator, flat
     for i, rec in enumerate(records):
         tail, head = _edge_record(i, rec, _PROBLEM_EDGE, n)
         ests = rec["estimators"]
         if not (isinstance(ests, list) and ests):
             raise _bad(f"edge {i}: estimators must be a non-empty list")
-        specs = []
         for j, triple in enumerate(ests):
             if not (isinstance(triple, list) and len(triple) == 3):
                 raise _bad(f"edge {i} estimator {j}: expected [lower, upper, time_cost]")
-            if not all(type(x) is float for x in triple):
+            lo, up, t = triple
+            if type(lo) is not float or type(up) is not float or type(t) is not float:
                 triple = [
                     _as_number(x, f"edge {i} estimator {j} {what}")
                     for x, what in zip(triple, ("lower", "upper", "time_cost"))
                 ]
-            key = _bits(*triple)
-            spec = shared.get(key)
-            if spec is None:
-                spec = shared[key] = EstimatorSpec(*triple)
-            specs.append(spec)
+            layers.extend(triple)
         tc = rec.get("true_cost")
         if tc is not None and type(tc) is not float:
             tc = _as_number(tc, f"edge {i} true_cost")
-        edges.append(Edge(tail, head, tuple(specs), tc))
-    graph = EstimatedDigraph(n, edges)
+        rows.append((tail, head, len(layers) // 3, tc))
+    tails, heads, ends, true_costs = zip(*rows) if rows else ((),) * 4
+    lower, upper, time_cost = np.array(layers, np.float64).reshape(-1, 3).T.copy()
+    known = [tc is not None for tc in true_costs]  # a None true cost is stored as NaN
+    graph = EstimatedDigraph.from_arrays(
+        n, tails, heads, (0, *ends), lower, upper, time_cost, true_costs, known
+    )
     violations = validate_graph(graph)
     if violations:
         v = violations[0]

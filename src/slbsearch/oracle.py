@@ -37,11 +37,7 @@ class FullEstimate:
 
 
 def full_estimate(graph: EstimatedDigraph) -> FullEstimate:
-    arr = graph.arrays()
-    m = len(graph.edges)
-    if m == 0:
-        empty = np.empty(0)
-        return FullEstimate(empty, empty.copy(), np.empty(0, np.int64))
+    arr = graph.arrays()  # rejects stray endpoints and empty sequences
     starts = arr.est_offsets[:-1]
     lowers = np.maximum.reduceat(arr.est_lower, starts)
     uppers = np.minimum.reduceat(arr.est_upper, starts)
@@ -51,14 +47,14 @@ def full_estimate(graph: EstimatedDigraph) -> FullEstimate:
 
 def _adjacency(graph: EstimatedDigraph):
     adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
-    for eid, e in enumerate(graph.edges):
-        adj[e.tail].append((eid, e.head))
+    for eid, (tail, head) in enumerate(zip(graph.tail.tolist(), graph.head.tolist())):
+        adj[tail].append((eid, head))
     return adj
 
 
 def _dijkstra_to_goals(problem: Problem, weights) -> float:
+    dist = np.full(problem.graph.vertex_count, math.inf).tolist()  # too large an n fails here
     adj = _adjacency(problem.graph)
-    dist = [math.inf] * problem.graph.vertex_count
     dist[problem.start] = 0.0
     heap = [(0.0, problem.start)]
     while heap:
@@ -83,12 +79,9 @@ def oracle_lstar(problem: Problem) -> float:
 
 def oracle_cstar(problem: Problem) -> float:
     """True shortest-path cost to any goal; every edge needs a true_cost."""
-    weights = []
-    for eid, e in enumerate(problem.graph.edges):
-        if e.true_cost is None:
-            raise ValueError(f"edge {eid} has no true_cost")
-        weights.append(e.true_cost)
-    return _dijkstra_to_goals(problem, weights)
+    if not problem.graph.true_known.all():
+        raise ValueError(f"edge {np.argmin(problem.graph.true_known)} has no true_cost")
+    return _dijkstra_to_goals(problem, problem.graph.true_cost.tolist())
 
 
 def oracle_enumerate(problem: Problem) -> float:

@@ -246,12 +246,12 @@ class _Pass:
 
     def trace(self, vertex: int) -> Path:
         """Walk the parent edges back to the start; empty path at the start."""
-        edges = self.problem.graph.edges
+        tail = self.problem.graph.tail
         route = []
         v = vertex
         while (eid := self.parent_edge[v]) >= 0:
             route.append(eid)
-            v = edges[eid].tail
+            v = int(tail[eid])
         if v != self.problem.start:
             raise ValueError(f"vertex {vertex} was not reached from {self.problem.start}")
         route.reverse()
@@ -302,7 +302,7 @@ def _tight_route(
     negative, so every vertex the walk reaches has g <= k.
     """
     start, g, closed = run.problem.start, run.g, run.closed
-    graph_edges = run.problem.graph.edges
+    tail = run.problem.graph.tail
     tight_lower = run.cache.tightest_lower
     toward_goal: dict[int, tuple[int, int]] = {}  # vertex -> (edge, next vertex)
     stack = [v for v in sorted(run.problem.goals) if g[v] == k]
@@ -317,7 +317,7 @@ def _tight_route(
             return Path(tuple(edges), v)
         into = ties_into.get(v, [])
         if (eid := run.parent_edge[v]) >= 0:
-            into = into + [(graph_edges[eid].tail, eid)]
+            into = into + [(int(tail[eid]), eid)]
         for u, eid in sorted(into):
             tight = closed[u] and g[u] + float(tight_lower[eid]) == g[v]
             if tight and u not in seen and eid not in dead:
@@ -354,6 +354,8 @@ def _certify_tie(run: _Pass, k: float) -> Path | None:
 def _search(problem, cache, l_est, l_prune, eager):
     if cache is None:
         cache = EstimationCache(problem.graph)
+    elif cache.graph is not problem.graph:
+        raise ValueError("the cache was built for another graph")
     before = cache.snapshot_metrics()
     run = _Pass(problem, cache, l_est, l_prune, eager)
     goal = run.run()

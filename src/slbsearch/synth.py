@@ -11,8 +11,10 @@ scalar c*f3, which also becomes the edge's true cost.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .generators import WeightedDigraph
-from .graph import Edge, EstimatedDigraph, EstimatorSpec, Problem
+from .graph import EstimatedDigraph, Problem
 
 __all__ = ["DEFAULT_MULTIPLIER_TABLE", "DEFAULT_TIME_COSTS", "synth_estimators"]
 
@@ -41,26 +43,31 @@ def pick_multipliers(cost: int, seed: int):
 def synth_estimators(weighted: WeightedDigraph, seed: int) -> Problem:
     """Estimated problem over the weighted graph's vertices, start and goals.
 
-    Raises ValueError for a cost below 1 or one whose bounds do not fit a
-    float.
+    The bounds are worked out once per distinct cost, with Python's exact
+    integer products, and looked up per edge. Raises ValueError for a cost
+    below 1 or one whose bounds do not fit a float.
     """
-    edges = []
-    shared = {}  # cost -> (its frozen EstimatorSpecs, true cost), one per distinct cost
+    m = len(weighted.edges)
+    tails, heads, costs = zip(*weighted.edges) if m else ((), (), ())
+    index = {}  # distinct cost -> its row of the table, in order of first use
+    table = []  # the lower bounds of each distinct cost; the last is also its upper bound
     for tail, head, cost in weighted.edges:
-        known = shared.get(cost)
-        if known is None:
-            if cost < 1:
-                raise ValueError(f"edge ({tail}, {head}): cost must be a positive integer")
-            mults = pick_multipliers(cost, seed)
-            try:
-                top = float(cost * mults[-1])
-            except OverflowError:
-                raise ValueError(f"edge ({tail}, {head}): cost too large for a float") from None
-            specs = tuple(
-                EstimatorSpec(float(cost * f), top, t)
-                for f, t in zip(mults, DEFAULT_TIME_COSTS)
-            )
-            known = shared[cost] = (specs, top)
-        edges.append(Edge(tail, head, *known))
-    graph = EstimatedDigraph(weighted.vertex_count, edges)
+        if cost in index:
+            continue
+        if cost < 1:
+            raise ValueError(f"edge ({tail}, {head}): cost must be a positive integer")
+        try:
+            table.append([float(cost * f) for f in pick_multipliers(cost, seed)])
+        except OverflowError:
+            raise ValueError(f"edge ({tail}, {head}): cost too large for a float") from None
+        index[cost] = len(index)
+    k = len(DEFAULT_TIME_COSTS)
+    rows = np.fromiter(map(index.get, costs), np.int64, m)
+    lowers = np.array(table, np.float64).reshape(-1, k)[rows]
+    top = lowers[:, -1]
+    graph = EstimatedDigraph.from_arrays(
+        weighted.vertex_count, tails, heads, np.arange(0, k * m + 1, k),
+        lowers.ravel(), np.repeat(top, k), np.tile(DEFAULT_TIME_COSTS, m),
+        top, np.ones(m, np.bool_),
+    )
     return Problem(graph, weighted.start, frozenset(weighted.goals))

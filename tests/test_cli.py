@@ -360,8 +360,8 @@ def _weighted_doc(cost=3, head=1):
             "edges": [{"from": 0, "to": head, "cost": cost}]}
 
 
-def _problem_doc(bound=4.0):
-    return {"vertex_count": 2, "start": 0, "goals": [1],
+def _problem_doc(bound=4.0, vertices=2):
+    return {"vertex_count": vertices, "start": 0, "goals": [1],
             "edges": [{"from": 0, "to": 1, "estimators": [[1.0, bound, 1.0]]}]}
 
 
@@ -406,10 +406,25 @@ _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--ou
          "rng_seed must be a non-negative integer"),
         ({}, _GEN_ARGV + ["--cost-max", "99999999999999999999", "--rng-seed", "0"],
          "cost range [1, 99999999999999999999] must fit int64"),
+        # sizes of 10**15 elements and more cannot be allocated under any
+        # overcommit setting, so these fail at once
+        ({"p.json": _problem_doc(vertices=10**15)}, ["solve", "--graph", "p.json",
+         "--alg", "beauty"], "Unable to allocate"),
+        (
+            {"p.json": _problem_doc(vertices=10**15),
+             "suite.json": {"instances": [{"id": "p", "model": "problem_file",
+                                           "path": "p.json"}], "algorithms": ["beauty"]}},
+            ["bench", "--suite", "suite.json", "--out-dir", "o"],
+            "Unable to allocate",
+        ),
+        ({}, ["gen", "--model", "grid", "--rows", "100000000", "--cols", "100000000",
+              "--cost-min", "1", "--cost-max", "9", "--rng-seed", "0", "--out", "out.json"],
+         "Unable to allocate"),
     ],
     ids=["synth-stray-endpoint", "solve-huge-bound", "solve-invalid-graph", "synth-huge-cost",
          "bench-huge-cost", "solve-nan-epsilon", "solve-deep-nesting", "solve-bool-bound",
-         "gen-negative-seed", "gen-cost-beyond-int64"],
+         "gen-negative-seed", "gen-cost-beyond-int64", "solve-too-large", "bench-too-large",
+         "gen-grid-too-large"],
 )
 def test_malformed_file_exits_3_with_one_line(tmp_path, monkeypatch, capsys, files, argv, named):
     monkeypatch.chdir(tmp_path)

@@ -1,22 +1,134 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from conftest import E02, E14, E21, E23, E24, edge, make_reference_graph
 
 from slbsearch import (
+    Edge,
     EdgeBoundState,
     EstimatedDigraph,
+    EstimatorSpec,
+    Violation,
     Path,
     Problem,
     admissibility_factor,
     full_estimate,
     path_bounds,
     tightest_edge_bounds,
+    gen_grid_graph,
+    synth_estimators,
     validate_graph,
 )
 
 
+# validate_graph as first written, one edge at a time: the screened version
+# must return the same violations in the same order.
+def reference_validate_graph(graph):
+    out = []
+    n = graph.vertex_count
+    for idx, e in enumerate(graph.edges):
+        if not (0 <= e.tail < n and 0 <= e.head < n):
+            out.append(Violation(idx, "endpoint", f"({e.tail}, {e.head}) out of range"))
+        if not e.estimators:
+            out.append(Violation(idx, "empty_sequence", "no estimators"))
+            continue
+        for i, s in enumerate(e.estimators):
+            ok = (
+                math.isfinite(s.lower)
+                and math.isfinite(s.upper)
+                and 0.0 <= s.lower <= s.upper
+            )
+            if not ok:
+                out.append(
+                    Violation(idx, "bounds", f"layer {i + 1}: [{s.lower}, {s.upper}]")
+                )
+            if not (math.isfinite(s.time_cost) and s.time_cost >= 0.0):
+                out.append(
+                    Violation(idx, "time_cost", f"layer {i + 1}: {s.time_cost}")
+                )
+        for i in range(len(e.estimators) - 1):
+            cur, nxt = e.estimators[i], e.estimators[i + 1]
+            if not (nxt.lower >= cur.lower and nxt.upper <= cur.upper):
+                out.append(
+                    Violation(
+                        idx,
+                        "nesting",
+                        f"layer {i + 2} does not tighten layer {i + 1}",
+                    )
+                )
+            if not nxt.time_cost > cur.time_cost:
+                out.append(
+                    Violation(
+                        idx,
+                        "time_order",
+                        f"layer {i + 2} not more expensive than layer {i + 1}",
+                    )
+                )
+        if e.true_cost is not None:
+            for i, s in enumerate(e.estimators):
+                if not s.lower <= e.true_cost <= s.upper:
+                    out.append(
+                        Violation(
+                            idx,
+                            "true_cost",
+                            f"{e.true_cost} outside layer {i + 1} interval",
+                        )
+                    )
+    return out
+
+
+BAD_NUMBERS = (-1.0, math.nan, math.inf, -math.inf, -0.0)
+TRUE_COSTS = (None, math.nan, 0.0, 5.0, 6.0, 20.0)
+
+
+def defective_graph(rng):
+    """Random graph whose edges each carry, by chance, none, one or several
+    of the defects validate_graph looks for."""
+    n = int(rng.integers(1, 6))
+    edges = []
+    for _ in range(int(rng.integers(0, 12))):
+        k = int(rng.integers(0 if rng.random() < 0.1 else 1, 5))
+        lowers = sorted(float(rng.integers(0, 6)) for _ in range(k))
+        uppers = sorted((float(rng.integers(6, 12)) for _ in range(k)), reverse=True)
+        layers = [[lo, up, float(10**i)] for i, (lo, up) in enumerate(zip(lowers, uppers))]
+        for layer in layers:
+            roll = rng.random()
+            if roll < 0.05:
+                layer[0], layer[1] = layer[1], layer[0]  # swapped bounds
+            elif roll < 0.15:
+                layer[int(rng.integers(0, 3))] = BAD_NUMBERS[int(rng.integers(0, 5))]
+        if k >= 2 and rng.random() < 0.2:
+            i = int(rng.integers(1, k))
+            layers[i][2] = layers[i - 1][2] * (1.0, 0.5)[int(rng.integers(0, 2))]  # equal, falling
+        if k >= 2 and rng.random() < 0.2:
+            layers.reverse()  # no longer nested
+        lo, hi = (-1, n + 2) if rng.random() < 0.1 else (0, n)  # out-of-range endpoints
+        tail, head = (int(v) for v in rng.integers(lo, hi, size=2))
+        specs = tuple(EstimatorSpec(*layer) for layer in layers)
+        edges.append(Edge(tail, head, specs, TRUE_COSTS[int(rng.integers(0, 6))]))
+    return EstimatedDigraph(n, edges)
+
+
 class TestValidateGraph:
+    def test_matches_the_per_edge_loop(self):
+        rng = np.random.default_rng(20261018)
+        kinds = set()
+        for _ in range(600):
+            g = defective_graph(rng)
+            expected = reference_validate_graph(g)
+            assert validate_graph(g) == expected
+            kinds.update(v.kind for v in expected)
+        assert kinds == {
+            "endpoint", "empty_sequence", "bounds", "time_cost", "nesting", "time_order",
+            "true_cost",
+        }
+
+    def test_synth_grid_is_clean(self):
+        g = synth_estimators(gen_grid_graph(30, 30, (1, 9), 4), 2).graph
+        assert validate_graph(g) == reference_validate_graph(g) == []
+
     def test_reference_graph_is_clean(self):
         assert validate_graph(make_reference_graph()) == []
 
@@ -152,6 +264,39 @@ class TestProblem:
         g = make_reference_graph()
         with pytest.raises(ValueError):
             Problem(g, 0, frozenset({7}))
+
+
+class TestStorage:
+    def test_edges_round_trip_through_the_arrays(self):
+        edges = list(make_reference_graph().edges)
+        again = EstimatedDigraph(5, edges)
+        assert list(again.edges) == edges
+        assert again.est_offsets.tolist() == [0, 1, 3, 5, 7, 9, 10]
+        assert again.true_cost.tolist() == [4.0, 4.0, 5.0, 3.0, 7.0, 6.0]
+
+    def test_edge_view_indexing(self):
+        g = make_reference_graph()
+        assert len(g.edges) == 6
+        assert g.edges[-1] == g.edges[5] == edge(2, 4, [(4, 6, 1.0)], 6)
+        with pytest.raises(IndexError):
+            g.edges[6]
+
+    def test_unknown_true_cost_is_not_nan(self):
+        g = EstimatedDigraph(2, [edge(0, 1, [(1, 2, 1.0)]), edge(0, 1, [(1, 2, 1.0)], math.nan)])
+        assert g.true_known.tolist() == [False, True]
+        assert g.edges[0].true_cost is None
+        assert math.isnan(g.edges[1].true_cost)
+
+    def test_edge_count_allocates_nothing(self):
+        graph = synth_estimators(gen_grid_graph(150, 150, (1, 9), 1), 0).graph
+        tracemalloc.start()
+        try:
+            count = len(graph.edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 2 * 150 * 149
+        assert peak < 1024
 
 
 class TestPath:

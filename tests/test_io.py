@@ -15,6 +15,7 @@ from slbsearch import (
     problem_from_json,
     problem_to_json,
     synth_estimators,
+    validate_graph,
     weighted_from_json,
     weighted_to_json,
 )
@@ -53,12 +54,13 @@ def reference_weighted_json(wg):
 
 
 def make_odd_problem():
-    """Non-finite bounds, a missing true cost, three goals, a 4-layer sequence."""
+    """Non-finite bounds, a missing and a NaN true cost, three goals, a 4-layer sequence."""
     inf, nan = math.inf, math.nan
     edges = [
         edge(0, 1, [(0.5, inf, 1.0), (1.0, 9.25, 2.0), (2.0, 3.0, 4.0), (2.5, 2.5, 8.0)], 2.5),
         edge(1, 2, [(-inf, nan, 0.0)], None),
         edge(0, 3, [(-0.0, 1e300, 1e-7)], 5e-324),
+        edge(3, 4, [(1.0, 2.0, 1.0)], nan),
     ]
     return Problem(EstimatedDigraph(5, edges), 0, frozenset({4, 2, 3}))
 
@@ -82,6 +84,12 @@ class TestTemplateWriters:
         text = problem_to_json(problem)
         assert text == reference_problem_json(problem)
         assert "Infinity" in text and "NaN" in text and "null" in text
+        # a NaN true cost is written as NaN and flagged, an unknown one as null
+        doc = json.loads(text)
+        assert doc["edges"][1]["true_cost"] is None
+        assert math.isnan(doc["edges"][3]["true_cost"])
+        flagged = [(v.edge, v.kind) for v in validate_graph(problem.graph) if v.kind == "true_cost"]
+        assert flagged == [(3, "true_cost")]
 
     def test_empty_edge_list(self):
         problem = Problem(EstimatedDigraph(3, []), 0, frozenset({2}))
@@ -119,7 +127,7 @@ class TestProblemJson:
         assert loaded.start == problem.start
         assert loaded.goals == problem.goals
         assert loaded.graph.vertex_count == problem.graph.vertex_count
-        assert loaded.graph.edges == problem.graph.edges
+        assert list(loaded.graph.edges) == list(problem.graph.edges)
 
     def test_document_shape(self):
         doc = json.loads(problem_to_json(make_reference_problem()))
@@ -140,7 +148,7 @@ class TestProblemJson:
         problem = make_reference_problem()
         target = tmp_path / "ref.json"
         dump_problem(problem, target)
-        assert load_problem(target).graph.edges == problem.graph.edges
+        assert list(load_problem(target).graph.edges) == list(problem.graph.edges)
 
     def test_rejects_non_json(self):
         with pytest.raises(ValueError):

@@ -21,10 +21,13 @@ from slbsearch import (
     EstimationCache,
     Path,
     Problem,
+    a_beauty,
     beauty,
     beauty_ps,
     ei_ucs,
+    gen_grid_graph,
     oracle_lstar,
+    synth_estimators,
     validate_graph,
 )
 from slbsearch.search import _Pass
@@ -365,3 +368,18 @@ class TestEdgeCases:
         cache.tightest_lower[2] = -9.0
         with pytest.raises(RuntimeError):
             beauty(problem, cache)
+
+
+class TestForeignCache:
+    """A cache holds per-edge state of one graph; another graph must not read it."""
+
+    @pytest.mark.parametrize("solve", [beauty, ei_ucs, a_beauty])
+    def test_cache_built_for_another_graph_rejected(self, solve):
+        first = synth_estimators(gen_grid_graph(10, 10, (1, 9), 1), 0)
+        second = synth_estimators(gen_grid_graph(10, 10, (1, 9), 2), 0)
+        cache = EstimationCache(first.graph)
+        assert ei_ucs(first, cache).opt
+        with pytest.raises(ValueError, match="another graph"):
+            solve(second, cache=cache)
+        # a fresh cache gives the certified answer the foreign one would not
+        assert a_beauty(second).l_star == oracle_lstar(second) == 287.0

@@ -5,6 +5,8 @@ from slbsearch import (
     WeightedDigraph,
     synth_estimators,
     validate_graph,
+    weighted_from_json,
+    weighted_to_json,
 )
 from slbsearch.synth import pick_multipliers
 
@@ -51,7 +53,7 @@ class TestSynthEstimators:
         wg = WeightedDigraph(3, 0, (2,), ((0, 1, 4), (1, 2, 7), (0, 2, 13)))
         a = synth_estimators(wg, seed=5)
         b = synth_estimators(wg, seed=5)
-        assert a.graph.edges == b.graph.edges
+        assert list(a.graph.edges) == list(b.graph.edges)
 
     def test_same_cost_same_sequence_across_edges(self):
         wg = WeightedDigraph(4, 0, (3,), ((0, 1, 6), (1, 3, 6), (0, 2, 6), (2, 3, 6)))
@@ -79,6 +81,17 @@ class TestSynthEstimators:
     def test_non_positive_cost_rejected(self):
         with pytest.raises(ValueError):
             synth_estimators(single_edge(0), seed=0)
+
+    @pytest.mark.parametrize("cost", [2**53 + 1, 2**70])
+    def test_bounds_are_exact_integer_products(self, cost):
+        # the weighted loader accepts these; float(cost) * f would round twice
+        assert weighted_from_json(weighted_to_json(single_edge(cost))) == single_edge(cost)
+        for seed in range(9):
+            mults = pick_multipliers(cost, seed)
+            e = synth_estimators(single_edge(cost), seed).graph.edges[0]
+            assert [s.lower for s in e.estimators] == [float(cost * f) for f in mults]
+            assert [s.upper for s in e.estimators] == [float(cost * mults[-1])] * 3
+            assert e.true_cost == float(cost * mults[-1])
 
     def test_cost_beyond_float_rejected(self):
         with pytest.raises(ValueError, match="too large for a float"):

@@ -9,6 +9,7 @@ checked here, by reading that file without importing the benchmark.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slbsearch
@@ -36,3 +37,13 @@ def test_traced_name_resolves(module, attr):
 
 def test_results_are_stamped_numpy():
     assert slbsearch.default_backend_name() == "numpy"
+
+
+def test_arrays_fields_read_by_the_benchmark():
+    # perfbench reads these: graph.array_bytes sums their nbytes and
+    # gate.charged_once indexes est_time with a cache's invoked mask
+    problem = slbsearch.synth_estimators(slbsearch.gen_grid_graph(3, 3, (1, 9), 1), 0)
+    arr = problem.graph.arrays()
+    for name in ("indptr", "succ_vertex", "succ_edge", "est_offsets", "est_lower", "est_upper",
+                 "est_time"):
+        assert isinstance(getattr(arr, name), np.ndarray), name
