@@ -1,9 +1,9 @@
 """Benchmark suites: run algorithm grids over instance sets and aggregate.
 
-A suite config is a dict (usually loaded from JSON) with keys:
+A suite config is a dict (usually loaded from JSON) with only these keys:
 
   instances        list of instance specs, each {"id": ..., "model": ...}
-                   where model is one of
+                   plus only the keys of its model, one of
                      "random"        n, edge_prob, cost_min, cost_max, rng_seed
                      "grid"          rows, cols, cost_min, cost_max, rng_seed
                      "weighted_file" path to a weighted digraph JSON
@@ -25,8 +25,10 @@ the baseline's.
 
 from __future__ import annotations
 
+import json
 import math
 import time
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
@@ -35,34 +37,40 @@ import numpy as np
 from .anytime import a_beauty
 from .estimation import EstimationCache, Metrics, write_metrics_csv
 from .generators import gen_grid_graph, gen_random_graph
-from .graph import Problem
+from .graph import Path, Problem
+from .io import load_problem, load_weighted
 from .oracle import oracle_lstar
 from .search import beauty, ei_ucs
 from .synth import synth_estimators
 
 __all__ = ["RunRecord", "SuiteReport", "run_suite"]
 
-# the columns of runs.csv (and solve --metrics-out) around the metrics
-RUN_HEAD = ("instance_id", "algorithm")
-RUN_TAIL = ("l_under", "l_over", "optimal_flag", "iterations")
-
 
 @dataclass(frozen=True)
-class RunRecord:
-    """One algorithm run on one cell."""
+class Run:
+    """One algorithm on one problem and a fresh cache. log is the anytime
+    loop's per-pass log (None for one pass); final_layer_invocations counts
+    the edges whose last (tightest) estimator was invoked."""
 
-    instance_id: str
-    seed: int | None
-    algorithm: str
+    path: Path | None
     l_under: float
     l_over: float
     optimal: bool
     iterations: int
     metrics: Metrics
-    final_layer_invocations: int
+    log: tuple | None
     wall_time: float
+    final_layer_invocations: int
+
+
+@dataclass(frozen=True)
+class RunRecord(Run):
+    """One algorithm run on one cell."""
+
+    instance_id: str
+    seed: int | None
+    algorithm: str
     l_star: float
-    log: tuple | None = None
 
     @property
     def cell_id(self) -> str:
@@ -77,16 +85,14 @@ class SuiteReport:
 
 
 def _parse_algorithm(name: str):
-    if name == "eiucs" or name == "beauty":
-        return name, None
-    if name == "abeauty":
-        return "abeauty", 10
-    if name.startswith("abeauty-"):
-        k = name[len("abeauty-"):]
-        if k.isdigit() and int(k) >= 1:
-            return "abeauty", int(k)
+    """Suite algorithm name -> (run_algorithm's algorithm, anytime pass budget)."""
+    kind, _, k = name.partition("-")
+    if name in ("eiucs", "beauty", "abeauty") or kind == "abeauty" and k.isdigit() and int(k) > 0:
+        return kind, int(k or 10)
     raise ValueError(f"unknown algorithm {name!r}")
 
+
+_SUITE_KEYS = ("instances", "seeds", "algorithms", "timeout_seconds")
 
 # instance model -> required key -> the kind of value it takes
 _MODEL_KEYS = {
@@ -117,6 +123,9 @@ def _repeats(values) -> list:
 
 def _check_suite(config: dict) -> None:
     """Reject a malformed suite document, naming the instance and the key."""
+    unknown = [key for key in config if key not in _SUITE_KEYS]
+    if unknown:
+        raise ValueError(f"unknown suite key {unknown[0]!r}")
     instances = config.get("instances", [])
     if not isinstance(instances, (list, tuple)) or not all(
         isinstance(spec, dict) for spec in instances
@@ -129,6 +138,9 @@ def _check_suite(config: dict) -> None:
         model = spec["model"]
         if not isinstance(model, str) or model not in _MODEL_KEYS:
             raise ValueError(f"{where}: unknown instance model {model!r}")
+        unknown = [key for key in spec if key not in ("id", "model", *_MODEL_KEYS[model])]
+        if unknown:
+            raise ValueError(f"{where}: model {model!r} takes no key {unknown[0]!r}")
         for key, kind in _MODEL_KEYS[model].items():
             if key not in spec:
                 raise ValueError(f"{where}: model {model!r} needs key {key!r}")
@@ -150,16 +162,13 @@ def _check_suite(config: dict) -> None:
 
 def _materialize(spec: dict):
     """Instance spec -> weighted digraph or pre-built problem."""
-    from .io import load_problem, load_weighted
-
     model = spec["model"]
+    if model in ("weighted_file", "problem_file"):
+        return (load_weighted if model == "weighted_file" else load_problem)(spec["path"])
+    costs = (spec["cost_min"], spec["cost_max"])
     if model == "random":
-        costs = (spec["cost_min"], spec["cost_max"])
         return gen_random_graph(spec["n"], spec["edge_prob"], costs, spec["rng_seed"])
-    if model == "grid":
-        costs = (spec["cost_min"], spec["cost_max"])
-        return gen_grid_graph(spec["rows"], spec["cols"], costs, spec["rng_seed"])
-    return (load_weighted if model == "weighted_file" else load_problem)(spec["path"])
+    return gen_grid_graph(spec["rows"], spec["cols"], costs, spec["rng_seed"])
 
 
 def _built(inst_id, build, *args):
@@ -170,28 +179,54 @@ def _built(inst_id, build, *args):
         raise ValueError(f"instance {inst_id!r}: {exc}") from None
 
 
-def _run_one(kind: str, max_iters, problem: Problem) -> dict:
+def run_algorithm(
+    problem: Problem,
+    algorithm: str,
+    max_iters: int = 10,
+    l_est: float = math.inf,
+    l_prune: float = math.inf,
+    epsilon: float | None = None,
+) -> Run:
+    """Run "eiucs", "beauty" or "abeauty" on a fresh estimation cache.
+
+    l_est and l_prune go to beauty alone, max_iters and epsilon to the
+    anytime loop alone, whose bracket is its last pass's and which counts
+    as optimal whenever it found a path (its final pass certifies).
+    """
+    if algorithm not in ("eiucs", "beauty", "abeauty"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     cache = EstimationCache(problem.graph)
     t0 = time.perf_counter()
-    if kind == "abeauty":
-        ares = a_beauty(problem, max_iterations=max_iters, cache=cache)
-        wall = time.perf_counter() - t0
-        last = ares.log[-1]
-        out = dict(
-            l_under=last.l_under, l_over=last.l_over, optimal=ares.found,
-            iterations=ares.iterations, metrics=cache.snapshot_metrics(),
-            log=ares.log,
-        )
+    if algorithm == "abeauty":
+        res = a_beauty(problem, max_iterations=max_iters, epsilon=epsilon, cache=cache)
+        log, last, optimal = res.log, res.log[-1], res.found
     else:
-        res = (ei_ucs if kind == "eiucs" else beauty)(problem, cache)
-        wall = time.perf_counter() - t0
-        out = dict(
-            l_under=res.l_under, l_over=res.l_over, optimal=res.opt,
-            iterations=1, metrics=res.metrics, log=None,
-        )
-    out["wall_time"] = wall
-    out["final_layer_invocations"] = cache.final_layer_invocations()
-    return out
+        if algorithm == "beauty":
+            res = beauty(problem, cache, l_est=l_est, l_prune=l_prune)
+        else:
+            res = ei_ucs(problem, cache)
+        log, last, optimal = None, res, res.opt
+    wall = time.perf_counter() - t0
+    return Run(
+        path=res.path, l_under=last.l_under, l_over=last.l_over, optimal=optimal,
+        iterations=1 if log is None else len(log), metrics=cache.snapshot_metrics(),
+        log=log, wall_time=wall, final_layer_invocations=cache.final_layer_invocations(),
+    )
+
+
+def write_runs_csv(path, runs) -> None:
+    """Write (instance_id, algorithm, Run) triples as runs.csv rows: the
+    schema of both bench's runs.csv and solve --metrics-out."""
+    write_metrics_csv(
+        path,
+        ("instance_id", "algorithm"),
+        ("l_under", "l_over", "optimal_flag", "iterations"),
+        [
+            ((instance_id, algorithm), run.metrics,
+             (run.l_under, run.l_over, int(run.optimal), run.iterations))
+            for instance_id, algorithm, run in runs
+        ],
+    )
 
 
 def _stats(values, extended=False) -> dict:
@@ -219,70 +254,49 @@ def run_suite(config: dict, out_dir=None) -> SuiteReport:
     and summary.json under out_dir. A malformed suite raises ValueError
     before anything runs."""
     _check_suite(config)
-    instances = config.get("instances", [])
-    seeds = config.get("seeds", [0])
-    algorithms = config.get("algorithms", [])
     timeout = float(config.get("timeout_seconds", math.inf))
-    if not seeds:
-        seeds = [0]
-    parsed = [(name,) + _parse_algorithm(name) for name in algorithms]
+    # the baseline runs first in every cell, whether or not it is listed
+    names = ["eiucs"] + [name for name in config.get("algorithms", []) if name != "eiucs"]
+    runs = [(name,) + _parse_algorithm(name) for name in names]
 
     report = SuiteReport()
     by_cell: dict[str, dict[str, RunRecord]] = {}
 
-    for spec in instances:
+    for spec in config.get("instances", []):
         inst_id = spec["id"]
         payload = _built(inst_id, _materialize, spec)
-        cell_seeds = [None] if isinstance(payload, Problem) else list(seeds)
+        cell_seeds = [None] if isinstance(payload, Problem) else (config.get("seeds") or [0])
         for seed in cell_seeds:
             problem = payload if seed is None else _built(inst_id, synth_estimators, payload, seed)
             l_star = oracle_lstar(problem)
-            cell: dict[str, RunRecord] = {}
-            timed_out = False
-
-            def run(name, kind, max_iters):
-                nonlocal timed_out
-                fields = _run_one(kind, max_iters, problem)
-                rec = RunRecord(
-                    instance_id=inst_id, seed=seed, algorithm=name,
-                    l_star=l_star, **fields,
+            cell = {
+                name: RunRecord(
+                    instance_id=inst_id, seed=seed, algorithm=name, l_star=l_star,
+                    **vars(run_algorithm(problem, kind, max_iters)),
                 )
-                if rec.wall_time > timeout:
-                    timed_out = True
-                cell[name] = rec
-                return rec
-
-            baseline = run("eiucs", "eiucs", None)
-            for name, kind, max_iters in parsed:
-                if name == "eiucs":
-                    continue
-                run(name, kind, max_iters)
-
-            cell_id = baseline.cell_id
+                for name, kind, max_iters in runs
+            }
             report.records.extend(cell.values())
-            if timed_out:
-                report.excluded.append(cell_id)
+            if any(rec.wall_time > timeout for rec in cell.values()):
+                report.excluded.append(cell["eiucs"].cell_id)
             else:
-                by_cell[cell_id] = cell
+                by_cell[cell["eiucs"].cell_id] = cell
 
-    report.aggregates = _aggregate(by_cell, parsed)
+    report.aggregates = _aggregate(by_cell, names)
     if out_dir is not None:
         _write_outputs(report, FsPath(out_dir))
     return report
 
 
-def _aggregate(by_cell, parsed) -> dict:
-    names = ["eiucs"] + [name for name, _, _ in parsed if name != "eiucs"]
+def _aggregate(by_cell, names) -> dict:
     per_alg: dict[str, dict] = {}
     for name in names:
         r_l3 = []
         r_exp = []
-        final_iters: dict[int, int] = {}
-        conv: dict[int, list[float]] = {}
-        prune_frac: dict[int, list[float]] = {}
+        final_iters: Counter[int] = Counter()
+        conv: defaultdict[int, list[float]] = defaultdict(list)
+        prune_frac: defaultdict[int, list[float]] = defaultdict(list)
         for cell in by_cell.values():
-            if name not in cell:
-                continue
             rec = cell[name]
             base = cell["eiucs"]
             if base.final_layer_invocations > 0:
@@ -290,15 +304,13 @@ def _aggregate(by_cell, parsed) -> dict:
             if base.metrics.expansions > 0:
                 r_exp.append(rec.metrics.expansions / base.metrics.expansions)
             if rec.log is not None:
-                final_iters[rec.iterations] = final_iters.get(rec.iterations, 0) + 1
+                final_iters[rec.iterations] += 1
                 for entry in rec.log:
                     if math.isfinite(rec.l_star) and rec.l_star > 0:
-                        conv.setdefault(entry.iteration, []).append(
-                            entry.l_under / rec.l_star
-                        )
+                        conv[entry.iteration].append(entry.l_under / rec.l_star)
                     ev = entry.metrics_delta.evaluations
                     frac = entry.metrics_delta.prunings / ev if ev > 0 else 0.0
-                    prune_frac.setdefault(entry.iteration, []).append(frac)
+                    prune_frac[entry.iteration].append(frac)
         agg: dict = {}
         if r_l3:
             agg["r_L3"] = _stats(r_l3, extended=True)
@@ -319,21 +331,9 @@ def _aggregate(by_cell, parsed) -> dict:
 
 
 def _write_outputs(report: SuiteReport, out_dir: FsPath) -> None:
-    import json
-
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(
-        out_dir / "runs.csv",
-        RUN_HEAD,
-        RUN_TAIL,
-        [
-            (
-                (rec.cell_id, rec.algorithm),
-                rec.metrics,
-                (rec.l_under, rec.l_over, int(rec.optimal), rec.iterations),
-            )
-            for rec in report.records
-        ],
+    write_runs_csv(
+        out_dir / "runs.csv", [(rec.cell_id, rec.algorithm, rec) for rec in report.records]
     )
     write_metrics_csv(
         out_dir / "iterations.csv",

@@ -10,12 +10,9 @@ import argparse
 import math
 import sys
 
-from .anytime import a_beauty
-from .bench import RUN_HEAD, RUN_TAIL, run_suite
-from .estimation import EstimationCache, write_metrics_csv
+from .bench import run_algorithm, run_suite, write_runs_csv
 from .generators import gen_grid_graph, gen_random_graph
 from .io import dump_problem, dump_weighted, load_problem, load_suite, load_weighted
-from .search import beauty, ei_ucs
 from .synth import synth_estimators
 
 EXIT_OK = 0
@@ -78,57 +75,28 @@ def _fmt_path(problem, path) -> str:
 
 def _cmd_solve(args) -> int:
     problem = load_problem(args.graph)
-    cache = EstimationCache(problem.graph)
-    instance_id = args.graph
-
-    if args.alg == "abeauty":
-        result = a_beauty(
-            problem, max_iterations=args.max_iters, epsilon=args.epsilon, cache=cache
+    run = run_algorithm(
+        problem, args.alg, max_iters=args.max_iters, l_est=args.l_est,
+        l_prune=args.l_prune, epsilon=args.epsilon,
+    )
+    for rec in run.log or ():
+        shown = _fmt_path(problem, rec.path) if rec.path else "-"
+        print(
+            f"iteration {rec.iteration}: path {shown} "
+            f"l_under {rec.l_under:g} l_over {rec.l_over:g}"
         )
-        for rec in result.log:
-            shown = _fmt_path(problem, rec.path) if rec.path else "-"
-            print(
-                f"iteration {rec.iteration}: path {shown} "
-                f"l_under {rec.l_under:g} l_over {rec.l_over:g}"
-            )
-        found = result.found
-        l_under = result.log[-1].l_under
-        l_over = result.l_star
-        optimal = found
-        iterations = result.iterations
-        path = result.path
-    else:
-        fn = ei_ucs if args.alg == "eiucs" else beauty
-        if args.alg == "beauty":
-            res = fn(problem, cache, l_est=args.l_est, l_prune=args.l_prune)
-        else:
-            res = fn(problem, cache)
-        found = res.found
-        l_under, l_over, optimal = res.l_under, res.l_over, res.opt
-        iterations = 1
-        path = res.path
-
     if args.metrics_out:
-        write_metrics_csv(
-            args.metrics_out,
-            RUN_HEAD,
-            RUN_TAIL,
-            [(
-                (instance_id, args.alg),
-                cache.snapshot_metrics(),
-                (l_under, l_over, int(optimal), iterations),
-            )],
-        )
+        write_runs_csv(args.metrics_out, [(args.graph, args.alg, run)])
 
-    if not found:
+    if run.path is None:
         print("no path to any goal")
         return EXIT_NO_PATH
 
-    print(f"path {_fmt_path(problem, path)}")
-    print(f"edges {' '.join(str(e) for e in path.edges)}")
-    print(f"opt {str(optimal).lower()}")
-    print(f"l_under {l_under:g}")
-    print(f"l_over {l_over:g}")
+    print(f"path {_fmt_path(problem, run.path)}")
+    print(f"edges {' '.join(str(e) for e in run.path.edges)}")
+    print(f"opt {str(run.optimal).lower()}")
+    print(f"l_under {run.l_under:g}")
+    print(f"l_over {run.l_over:g}")
     return EXIT_OK
 
 
@@ -161,20 +129,17 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     config = load_suite(args.suite)
     report = run_suite(config, out_dir=args.out_dir)
-    cells = report.aggregates.get("cells", 0)
-    print(f"cells {cells} excluded {len(report.excluded)}")
-    for name, agg in report.aggregates.get("algorithms", {}).items():
+    print(f"cells {report.aggregates['cells']} excluded {len(report.excluded)}")
+    for name, agg in report.aggregates["algorithms"].items():
         if "r_L3" in agg:
             print(
                 f"{name}: r_L3 mean {agg['r_L3']['mean']:.4f} "
                 f"r_exp mean {agg['r_exp']['mean']:.4f}"
             )
     print(f"wrote {args.out_dir}/runs.csv, iterations.csv, summary.json")
-    if report.excluded:
-        for cell in report.excluded:
-            print(f"timed out: {cell}", file=sys.stderr)
-        return EXIT_TIMEOUT
-    return EXIT_OK
+    for cell in report.excluded:
+        print(f"timed out: {cell}", file=sys.stderr)
+    return EXIT_TIMEOUT if report.excluded else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -234,49 +234,45 @@ def validate_graph(graph: EstimatedDigraph) -> list[Violation]:
     increasing time_cost. When true_cost is present it must lie in every
     interval of the sequence. An empty list means the graph is valid.
 
-    Every edge is screened at once with array masks; only the edges that
-    fail are then described, one Edge at a time and in edge order.
+    Each rule is one array mask. Violations come by edge; within an edge,
+    endpoints, emptiness, each layer's bounds and time_cost, each pair's
+    nesting and time order, then the true cost against each layer.
     """
     n, tail, head = graph.vertex_count, graph.tail, graph.head
-    lo, up, t = graph.est_lower, graph.est_upper, graph.est_time
     lens = np.diff(graph.est_offsets)
     owner = np.repeat(np.arange(len(lens)), lens)  # the edge of each estimator
-    tc = graph.true_cost[owner]
-    ok = np.isfinite(lo) & np.isfinite(up) & (0.0 <= lo) & (lo <= up) & np.isfinite(t) & (t >= 0.0)
-    ok &= ~graph.true_known[owner] | ((lo <= tc) & (tc <= up))
-    pair_ok = (lo[1:] >= lo[:-1]) & (up[1:] <= up[:-1]) & (t[1:] > t[:-1])
-    pair_ok |= owner[1:] != owner[:-1]  # a pair across two edges
-    bad = (tail < 0) | (tail >= n) | (head < 0) | (head >= n) | (lens == 0)
-    bad[owner[~ok]] = True
-    bad[owner[1:][~pair_ok]] = True
-    out: list[Violation] = []
-    for idx in np.flatnonzero(bad).tolist():
-        e = graph.edges[idx]
-        if not (0 <= e.tail < n and 0 <= e.head < n):
-            out.append(Violation(idx, "endpoint", f"({e.tail}, {e.head}) out of range"))
-        if not e.estimators:
-            out.append(Violation(idx, "empty_sequence", "no estimators"))
-            continue
-        for i, s in enumerate(e.estimators):
-            ok = math.isfinite(s.lower) and math.isfinite(s.upper) and 0.0 <= s.lower <= s.upper
-            if not ok:
-                out.append(Violation(idx, "bounds", f"layer {i + 1}: [{s.lower}, {s.upper}]"))
-            if not (math.isfinite(s.time_cost) and s.time_cost >= 0.0):
-                out.append(Violation(idx, "time_cost", f"layer {i + 1}: {s.time_cost}"))
-        for i in range(len(e.estimators) - 1):
-            cur, nxt = e.estimators[i], e.estimators[i + 1]
-            if not (nxt.lower >= cur.lower and nxt.upper <= cur.upper):
-                detail = f"layer {i + 2} does not tighten layer {i + 1}"
-                out.append(Violation(idx, "nesting", detail))
-            if not nxt.time_cost > cur.time_cost:
-                detail = f"layer {i + 2} not more expensive than layer {i + 1}"
-                out.append(Violation(idx, "time_order", detail))
-        if e.true_cost is not None:
-            for i, s in enumerate(e.estimators):
-                if not s.lower <= e.true_cost <= s.upper:
-                    detail = f"{e.true_cost} outside layer {i + 1} interval"
-                    out.append(Violation(idx, "true_cost", detail))
-    return out
+    lo, up, t, tc = graph.est_lower, graph.est_upper, graph.est_time, graph.true_cost[owner]
+    # pair rules compare estimator k with k + 1, unless k is its edge's last
+    last = np.append(owner[1:] != owner[:-1], True)
+    nested = np.append((lo[1:] >= lo[:-1]) & (up[1:] <= up[:-1]), True)
+    dearer = np.append(t[1:] > t[:-1], True)
+    outside = (tail < 0) | (tail >= n) | (head < 0) | (head >= n)
+    found = [  # (edge, section, layer, kind, detail)
+        (e, 0, 0, "endpoint", f"({int(tail[e])}, {int(head[e])}) out of range")
+        for e in np.flatnonzero(outside).tolist()
+    ]
+    empty = np.flatnonzero(lens == 0).tolist()
+    found += [(e, 1, 0, "empty_sequence", "no estimators") for e in empty]
+    rules = (  # (section, kind, failing estimators, detail of estimator k at layer i)
+        (2, "bounds", ~(np.isfinite(lo) & np.isfinite(up) & (0.0 <= lo) & (lo <= up)),
+         lambda k, i: f"layer {i + 1}: [{float(lo[k])}, {float(up[k])}]"),
+        (2, "time_cost", ~(np.isfinite(t) & (t >= 0.0)),
+         lambda k, i: f"layer {i + 1}: {float(t[k])}"),
+        (3, "nesting", ~(last | nested),
+         lambda k, i: f"layer {i + 2} does not tighten layer {i + 1}"),
+        (3, "time_order", ~(last | dearer),
+         lambda k, i: f"layer {i + 2} not more expensive than layer {i + 1}"),
+        (4, "true_cost", graph.true_known[owner] & ~((lo <= tc) & (tc <= up)),
+         lambda k, i: f"{float(tc[k])} outside layer {i + 1} interval"),
+    )
+    for section, kind, bad, detail in rules:
+        for k in np.flatnonzero(bad).tolist():
+            edge = int(owner[k])
+            i = k - int(graph.est_offsets[edge])  # the layer, from 0
+            found.append((edge, section, i, kind, detail(k, i)))
+    # stable, so bounds stay before time_cost and nesting before time_order
+    found.sort(key=lambda v: v[:3])
+    return [Violation(edge, kind, detail) for edge, _, _, kind, detail in found]
 
 
 def tightest_edge_bounds(state: EdgeBoundState) -> tuple[float, float]:

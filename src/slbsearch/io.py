@@ -123,16 +123,24 @@ def _num(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
 
+def _nums(values: np.ndarray):
+    """_num of each value, lazily, with finiteness checked once for the whole
+    array (an iterator, so no list of strings is held beside the floats)."""
+    return map(float.__repr__ if np.isfinite(values).all() else _num, values.tolist())
+
+
 def problem_to_json(problem: Problem) -> str:
     graph = problem.graph
-    layers = zip(graph.est_lower.tolist(), graph.est_upper.tolist(), graph.est_time.tolist())
-    specs = [_SPEC_TEXT % (_num(lo), _num(up), _num(t)) for lo, up, t in layers]
+    layers = zip(_nums(graph.est_lower), _nums(graph.est_upper), _nums(graph.est_time))
+    specs = [_SPEC_TEXT % triple for triple in layers]
     off = graph.est_offsets.tolist()
+    # an unknown true cost is stored as NaN and written as null
+    true_costs = _nums(np.where(graph.true_known, graph.true_cost, 0.0))
     edges = [
-        _PROBLEM_EDGE_TEXT % (tail, head, _array(specs[a:b], 3), _num(tc) if known else "null")
+        _PROBLEM_EDGE_TEXT % (tail, head, _array(specs[a:b], 3), tc if known else "null")
         for tail, head, a, b, tc, known in zip(
             graph.tail.tolist(), graph.head.tolist(), off, off[1:],
-            graph.true_cost.tolist(), graph.true_known.tolist(),
+            true_costs, graph.true_known.tolist(),
         )
     ]
     goals = [str(g) for g in sorted(problem.goals)]

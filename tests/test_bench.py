@@ -13,6 +13,7 @@ from slbsearch import (
     oracle_lstar,
     synth_estimators,
 )
+from slbsearch.bench import run_algorithm
 
 
 @pytest.fixture
@@ -136,6 +137,9 @@ class TestGeneratedSuites:
             run_suite({"instances": [], "algorithms": ["dfs"]})
         with pytest.raises(ValueError):
             run_suite({"instances": [], "algorithms": ["abeauty-0"]})
+        # the runner takes only its own three names, not the suite's abeauty-<k>
+        with pytest.raises(ValueError, match="unknown algorithm 'abeauty-2'"):
+            run_algorithm(make_reference_problem(), "abeauty-2")
 
     def test_bad_instance_specs_rejected(self, reference_file):
         with pytest.raises(ValueError):

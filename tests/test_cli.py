@@ -210,6 +210,10 @@ class TestSolve:
         assert exc.value.code == 3
 
 
+_GRID = {"id": "g", "model": "grid", "rows": 2, "cols": 2, "cost_min": 1, "cost_max": 5,
+         "rng_seed": 0}
+
+
 class TestBench:
     def suite_file(self, tmp_path, ref_path, timeout=None):
         config = {
@@ -288,10 +292,21 @@ class TestBench:
                                 "cost_min": 1, "cost_max": 5, "rng_seed": 0}]},
                 "instance 'g': ",
             ),
+            # misspelled keys used to be ignored, running the defaults instead
+            ({"instances": [_GRID], "seed": [1, 2, 3]}, "unknown suite key 'seed'"),
+            (
+                {"instances": [_GRID], "algorithm": ["beauty", "abeauty-3"]},
+                "unknown suite key 'algorithm'",
+            ),
+            (
+                {"instances": [{**_GRID, "n": 7}]},
+                "instance 'g': model 'grid' takes no key 'n'",
+            ),
         ],
         ids=[
             "random-without-n", "instances-not-a-list", "string-seed", "file-without-path",
             "nan-timeout", "duplicate-id", "duplicate-algorithm", "duplicate-seed", "huge-rows",
+            "misspelled-seeds", "misspelled-algorithms", "stray-instance-key",
         ],
     )
     def test_malformed_suite_exits_3(self, tmp_path, capsys, suite, named):
