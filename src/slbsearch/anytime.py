@@ -58,6 +58,16 @@ class AnytimeResult:
         return len(self.log)
 
 
+def check_max_iterations(max_iterations: int) -> None:
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+
+
+def check_epsilon(epsilon: float | None) -> None:
+    if epsilon is not None and not epsilon >= 0:
+        raise ValueError("epsilon must be non-negative (not NaN)")
+
+
 def a_beauty(
     problem: Problem,
     max_iterations: int = 10,
@@ -75,10 +85,8 @@ def a_beauty(
     and the per-pass log. An unreachable goal yields (None, inf) after a
     single exhausting pass.
     """
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
-    if epsilon is not None and not epsilon >= 0:
-        raise ValueError("epsilon must be non-negative (not NaN)")
+    check_max_iterations(max_iterations)
+    check_epsilon(epsilon)
     if cache is None:
         cache = EstimationCache(problem.graph)
     l_under = 0.0

@@ -34,13 +34,13 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .anytime import a_beauty
+from .anytime import a_beauty, check_epsilon, check_max_iterations
 from .estimation import EstimationCache, Metrics, write_metrics_csv
 from .generators import gen_grid_graph, gen_random_graph
 from .graph import Path, Problem
 from .io import load_problem, load_weighted
 from .oracle import oracle_lstar
-from .search import beauty, ei_ucs
+from .search import beauty, check_thresholds, ei_ucs
 from .synth import synth_estimators
 
 __all__ = ["RunRecord", "SuiteReport", "run_suite"]
@@ -191,10 +191,15 @@ def run_algorithm(
 
     l_est and l_prune go to beauty alone, max_iters and epsilon to the
     anytime loop alone, whose bracket is its last pass's and which counts
-    as optimal whenever it found a path (its final pass certifies).
+    as optimal whenever it found a path (its final pass certifies). Every
+    value is checked whichever algorithm runs, so a bad one is rejected
+    even where it would be ignored.
     """
     if algorithm not in ("eiucs", "beauty", "abeauty"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    check_thresholds(l_est, l_prune)
+    check_max_iterations(max_iters)
+    check_epsilon(epsilon)
     cache = EstimationCache(problem.graph)
     t0 = time.perf_counter()
     if algorithm == "abeauty":

@@ -1,7 +1,8 @@
 """Shared estimation state and run metrics.
 
 An EstimationCache records, per edge, which prefix of the estimator
-sequence has been applied and the tightest bounds so far. Searches thread a
+sequence has been applied and the tightest lower bound so far; the
+tightest upper bound is derived from the invoked layers. Searches thread a
 cache through several runs so work is never repeated: each estimator's
 time_cost is charged at most once per cache lifetime, and re-encounters
 consume the saved result for free.
@@ -99,6 +100,13 @@ class _StatesView:
 class EstimationCache:
     """Mutable estimation state plus metric counters for one graph.
 
+    Per edge it stores next_index (applied sequence positions) and
+    tightest_lower; per estimator, whether it was invoked; per layer, how
+    many invocations were charged. A layer is applied at most once and only
+    while not yet invoked, so the applied layers are exactly the invoked
+    ones, and the tightest upper bound is derived from them on demand
+    (``state`` and the read-only ``tightest_upper``) rather than stored.
+
     Not safe for concurrent mutation; give each worker its own cache.
     """
 
@@ -109,7 +117,6 @@ class EstimationCache:
         m = len(graph.tail)
         self.next_index = np.zeros(m, np.int64)
         self.tightest_lower = np.zeros(m)
-        self.tightest_upper = np.full(m, math.inf)
         self.invoked = np.zeros(int(arr.est_offsets[-1]), np.bool_)
         self.layer_counts = np.zeros(arr.k_max, np.int64)
         self._tw = 0.0  # simulated estimation time, summed in charge order
@@ -135,9 +142,7 @@ class EstimationCache:
             self.layer_counts[layer] += 1
             self._tw += float(self._arr.est_time[flat])
         low = max(float(self.tightest_lower[eid]), float(self._arr.est_lower[flat]))
-        up = min(float(self.tightest_upper[eid]), float(self._arr.est_upper[flat]))
         self.tightest_lower[eid] = low
-        self.tightest_upper[eid] = up
         self.next_index[eid] = layer + 1
         return low
 
@@ -160,12 +165,32 @@ class EstimationCache:
 
     # -- state inspection ---------------------------------------------------
 
+    def _upper(self, eid: int) -> float:
+        """Fold the upper bounds of the edge's invoked layers, in layer order,
+        keeping a layer's bound only when it is strictly below the fold."""
+        a, b = int(self._arr.est_offsets[eid]), int(self._arr.est_offsets[eid + 1])
+        up = math.inf
+        for bound, hit in zip(self._arr.est_upper[a:b].tolist(), self.invoked[a:b].tolist()):
+            if hit and bound < up:
+                up = bound
+        return up
+
     def state(self, eid: int) -> EdgeBoundState:
         return EdgeBoundState(
             tightest_lower=float(self.tightest_lower[eid]),
-            tightest_upper=float(self.tightest_upper[eid]),
+            tightest_upper=self._upper(eid),
             next_index=int(self.next_index[eid]),
         )
+
+    @property
+    def tightest_upper(self) -> np.ndarray:
+        """Tightest upper bound per edge (inf before any estimator), built
+        afresh on each read; writing to it changes nothing, so it is locked."""
+        out = np.full(len(self.next_index), math.inf)
+        for eid in np.flatnonzero(self.next_index).tolist():
+            out[eid] = self._upper(eid)
+        out.flags.writeable = False
+        return out
 
     @property
     def states(self) -> _StatesView:
@@ -187,7 +212,7 @@ class EstimationCache:
 
     def snapshot_metrics(self) -> Metrics:
         return Metrics(
-            layer_invocations=tuple(int(c) for c in self.layer_counts),
+            layer_invocations=tuple(self.layer_counts.tolist()),
             expansions=self._counters[0],
             evaluations=self._counters[1],
             prunings=self._counters[2],

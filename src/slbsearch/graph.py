@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +68,10 @@ class GraphArrays:
     order within each tail. Estimator layers for edge e live in the flat
     slices ``est_lower[est_offsets[e]:est_offsets[e+1]]`` (same for upper
     and time); these four are the graph's own arrays, not copies.
+
+    free_pass_lists holds (g, closed, parent edges) triples of n-length
+    lists that finished search passes handed back reset to inf, False and
+    -1; a new pass takes one (each pass its own) instead of allocating.
     """
 
     indptr: np.ndarray
@@ -78,6 +82,7 @@ class GraphArrays:
     est_upper: np.ndarray
     est_time: np.ndarray
     k_max: int
+    free_pass_lists: list = field(default_factory=list, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

@@ -435,11 +435,25 @@ _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--ou
         ({}, ["gen", "--model", "grid", "--rows", "100000000", "--cols", "100000000",
               "--cost-min", "1", "--cost-max", "9", "--rng-seed", "0", "--out", "out.json"],
          "Unable to allocate"),
+        # a bad value is rejected even by an algorithm that would ignore it
+        ({"p.json": _problem_doc()}, ["solve", "--graph", "p.json", "--alg", "abeauty",
+         "--l-est", "nan"], "l_est and l_prune must not be NaN"),
+        ({"p.json": _problem_doc()}, ["solve", "--graph", "p.json", "--alg", "abeauty",
+         "--l-prune", "nan"], "l_est and l_prune must not be NaN"),
+        ({"p.json": _problem_doc()}, ["solve", "--graph", "p.json", "--alg", "eiucs",
+         "--epsilon", "nan"], "epsilon must be non-negative"),
+        ({"p.json": _problem_doc()}, ["solve", "--graph", "p.json", "--alg", "beauty",
+         "--epsilon", "-1"], "epsilon must be non-negative"),
+        ({"p.json": _problem_doc()}, ["solve", "--graph", "p.json", "--alg", "eiucs",
+         "--max-iters", "0"], "max_iterations must be at least 1"),
+        ({"p.json": _problem_doc()}, ["solve", "--graph", "p.json", "--alg", "beauty",
+         "--max-iters", "-5"], "max_iterations must be at least 1"),
     ],
     ids=["synth-stray-endpoint", "solve-huge-bound", "solve-invalid-graph", "synth-huge-cost",
          "bench-huge-cost", "solve-nan-epsilon", "solve-deep-nesting", "solve-bool-bound",
          "gen-negative-seed", "gen-cost-beyond-int64", "solve-too-large", "bench-too-large",
-         "gen-grid-too-large"],
+         "gen-grid-too-large", "abeauty-nan-l-est", "abeauty-nan-l-prune", "eiucs-nan-epsilon",
+         "beauty-negative-epsilon", "eiucs-zero-max-iters", "beauty-negative-max-iters"],
 )
 def test_malformed_file_exits_3_with_one_line(tmp_path, monkeypatch, capsys, files, argv, named):
     monkeypatch.chdir(tmp_path)

@@ -1,0 +1,177 @@
+"""Pass state reused per graph: pooled lists never change an answer.
+
+A search pass takes its g, closed and parent-edge lists from the free list
+on its graph's GraphArrays and, when it touched few enough vertices,
+hands them back reset. Every query here is checked against the same query
+on a freshly built copy of the graph, whose free list starts empty.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from conftest import edge
+
+from slbsearch import (
+    EstimatedDigraph,
+    EstimationCache,
+    Problem,
+    a_beauty,
+    beauty,
+    ei_ucs,
+    gen_grid_graph,
+    gen_random_graph,
+    oracle_lstar,
+    synth_estimators,
+)
+from slbsearch.search import _Pass
+
+
+def fresh_copy(graph):
+    """The same graph built anew: its own arrays and an empty free list."""
+    return EstimatedDigraph.from_arrays(
+        graph.vertex_count, graph.tail.copy(), graph.head.copy(), graph.est_offsets.copy(),
+        graph.est_lower.copy(), graph.est_upper.copy(), graph.est_time.copy(),
+        graph.true_cost.copy(), graph.true_known.copy(),
+    )
+
+
+def clone_cache(cache, graph):
+    """A cache over graph holding exactly what cache holds."""
+    twin = EstimationCache(graph)
+    for name in ("next_index", "tightest_lower", "invoked", "layer_counts"):
+        getattr(twin, name)[:] = getattr(cache, name)
+    twin._tw = cache._tw
+    twin._counters[:] = cache._counters
+    return twin
+
+
+def cache_state(cache):
+    return (
+        cache.next_index.tobytes(), cache.tightest_lower.tobytes(),
+        cache.tightest_upper.tobytes(), cache.invoked.tobytes(),
+        cache.layer_counts.tobytes(), repr(cache._tw), list(cache._counters),
+    )
+
+
+def solve(algorithm, problem, cache, l_est, l_prune):
+    if algorithm == "ei_ucs":
+        return ei_ucs(problem, cache)
+    if algorithm == "beauty":
+        return beauty(problem, cache, l_est=l_est, l_prune=l_prune)
+    return a_beauty(problem, max_iterations=4, cache=cache)
+
+
+def assert_clean(graph):
+    """Every pooled triple is all inf / False / -1, and no list is pooled twice."""
+    pool = graph.arrays().free_pass_lists
+    for g, closed, parent_edge in pool:
+        assert g == [math.inf] * graph.vertex_count
+        assert not any(closed)
+        assert parent_edge == [-1] * graph.vertex_count
+    ids = [id(lst) for triple in pool for lst in triple]
+    assert len(ids) == len(set(ids))
+
+
+def test_mixed_queries_match_a_fresh_graph():
+    problem = synth_estimators(gen_random_graph(400, 0.02, (1, 6), 4), 1)
+    graph, n = problem.graph, problem.graph.vertex_count
+    pool = graph.arrays().free_pass_lists
+    rng = np.random.default_rng(5)
+    shared = EstimationCache(graph)
+    took_pooled = no_path = drained = 0
+    for q in range(240):
+        start = int(rng.integers(0, n))
+        size = int(rng.integers(1, 11))
+        goals = frozenset(int(v) for v in rng.integers(start, n, size=size))
+        algorithm = ("ei_ucs", "beauty", "beauty", "a_beauty")[q % 4]
+        l_est, l_prune = math.inf, math.inf
+        if rng.random() < 0.5:
+            l_est = float(rng.integers(0, 25))
+            l_prune = l_est + float(rng.integers(0, 25))
+        cache = shared if rng.random() < 0.5 else EstimationCache(graph)
+        copy = fresh_copy(graph)
+        expected_cache = clone_cache(cache, copy)
+        expected = solve(algorithm, Problem(copy, start, goals), expected_cache, l_est, l_prune)
+        took_pooled += bool(pool)
+        got = solve(algorithm, Problem(graph, start, goals), cache, l_est, l_prune)
+        assert got == expected, q
+        assert cache_state(cache) == cache_state(expected_cache), q
+        assert_clean(graph)
+        no_path += not got.found
+        pops = getattr(got, "pops", ())
+        first_goal = next((i for i, (v, _) in enumerate(pops) if v in goals), None)
+        drained += first_goal is not None and first_goal < len(pops) - 1
+    assert len(pool) == 1  # one pass at a time: one triple, reused throughout
+    assert took_pooled > 180 and 50 < no_path < 190 and drained > 0
+
+
+def test_raising_pass_drops_its_lists():
+    # 3 -> 1 is poisoned to a negative bound, so the closed vertex 3
+    # improves; vertices 5.. only make the graph large enough to pool
+    graph = EstimatedDigraph(
+        200,
+        [
+            edge(0, 1, [(10, 10, 1.0)]),
+            edge(0, 3, [(2, 2, 1.0)]),
+            edge(3, 1, [(0, 0, 1.0)]),
+            edge(1, 3, [(1, 1, 1.0)]),
+            edge(1, 4, [(5, 5, 1.0)]),
+        ],
+    )
+    pool = graph.arrays().free_pass_lists
+    query = Problem(graph, 0, frozenset({4}))
+    assert beauty(query).l_over == 7.0
+    assert len(pool) == 1
+    poisoned = EstimationCache(graph)
+    poisoned.next_index[2] = 1
+    poisoned.tightest_lower[2] = -9.0
+    with pytest.raises(RuntimeError, match="closed vertex 3 improved"):
+        beauty(query, poisoned)
+    assert pool == []  # the raising pass's lists are not handed back
+    for search in (beauty, ei_ucs):
+        assert search(query) == search(Problem(fresh_copy(graph), 0, frozenset({4})))
+    assert len(pool) == 1
+    assert_clean(graph)
+
+
+def test_grid_pass_too_large_to_pool():
+    problem = synth_estimators(gen_grid_graph(20, 20, (1, 9), 2), 3)
+    pool = problem.graph.arrays().free_pass_lists
+    l_star = oracle_lstar(problem)
+    for _ in range(2):
+        for search in (beauty, ei_ucs):
+            res = search(problem)
+            assert res.opt and res.l_over == l_star
+            assert pool == []  # it touched far more than an eighth of the grid
+    assert a_beauty(problem).l_star == l_star
+
+
+def test_interleaved_passes_never_share_a_list():
+    graph = synth_estimators(gen_random_graph(300, 0.01, (1, 9), 7), 2).graph
+    problem = Problem(graph, 19, frozenset({299}))  # a path, 11 pops: pooled
+    pool = graph.arrays().free_pass_lists
+    beauty(problem)
+    assert len(pool) == 1
+    first = _Pass(problem, EstimationCache(graph), math.inf, math.inf, False)
+    second = _Pass(problem, EstimationCache(graph), math.inf, math.inf, False)
+    assert pool == []
+    lists = [first.g, first.closed, first.parent_edge, second.g, second.closed, second.parent_edge]
+    assert len({id(lst) for lst in lists}) == 6
+    copy = fresh_copy(graph)
+    alone = _Pass(
+        Problem(copy, problem.start, problem.goals), EstimationCache(copy),
+        math.inf, math.inf, False,
+    )
+    goal = alone.run()
+    assert first.run() == goal == second.run()
+    assert first.g == second.g == alone.g
+    assert first.pops == second.pops == alone.pops
+    first.release()
+    second.release()
+    assert len(pool) == 2
+    assert_clean(graph)
+    third = _Pass(problem, EstimationCache(graph), math.inf, math.inf, False)
+    fourth = _Pass(problem, EstimationCache(graph), math.inf, math.inf, False)
+    assert len({id(third.g), id(fourth.g)} | {id(lst) for lst in lists}) == 6
+    assert third.g is not fourth.g and pool == []
