@@ -8,11 +8,11 @@ A suite config is a dict (usually loaded from JSON) with only these keys:
                      "grid"          rows, cols, cost_min, cost_max, rng_seed
                      "weighted_file" path to a weighted digraph JSON
                      "problem_file"  path to an already-estimated problem JSON
-  seeds            estimator-synthesis seeds; each (instance, seed) pair is
-                   one cell (problem_file instances skip synthesis and form
-                   a single cell)
-  algorithms       any of "eiucs", "beauty", "abeauty-<k>" ("abeauty" means
-                   "abeauty-10")
+  seeds            estimator-synthesis seeds ([0] when absent); each (instance,
+                   seed) pair is one cell (problem_file instances skip
+                   synthesis and form a single cell)
+  algorithms       any of "eiucs", "beauty", "abeauty-<k>" (k without leading
+                   zeros; "abeauty" means "abeauty-10"), each at most once
   timeout_seconds  optional wall-clock budget per run; a cell with any run
                    over budget is excluded from aggregates and listed
                    separately (runs are not preempted, only disqualified)
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -87,7 +88,7 @@ class SuiteReport:
 def _parse_algorithm(name: str):
     """Suite algorithm name -> (run_algorithm's algorithm, anytime pass budget)."""
     kind, _, k = name.partition("-")
-    if name in ("eiucs", "beauty", "abeauty") or kind == "abeauty" and k.isdigit() and int(k) > 0:
+    if name in ("eiucs", "beauty", "abeauty") or re.fullmatch("abeauty-[1-9][0-9]*", name):
         return kind, int(k or 10)
     raise ValueError(f"unknown algorithm {name!r}")
 
@@ -117,8 +118,10 @@ def _is(kind: str, value) -> bool:
     return isinstance(value, number) and not isinstance(value, bool) and value == value
 
 
-def _repeats(values) -> list:
-    return [v for i, v in enumerate(values) if v in values[:i]]
+def _repeats(values, keys=None) -> list:
+    """The values whose key (by default the value itself) an earlier one has."""
+    keys = values if keys is None else keys
+    return [v for i, (v, key) in enumerate(zip(values, keys)) if key in keys[:i]]
 
 
 def _check_suite(config: dict) -> None:
@@ -153,7 +156,9 @@ def _check_suite(config: dict) -> None:
         values = config.get(key, [])
         if not isinstance(values, (list, tuple)) or not all(_is(kind, v) for v in values):
             raise ValueError(f"suite key {key!r} must be a list, each item {kind}")
-        dups = _repeats(values)
+        # "abeauty" and "abeauty-10" are one algorithm under two names
+        keys = [_parse_algorithm(v) for v in values] if key == "algorithms" else values
+        dups = _repeats(values, keys)
         if dups:
             raise ValueError(f"suite key {key!r} lists {dups[0]!r} twice")
     if not _is("a number", config.get("timeout_seconds", 0)):
@@ -270,7 +275,7 @@ def run_suite(config: dict, out_dir=None) -> SuiteReport:
     for spec in config.get("instances", []):
         inst_id = spec["id"]
         payload = _built(inst_id, _materialize, spec)
-        cell_seeds = [None] if isinstance(payload, Problem) else (config.get("seeds") or [0])
+        cell_seeds = [None] if isinstance(payload, Problem) else config.get("seeds", [0])
         for seed in cell_seeds:
             problem = payload if seed is None else _built(inst_id, synth_estimators, payload, seed)
             l_star = oracle_lstar(problem)

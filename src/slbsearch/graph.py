@@ -65,7 +65,9 @@ class GraphArrays:
     """Flat array form of a graph, read by the search loop and the cache.
 
     Successors are CSR over the tail vertex, preserving edge declaration
-    order within each tail. Estimator layers for edge e live in the flat
+    order within each tail. Predecessors are CSR over the head vertex: the
+    edges into v are ``pred_edge[pred_indptr[v]:pred_indptr[v + 1]]``, in
+    ascending (tail, edge) order. Estimator layers for edge e live in the flat
     slices ``est_lower[est_offsets[e]:est_offsets[e+1]]`` (same for upper
     and time); these four are the graph's own arrays, not copies.
 
@@ -77,6 +79,8 @@ class GraphArrays:
     indptr: np.ndarray
     succ_vertex: np.ndarray
     succ_edge: np.ndarray
+    pred_indptr: np.ndarray
+    pred_edge: np.ndarray
     est_offsets: np.ndarray
     est_lower: np.ndarray
     est_upper: np.ndarray
@@ -159,11 +163,13 @@ class EstimatedDigraph:
                               (lens == 0, "empty estimator sequence")):
                 if bad.any():
                     raise ValueError(f"edge {int(np.argmax(bad))}: {what}")
-            indptr = np.zeros(n + 1, np.int64)
+            indptr, pred_indptr = np.zeros((2, n + 1), np.int64)
             indptr[1:] = np.cumsum(np.bincount(tail, minlength=n))
+            pred_indptr[1:] = np.cumsum(np.bincount(head, minlength=n))
             order = np.argsort(tail, kind="stable")
             est = (self.est_offsets, self.est_lower, self.est_upper, self.est_time)  # not copied
-            self._arrays = GraphArrays(indptr, head[order], order, *est, int(lens.max(initial=1)))
+            self._arrays = GraphArrays(indptr, head[order], order, pred_indptr,
+                                       np.lexsort((tail, head)), *est, int(lens.max(initial=1)))
         return self._arrays
 
 

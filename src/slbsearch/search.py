@@ -38,13 +38,14 @@ Each pass is one ``_Pass``: its ``run`` method is the search loop, plain
 Python over a ``heapq`` frontier of ``(key, seq, vertex)`` tuples, with
 the graph and cache arrays read and written through ``memoryview``. The
 pass owns its search state as plain lists (g, the closed set, the parent
-edges, the heap, the pops and the tied edges), so it can be resumed to
-drain a tie and its closed set read afterwards. The three n-length lists
-are reused per graph: a pass that touched few vertices resets just those
-and hands the lists back, so a small search does not pay for the graph's
-size. The tight edges the tie
-check walks are the parent edges and the ties the loop recorded, so its
-memory grows with the route's backward cone, not with the graph.
+edges, the heap and the pops), so it can be resumed to drain a tie and its
+closed set read afterwards. The three n-length lists are reused per graph:
+a pass that touched few vertices resets just those and hands the lists
+back, so a small search does not pay for the graph's size. The tie check
+walks backwards from the goals through the graph's predecessor index,
+testing every edge into each vertex it reaches, so the loop records
+nothing for it and its work grows with the route's backward cone, not
+with the graph.
 """
 
 from __future__ import annotations
@@ -111,9 +112,9 @@ class _Pass:
     taken from the free list on the graph's GraphArrays, or allocated when
     it is empty; ``release`` gives them back reset. Each pass takes its own
     lists, so concurrent searches on one graph never share them. These, the
-    heap, the pops and the ties persist between calls to run, so a pass can
-    be resumed to drain a tie at its goal key and the certification step
-    can read the closed set afterwards.
+    heap and the pops persist between calls to run, so a pass can be
+    resumed to drain a tie at its goal key and the certification step can
+    read the closed set afterwards.
     """
 
     def __init__(self, problem, cache, l_est, l_prune, eager):
@@ -133,7 +134,6 @@ class _Pass:
         self.heap: list[tuple[float, int, int]] = []  # (key, seq, vertex)
         self.seq = 0  # insertion counter: equal keys pop in FIFO order
         self._pops: list[tuple[int, float]] = []
-        self.ties: list[tuple[int, int, int]] = []  # (head, tail, edge)
 
     def run(self, drain_key: float | None = None) -> int | None:
         """Best-first search on accumulated lower bounds.
@@ -155,10 +155,7 @@ class _Pass:
         with a drain_key resumes the same frontier and pops every entry
         keyed at most drain_key, expanding non-goal vertices as usual;
         goals are recorded as pops but never expanded, and it returns None.
-        Every pop is appended to the pops as (vertex, key), and every edge
-        whose tentative bound ties its head's recorded one to the ties as
-        (head, tail, edge): with the parent edges these are the only edges
-        that can end a pass tight (see ``_tight_route``). The cache's
+        Every pop is appended to the pops as (vertex, key). The cache's
         counters and simulated estimation time advance in place; a closed
         vertex that improves (impossible with valid bounds) raises
         RuntimeError once they are written back.
@@ -181,7 +178,6 @@ class _Pass:
         goals, seq = self.problem.goals, self.seq
         l_est, l_prune, eager = self.l_est, self.l_prune, self.eager
         record_pop = self._pops.append
-        record_tie = self.ties.append
         drain = drain_key is not None
         if not drain:
             start = self.problem.start
@@ -247,8 +243,6 @@ class _Pass:
                         seq += 1
                     else:
                         prunings += 1
-                elif gt == g_s:
-                    record_tie((s, v, eid))
             if corrupt >= 0:
                 break
         self.seq = seq
@@ -329,27 +323,21 @@ def beauty_ps(
     return (not l_cur > l_under), l_under, l_cur
 
 
-def _tight_route(
-    run: _Pass, k: float, ties_into: dict[int, list[tuple[int, int]]], dead: set[int]
-) -> Path | None:
+def _tight_route(run: _Pass, k: float, dead: set[int]) -> Path | None:
     """A start-to-goal route through tight edges of the closed set, or None.
 
     An edge (u, h) is tight when u is closed, g[h] <= k and g[u] plus the
     edge's tightest lower bound equals g[h], the very float sum the kernel
     stores. Routes end at a goal with g == k and avoid the dead edges. The
     route is found backwards from the goals, so only vertices that reach a
-    goal through tight edges are visited.
-
-    A tight edge into h is either h's parent edge or one the kernel
-    recorded as a tie into h: any other edge examined from a closed vertex
-    lost to a strictly smaller bound or was pruned above every recorded
-    one, and neither bounds nor g can move back. So the candidates are
-    those, tested again here (post-search tightening may have raised a
-    parent edge), in ascending tail and then edge order. Bounds are never
-    negative, so every vertex the walk reaches has g <= k.
+    goal through tight edges are visited: every edge into such a vertex is
+    read from the predecessor index and tested, in ascending tail and then
+    edge order. Bounds are never negative, so every vertex the walk reaches
+    has g <= k.
     """
     start, g, closed = run.problem.start, run.g, run.closed
     tail = run.problem.graph.tail
+    pred_indptr, pred_edge = run.arrays.pred_indptr, run.arrays.pred_edge
     tight_lower = run.cache.tightest_lower
     toward_goal: dict[int, tuple[int, int]] = {}  # vertex -> (edge, next vertex)
     stack = [v for v in sorted(run.problem.goals) if g[v] == k]
@@ -362,12 +350,9 @@ def _tight_route(
                 eid, v = toward_goal[v]
                 edges.append(eid)
             return Path(tuple(edges), v)
-        into = ties_into.get(v, [])
-        if (eid := run.parent_edge[v]) >= 0:
-            into = into + [(int(tail[eid]), eid)]
-        for u, eid in sorted(into):
-            tight = closed[u] and g[u] + float(tight_lower[eid]) == g[v]
-            if tight and u not in seen and eid not in dead:
+        into = pred_edge[pred_indptr[v]:pred_indptr[v + 1]]
+        for u, eid, low in zip(tail[into].tolist(), into.tolist(), tight_lower[into].tolist()):
+            if closed[u] and g[u] + low == g[v] and u not in seen and eid not in dead:
                 seen.add(u)
                 toward_goal[u] = (eid, v)
                 stack.append(u)
@@ -383,11 +368,8 @@ def _certify_tie(run: _Pass, k: float) -> Path | None:
     routes are ever charged.
     """
     cache = run.cache
-    ties_into: dict[int, list[tuple[int, int]]] = {}
-    for h, u, eid in run.ties:
-        ties_into.setdefault(h, []).append((u, eid))
     dead: set[int] = set()
-    while (route := _tight_route(run, k, ties_into, dead)) is not None:
+    while (route := _tight_route(run, k, dead)) is not None:
         for eid in route.edges:
             if cache.has_remaining(eid):
                 low = float(cache.tightest_lower[eid])

@@ -132,11 +132,28 @@ class TestGeneratedSuites:
         assert report.records == []
         assert report.aggregates["cells"] == 0
 
+    def test_seeds_default_only_when_absent(self, reference_file):
+        grid = {"id": "g", "model": "grid", "rows": 3, "cols": 3, "cost_min": 1,
+                "cost_max": 9, "rng_seed": 2}
+        absent = run_suite({"instances": [grid], "algorithms": ["beauty"]})
+        assert {r.cell_id for r in absent.records} == {"g@s0"}
+        # an empty list runs no synthesized cell, as "instances": [] runs none;
+        # a problem file is not synthesized, so it still forms its cell
+        empty = run_suite({
+            "instances": [grid, {"id": "ref", "model": "problem_file", "path": reference_file}],
+            "seeds": [], "algorithms": ["beauty"],
+        })
+        assert {r.cell_id for r in empty.records} == {"ref"}
+        assert empty.aggregates["cells"] == 1
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             run_suite({"instances": [], "algorithms": ["dfs"]})
         with pytest.raises(ValueError):
             run_suite({"instances": [], "algorithms": ["abeauty-0"]})
+        for name in ("abeauty-01", "abeauty-\u00b2"):  # both pass str.isdigit
+            with pytest.raises(ValueError, match=f"unknown algorithm '{name}'"):
+                run_suite({"instances": [], "algorithms": [name]})
         # the runner takes only its own three names, not the suite's abeauty-<k>
         with pytest.raises(ValueError, match="unknown algorithm 'abeauty-2'"):
             run_algorithm(make_reference_problem(), "abeauty-2")

@@ -286,6 +286,12 @@ class TestBench:
             ),
             ({"instances": [], "algorithms": ["beauty", "beauty"]}, "lists 'beauty' twice"),
             ({"instances": [], "seeds": [0, 0]}, "suite key 'seeds' lists 0 twice"),
+            # one anytime budget under two names, or a name with a leading zero
+            (
+                {"instances": [], "algorithms": ["abeauty", "abeauty-10"]},
+                "suite key 'algorithms' lists 'abeauty-10' twice",
+            ),
+            ({"instances": [], "algorithms": ["abeauty-1", "abeauty-01"]}, "'abeauty-01'"),
             # a size past any float used to overflow the NaN check itself
             (
                 {"instances": [{"id": "g", "model": "grid", "rows": 10**400, "cols": 2,
@@ -305,7 +311,8 @@ class TestBench:
         ],
         ids=[
             "random-without-n", "instances-not-a-list", "string-seed", "file-without-path",
-            "nan-timeout", "duplicate-id", "duplicate-algorithm", "duplicate-seed", "huge-rows",
+            "nan-timeout", "duplicate-id", "duplicate-algorithm", "duplicate-seed",
+            "aliased-algorithm", "zero-padded-budget", "huge-rows",
             "misspelled-seeds", "misspelled-algorithms", "stray-instance-key",
         ],
     )

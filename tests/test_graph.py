@@ -301,6 +301,36 @@ class TestStorage:
         assert count == 2 * 150 * 149
         assert peak < 1024
 
+    def test_predecessor_index_lists_edges_into_each_vertex(self):
+        # the tie check reads every edge into a vertex from this index, so
+        # it must list exactly those, by tail and then edge
+        rng = np.random.default_rng(20261018)
+        graphs = [EstimatedDigraph(1, [])]
+        for _ in range(50):
+            n = int(rng.integers(1, 12))
+            m = int(rng.integers(0, 3 * n))
+            # few heads, so parallel edges, self-loops and isolated vertices
+            tail = rng.integers(0, n, m)
+            head = rng.integers(0, max(1, n // 2), m)
+            ones = np.ones(m)
+            graphs.append(EstimatedDigraph.from_arrays(
+                n, tail, head, np.arange(m + 1), ones, ones, ones, ones, np.ones(m, bool)))
+        kinds = {"parallel": 0, "self-loop": 0, "isolated": 0}
+        for graph in graphs:
+            arr = graph.arrays()
+            tail, head = graph.tail.tolist(), graph.head.tolist()
+            assert arr.pred_indptr.dtype == arr.pred_edge.dtype == np.int64
+            assert len(arr.pred_indptr) == graph.vertex_count + 1
+            for v in range(graph.vertex_count):
+                into = arr.pred_edge[arr.pred_indptr[v]:arr.pred_indptr[v + 1]].tolist()
+                expected = sorted((tail[e], e) for e in range(len(tail)) if head[e] == v)
+                assert [(tail[e], e) for e in into] == expected
+                kinds["isolated"] += not into and v not in tail
+            pairs = list(zip(tail, head))
+            kinds["parallel"] += len(set(pairs)) < len(pairs)
+            kinds["self-loop"] += any(u == h for u, h in pairs)
+        assert min(kinds.values()) > 0, kinds
+
 
 class TestPath:
     def test_vertices_of_empty_path(self):

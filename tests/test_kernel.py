@@ -14,7 +14,6 @@ from conftest import (
     edge,
     make_frontier_tie_problem,
     make_reference_problem,
-    random_problem,
 )
 
 import slbsearch.anytime
@@ -24,7 +23,6 @@ from slbsearch import (
     Problem,
     a_beauty,
     beauty,
-    beauty_ps,
     default_backend_name,
     ei_ucs,
     gen_grid_graph,
@@ -128,7 +126,6 @@ def test_drain_resumes_the_same_frontier():
     assert run.run(drain_key=4.0) is None
     assert run.pops == ((0, 0.0), (4, 4.0), (2, 4.0))
     assert [v for v, c in enumerate(run.closed) if c] == [0, 2]
-    assert run.ties == [(4, 2, 3)]
     assert run.seq == seq
     assert run.run(drain_key=5.0) is None
     assert run.pops[-1] == (3, 5.0)
@@ -178,37 +175,6 @@ def test_poisoned_cache_raises_and_keeps_counts():
     # improved the closed vertex 3
     m = cache.snapshot_metrics()
     assert (m.expansions, m.evaluations, m.prunings) == (3, 4, 0)
-
-
-def test_tight_edges_are_parent_or_recorded_tie():
-    rng = np.random.default_rng(20261017)
-    checked = tie_only = 0
-    for _ in range(300):
-        problem = random_problem(rng, max_n=9, edge_prob=0.4)
-        cache = EstimationCache(problem.graph)
-        l_est = float(rng.integers(0, 20))
-        run = _Pass(problem, cache, l_est, math.inf, False)
-        goal = run.run()
-        if goal is None:
-            continue
-        k = run.g[goal]
-        beauty_ps(run.trace(goal), k, cache)
-        run.run(drain_key=k)
-        ties = {(u, e) for h, u, e in run.ties}
-        edges = problem.graph.edges
-        parents = {(edges[e].tail, e) for e in run.parent_edge if e >= 0}
-        for eid, ed in enumerate(problem.graph.edges):
-            u, h = ed.tail, ed.head
-            tight = (
-                run.closed[u]
-                and run.g[h] <= k
-                and run.g[u] + cache.tightest_lower[eid] == run.g[h]
-            )
-            if tight:
-                checked += 1
-                tie_only += (u, eid) not in parents
-                assert (u, eid) in parents | ties
-    assert checked > 300 and tie_only > 10
 
 
 def test_kernel_name_is_numpy():
