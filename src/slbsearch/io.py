@@ -1,15 +1,26 @@
 """JSON file formats for problems, weighted digraphs, and benchmark suites.
 
-The loaders are where a graph file is checked: every Problem or
-WeightedDigraph they return has its start, goals and edge endpoints in
-range and its numbers representable as floats, and every loaded Problem
-passes validate_graph. Anything else raises one ValueError.
+A graph file is one JSON object of flat columns, the graph's own arrays:
+``vertex_count``, ``start``, ``goals``, ``tail`` and ``head``; then, in a
+problem file, ``est_offsets``, ``est_lower``, ``est_upper``, ``est_time`` and
+``true_cost`` (``null`` where unknown), laid out as EstimatedDigraph stores
+them, and in a weighted file ``cost``. Each writer is one json.dumps of its
+columns. Files in the older per-edge layout (an ``edges`` list of objects)
+are still read: their records are reshaped into the same columns.
+
+The loaders are where a graph file is checked, by one column checker for
+both layouts: every Problem or WeightedDigraph they return has its start,
+goals and edge endpoints in range and its numbers representable as floats,
+and every loaded Problem passes validate_graph. Anything else raises one
+ValueError naming the first bad edge (and estimator).
 """
 
 from __future__ import annotations
 
 import json
-import math
+from bisect import bisect_right
+from itertools import accumulate
+from operator import index, lt
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -29,13 +40,21 @@ __all__ = [
     "load_suite",
 ]
 
+_GRAPH_KEYS = ("vertex_count", "start", "goals", "tail", "head")
+_PROBLEM_KEYS = (*_GRAPH_KEYS, "est_offsets", "est_lower", "est_upper", "est_time", "true_cost")
+_WEIGHTED_KEYS = (*_GRAPH_KEYS, "cost")
+
+# allowed entry types of a column; bools are not ints here, as type(x) is int
+_INTS = frozenset((int,))
+_NUMBERS = frozenset((int, float))
+_NUMBERS_OR_NULL = frozenset((int, float, type(None)))
+
 
 def _bad(msg: str) -> ValueError:
     return ValueError(f"bad input file: {msg}")
 
 
 def _as_vertex(x, what: str, n: int) -> int:
-    # type(x) is int also turns away bools
     if type(x) is not int:
         raise _bad(f"{what} must be an integer")
     if not 0 <= x < n:
@@ -43,32 +62,90 @@ def _as_vertex(x, what: str, n: int) -> int:
     return x
 
 
-def _as_number(x, what: str) -> float:
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise _bad(f"{what} must be a number")
-    try:
-        return float(x)
-    except OverflowError:
-        raise _bad(f"{what} does not fit a float") from None
-
-
-def _read_doc(text: str, keys=()) -> dict:
-    """Decode one JSON object holding every key in keys."""
+def _read_doc(text: str) -> dict:
+    """Decode one JSON object."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise _bad(f"not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise _bad("top level must be an object")
-    for key in keys:
-        if key not in doc:
-            raise _bad(f"missing key {key!r}")
     return doc
 
 
-def _read_graph(text: str):
-    """(vertex_count, start, goals, edge records) of a graph document."""
-    doc = _read_doc(text, ("vertex_count", "start", "goals", "edges"))
+def _records_to_columns(doc: dict, keys: tuple[str, ...]) -> dict:
+    """Reshape a per-edge document's ``edges`` records into columns, in place.
+
+    Only each record's shape is checked here: an object with the given keys
+    and, in a problem file, a list of [lower, upper, time_cost] triples. The
+    values are left to the column checker, as those of a column file are.
+    """
+    records = doc.pop("edges")
+    if not isinstance(records, list):
+        raise _bad("edges must be a list")
+    for i, rec in enumerate(records):
+        if not (isinstance(rec, dict) and rec.keys() >= set(keys)):
+            if not isinstance(rec, dict):
+                raise _bad(f"edge {i} must be an object")
+            raise _bad(f"edge {i}: missing key {next(k for k in keys if k not in rec)!r}")
+        if "estimators" in keys:
+            if not isinstance(rec["estimators"], list):
+                raise _bad(f"edge {i}: estimators must be a list")
+            for j, triple in enumerate(rec["estimators"]):
+                if not (isinstance(triple, list) and len(triple) == 3):
+                    raise _bad(f"edge {i} estimator {j}: expected [lower, upper, time_cost]")
+    doc["tail"] = [rec["from"] for rec in records]
+    doc["head"] = [rec["to"] for rec in records]
+    if "cost" in keys:
+        doc["cost"] = [rec["cost"] for rec in records]
+        return doc
+    layers = [rec["estimators"] for rec in records]
+    doc["est_offsets"] = list(accumulate(map(len, layers), initial=0))
+    columns = [list(c) for c in zip(*(t for ests in layers for t in ests))] or [[], [], []]
+    doc["est_lower"], doc["est_upper"], doc["est_time"] = columns
+    doc["true_cost"] = [rec.get("true_cost") for rec in records]
+    return doc
+
+
+def _column(doc: dict, key: str, length: int | None = None) -> list:
+    col = doc[key]
+    if not isinstance(col, list):
+        raise _bad(f"{key} must be a list")
+    if length is not None and len(col) != length:
+        raise _bad(f"{key}: expected {length} entries, got {len(col)}")
+    return col
+
+
+def _check_types(col: list, allowed: frozenset, name) -> None:
+    """Refuse the first entry of col whose type is not allowed; name(k) names entry k."""
+    if not set(map(type, col)) <= allowed:
+        k = next(k for k, x in enumerate(col) if type(x) not in allowed)
+        raise _bad(f"{name(k)} must be {'an integer' if allowed is _INTS else 'a number'}")
+
+
+def _floats(col: list, allowed: frozenset, name) -> np.ndarray:
+    """col as float64 (a null as NaN), with its types checked, not coerced."""
+    _check_types(col, allowed, name)
+    try:
+        return np.array(col, np.float64)
+    except OverflowError:
+        for k, x in enumerate(col):
+            try:
+                float(0 if x is None else x)
+            except OverflowError:
+                raise _bad(f"{name(k)} does not fit a float") from None
+        raise
+
+
+def _graph_columns(text: str, keys: tuple[str, ...], record_keys: tuple[str, ...]):
+    """(columns, vertex_count, start, goals) of a graph file in either layout,
+    with its vertices and its tail and head columns checked."""
+    doc = _read_doc(text)
+    if "edges" in doc:
+        doc = _records_to_columns(doc, record_keys)
+    for key in keys:
+        if key not in doc:
+            raise _bad(f"missing key {key!r}")
     n = doc["vertex_count"]
     if type(n) is not int:
         raise _bad("vertex_count must be an integer")
@@ -76,105 +153,67 @@ def _read_graph(text: str):
     if not (isinstance(doc["goals"], list) and doc["goals"]):
         raise _bad("goals must be a non-empty list")
     goals = [_as_vertex(g, "goal", n) for g in doc["goals"]]
-    if not isinstance(doc["edges"], list):
-        raise _bad("edges must be a list")
-    return n, start, goals, doc["edges"]
-
-
-_PROBLEM_EDGE = frozenset(("from", "to", "estimators"))
-_WEIGHTED_EDGE = frozenset(("from", "to", "cost"))
-
-
-def _edge_record(i: int, rec, keys: frozenset, n: int):
-    """(tail, head) of edge record i, after checking its keys and endpoints."""
-    # runs once per edge, so the messages are built only on failure
-    if not (isinstance(rec, dict) and rec.keys() >= keys):
-        if not isinstance(rec, dict):
-            raise _bad(f"edge {i} must be an object")
-        raise _bad(f"edge {i}: missing key {sorted(keys - rec.keys())[0]!r}")
-    tail, head = rec["from"], rec["to"]
-    if type(tail) is not int or type(head) is not int or not (0 <= tail < n and 0 <= head < n):
-        _as_vertex(tail, f"edge {i}: endpoint 'from'", n)
-        _as_vertex(head, f"edge {i}: endpoint 'to'", n)
-    return tail, head
-
-
-# The writers lay a file out as json.dumps(doc, indent=2) + "\n" does, with
-# one %-template per object instead of json's pure-Python indenting encoder.
-# An int's %s is json's spelling of it.
-_GRAPH_TEXT = '{\n  "vertex_count": %s,\n  "start": %s,\n  "goals": %s,\n  "edges": %s\n}\n'
-_PROBLEM_EDGE_TEXT = (
-    '{\n      "from": %s,\n      "to": %s,\n      "estimators": %s,\n      "true_cost": %s\n    }'
-)
-_SPEC_TEXT = "[\n          %s,\n          %s,\n          %s\n        ]"
-_WEIGHTED_EDGE_TEXT = '{\n      "from": %s,\n      "to": %s,\n      "cost": %s\n    }'
-
-
-def _array(items, depth: int = 1) -> str:
-    """A list of written items, laid out as json's indent=2 does at this depth."""
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
-
-
-def _num(x: float) -> str:
-    # json spells the non-finite floats Infinity, -Infinity and NaN
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
-
-
-def _nums(values: np.ndarray):
-    """_num of each value, lazily, with finiteness checked once for the whole
-    array (an iterator, so no list of strings is held beside the floats)."""
-    return map(float.__repr__ if np.isfinite(values).all() else _num, values.tolist())
+    m = len(_column(doc, "tail"))
+    for key, end in (("tail", "'from'"), ("head", "'to'")):
+        col = _column(doc, key, m)
+        _check_types(col, _INTS, lambda k: f"edge {k}: endpoint {end}")
+        if col and (min(col) < 0 or max(col) >= n):
+            k = next(k for k, x in enumerate(col) if not 0 <= x < n)
+            raise _bad(f"edge {k}: endpoint {end} {col[k]} out of range for {n} vertices")
+    return doc, n, start, goals
 
 
 def problem_to_json(problem: Problem) -> str:
     graph = problem.graph
-    layers = zip(_nums(graph.est_lower), _nums(graph.est_upper), _nums(graph.est_time))
-    specs = [_SPEC_TEXT % triple for triple in layers]
-    off = graph.est_offsets.tolist()
-    # an unknown true cost is stored as NaN and written as null
-    true_costs = _nums(np.where(graph.true_known, graph.true_cost, 0.0))
-    edges = [
-        _PROBLEM_EDGE_TEXT % (tail, head, _array(specs[a:b], 3), tc if known else "null")
-        for tail, head, a, b, tc, known in zip(
-            graph.tail.tolist(), graph.head.tolist(), off, off[1:],
-            true_costs, graph.true_known.tolist(),
-        )
-    ]
-    goals = [str(g) for g in sorted(problem.goals)]
-    return _GRAPH_TEXT % (graph.vertex_count, problem.start, _array(goals), _array(edges))
+    true_cost = graph.true_cost.tolist()
+    for e in np.flatnonzero(~graph.true_known).tolist():
+        true_cost[e] = None  # unknown, as distinct from a NaN true cost
+    doc = {
+        "vertex_count": graph.vertex_count,
+        "start": problem.start,
+        "goals": sorted(problem.goals),
+        "tail": graph.tail.tolist(),
+        "head": graph.head.tolist(),
+        "est_offsets": graph.est_offsets.tolist(),
+        "est_lower": graph.est_lower.tolist(),
+        "est_upper": graph.est_upper.tolist(),
+        "est_time": graph.est_time.tolist(),
+        "true_cost": true_cost,
+    }
+    # numpy integer scalars (a start or goal, say) are written as the ints they hold
+    return json.dumps(doc, default=index) + "\n"
 
 
 def problem_from_json(text: str) -> Problem:
-    n, start, goals, records = _read_graph(text)
-    rows = []  # per edge: tail, head, end of its layers, true cost
-    layers = []  # lower, upper, time_cost of every estimator, flat
-    for i, rec in enumerate(records):
-        tail, head = _edge_record(i, rec, _PROBLEM_EDGE, n)
-        ests = rec["estimators"]
-        if not (isinstance(ests, list) and ests):
-            raise _bad(f"edge {i}: estimators must be a non-empty list")
-        for j, triple in enumerate(ests):
-            if not (isinstance(triple, list) and len(triple) == 3):
-                raise _bad(f"edge {i} estimator {j}: expected [lower, upper, time_cost]")
-            lo, up, t = triple
-            if type(lo) is not float or type(up) is not float or type(t) is not float:
-                triple = [
-                    _as_number(x, f"edge {i} estimator {j} {what}")
-                    for x, what in zip(triple, ("lower", "upper", "time_cost"))
-                ]
-            layers.extend(triple)
-        tc = rec.get("true_cost")
-        if tc is not None and type(tc) is not float:
-            tc = _as_number(tc, f"edge {i} true_cost")
-        rows.append((tail, head, len(layers) // 3, tc))
-    tails, heads, ends, true_costs = zip(*rows) if rows else ((),) * 4
-    lower, upper, time_cost = np.array(layers, np.float64).reshape(-1, 3).T.copy()
-    known = [tc is not None for tc in true_costs]  # a None true cost is stored as NaN
+    doc, n, start, goals = _graph_columns(text, _PROBLEM_KEYS, ("from", "to", "estimators"))
+    m = len(doc["tail"])
+    offsets = _column(doc, "est_offsets", m + 1)
+    _check_types(offsets, _INTS, lambda k: f"est_offsets entry {k}")
+    k = len(_column(doc, "est_lower"))
+    if offsets[0] != 0:
+        raise _bad("est_offsets must start at 0")
+    if offsets[-1] != k:
+        raise _bad(f"est_offsets must end at {k}, the length of est_lower")
+    if not all(map(lt, offsets, offsets[1:])):
+        e = next(e for e in range(m) if offsets[e + 1] <= offsets[e])
+        raise _bad(f"edge {e} has no estimators: est_offsets must strictly increase")
+
+    def layer(what: str):
+        def name(j: int) -> str:
+            e = bisect_right(offsets, j) - 1
+            return f"edge {e} estimator {j - offsets[e]} {what}"
+        return name
+
+    lower, upper, time_cost = (
+        _floats(_column(doc, key, k), _NUMBERS, layer(what))
+        for key, what in (("est_lower", "lower"), ("est_upper", "upper"),
+                          ("est_time", "time_cost"))
+    )
+    true_cost = _column(doc, "true_cost", m)
+    known = [x is not None for x in true_cost] if None in true_cost else np.ones(m, np.bool_)
+    true_cost = _floats(true_cost, _NUMBERS_OR_NULL, lambda e: f"edge {e} true_cost")
     graph = EstimatedDigraph.from_arrays(
-        n, tails, heads, (0, *ends), lower, upper, time_cost, true_costs, known
+        n, doc["tail"], doc["head"], offsets, lower, upper, time_cost, true_cost, known
     )
     violations = validate_graph(graph)
     if violations:
@@ -195,23 +234,27 @@ def dump_problem(problem: Problem, path) -> None:
 
 
 def weighted_to_json(wg: WeightedDigraph) -> str:
-    edges = [_WEIGHTED_EDGE_TEXT % e for e in wg.edges]
-    goals = [str(g) for g in sorted(wg.goals)]
-    return _GRAPH_TEXT % (wg.vertex_count, wg.start, _array(goals), _array(edges))
-
-
-def _weighted_edge(i: int, rec, n: int) -> tuple[int, int, int]:
-    tail, head = _edge_record(i, rec, _WEIGHTED_EDGE, n)
-    cost = rec["cost"]
-    if type(cost) is not int or cost < 1:
-        raise _bad(f"edge {i}: cost must be a positive integer")
-    return tail, head, cost
+    tail, head, cost = zip(*wg.edges) if wg.edges else ((), (), ())
+    doc = {
+        "vertex_count": wg.vertex_count,
+        "start": wg.start,
+        "goals": sorted(wg.goals),
+        "tail": tail,
+        "head": head,
+        "cost": cost,
+    }
+    return json.dumps(doc, default=index) + "\n"
 
 
 def weighted_from_json(text: str) -> WeightedDigraph:
-    n, start, goals, records = _read_graph(text)
-    edges = tuple(_weighted_edge(i, rec, n) for i, rec in enumerate(records))
-    return WeightedDigraph(n, start, tuple(sorted(goals)), edges)
+    doc, n, start, goals = _graph_columns(text, _WEIGHTED_KEYS, ("from", "to", "cost"))
+    tail, head = doc["tail"], doc["head"]
+    cost = _column(doc, "cost", len(tail))
+    # costs stay Python ints: one beyond int64 is synth's to refuse
+    if not set(map(type, cost)) <= _INTS or (cost and min(cost) < 1):
+        e = next(e for e, c in enumerate(cost) if type(c) is not int or c < 1)
+        raise _bad(f"edge {e}: cost must be a positive integer")
+    return WeightedDigraph(n, start, tuple(sorted(goals)), tuple(zip(tail, head, cost)))
 
 
 def load_weighted(path) -> WeightedDigraph:

@@ -13,6 +13,8 @@ from slbsearch import (
     load_problem,
     load_weighted,
     oracle_lstar,
+    problem_from_json,
+    weighted_from_json,
 )
 from slbsearch.cli import main
 
@@ -396,6 +398,77 @@ def _problem_doc_with_bool_after_equal_triple():
     return doc
 
 
+def _column_problem_doc(**columns):
+    # edge 0 has two layers and a true cost, edge 1 one layer and none
+    doc = {"vertex_count": 2, "start": 0, "goals": [1], "tail": [0, 0], "head": [1, 1],
+           "est_offsets": [0, 2, 3], "est_lower": [1.0, 2.0, 1.0], "est_upper": [4.0, 3.0, 4.0],
+           "est_time": [1.0, 2.0, 1.0], "true_cost": [2.5, None]}
+    return {**doc, **columns}
+
+
+def _column_weighted_doc(**columns):
+    return {"vertex_count": 2, "start": 0, "goals": [1], "tail": [0], "head": [1], "cost": [3],
+            **columns}
+
+
+def _solve_columns(named, **columns):
+    return ({"p.json": _column_problem_doc(**columns)},
+            ["solve", "--graph", "p.json", "--alg", "beauty"], named)
+
+
+def _synth_columns(named, **columns):
+    return ({"wg.json": _column_weighted_doc(**columns)},
+            ["synth", "--weighted-graph", "wg.json", "--seed", "0", "--out", "out.json"], named)
+
+
+# column files the loaders refuse: id -> (files, argv, the message)
+_COLUMN_CASES = {
+    "columns-bool-tail": _solve_columns("edge 0: endpoint 'from' must be an integer",
+                                        tail=[True, 0]),
+    "columns-float-head": _solve_columns("edge 1: endpoint 'to' must be an integer",
+                                         head=[1, 1.0]),
+    "columns-float-offset": _solve_columns("est_offsets entry 1 must be an integer",
+                                           est_offsets=[0, 2.0, 3]),
+    "columns-bool-cost": _synth_columns("edge 0: cost must be a positive integer", cost=[True]),
+    "columns-float-cost": _synth_columns("edge 0: cost must be a positive integer", cost=[3.0]),
+    "columns-bool-lower": _solve_columns("edge 0 estimator 1 lower must be a number",
+                                         est_lower=[1.0, True, 1.0]),
+    "columns-string-upper": _solve_columns("edge 1 estimator 0 upper must be a number",
+                                           est_upper=[4.0, 3.0, "4.0"]),
+    "columns-null-time": _solve_columns("edge 0 estimator 1 time_cost must be a number",
+                                        est_time=[1.0, None, 1.0]),
+    "columns-bool-true-cost": _solve_columns("edge 0 true_cost must be a number",
+                                             true_cost=[True, None]),
+    "columns-lower-beyond-float": _solve_columns("edge 1 estimator 0 lower does not fit a float",
+                                                 est_lower=[1.0, 2.0, 10**400]),
+    "columns-true-cost-beyond-float": _solve_columns("edge 0 true_cost does not fit a float",
+                                                     true_cost=[10**400, None]),
+    "columns-offsets-not-from-0": _solve_columns("est_offsets must start at 0",
+                                                 est_offsets=[1, 2, 3]),
+    "columns-offsets-repeat": _solve_columns(
+        "edge 0 has no estimators: est_offsets must strictly increase", est_offsets=[0, 0, 3]),
+    "columns-offsets-beyond-int64": _solve_columns(
+        "edge 1 has no estimators: est_offsets must strictly increase",
+        est_offsets=[0, 10**30, 3]),
+    "columns-offsets-short-of-layers": _solve_columns(
+        "est_offsets must end at 3, the length of est_lower", est_offsets=[0, 1, 2]),
+    "columns-short-head": _solve_columns("head: expected 2 entries, got 1", head=[1]),
+    "columns-short-offsets": _solve_columns("est_offsets: expected 3 entries, got 2",
+                                            est_offsets=[0, 3]),
+    "columns-short-upper": _solve_columns("est_upper: expected 3 entries, got 2",
+                                          est_upper=[4.0, 3.0]),
+    "columns-long-true-cost": _solve_columns("true_cost: expected 2 entries, got 3",
+                                             true_cost=[2.5, None, None]),
+    "columns-long-cost": _synth_columns("cost: expected 1 entries, got 2", cost=[3, 4]),
+    "columns-tail-not-a-list": _solve_columns("tail must be a list", tail="0"),
+    "columns-endpoint-out-of-range": _solve_columns(
+        "edge 1: endpoint 'to' 2 out of range for 2 vertices", head=[1, 2]),
+    "columns-synth-stray-endpoint": _synth_columns("edge 0: endpoint 'to' 7 out of range",
+                                                   head=[7]),
+    "columns-synth-huge-cost": _synth_columns("edge (0, 1): cost too large for a float",
+                                              cost=[10**400]),
+}
+
 _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--out", "out.json",
              "--cost-min", "1"]
 
@@ -455,12 +528,14 @@ _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--ou
          "--max-iters", "0"], "max_iterations must be at least 1"),
         ({"p.json": _problem_doc()}, ["solve", "--graph", "p.json", "--alg", "beauty",
          "--max-iters", "-5"], "max_iterations must be at least 1"),
+        *_COLUMN_CASES.values(),
     ],
     ids=["synth-stray-endpoint", "solve-huge-bound", "solve-invalid-graph", "synth-huge-cost",
          "bench-huge-cost", "solve-nan-epsilon", "solve-deep-nesting", "solve-bool-bound",
          "gen-negative-seed", "gen-cost-beyond-int64", "solve-too-large", "bench-too-large",
          "gen-grid-too-large", "abeauty-nan-l-est", "abeauty-nan-l-prune", "eiucs-nan-epsilon",
-         "beauty-negative-epsilon", "eiucs-zero-max-iters", "beauty-negative-max-iters"],
+         "beauty-negative-epsilon", "eiucs-zero-max-iters", "beauty-negative-max-iters",
+         *_COLUMN_CASES],
 )
 def test_malformed_file_exits_3_with_one_line(tmp_path, monkeypatch, capsys, files, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -472,6 +547,14 @@ def test_malformed_file_exits_3_with_one_line(tmp_path, monkeypatch, capsys, fil
     assert err.startswith("error: ") and named in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_column_docs_of_the_malformed_cases_load():
+    # each column case above changes one column of these valid documents
+    problem = problem_from_json(json.dumps(_column_problem_doc()))
+    assert problem.graph.true_known.tolist() == [True, False]
+    assert weighted_from_json(json.dumps(_column_weighted_doc())).edges == ((0, 1, 3),)
+
 
 def test_console_script_help():
     out = subprocess.run(

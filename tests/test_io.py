@@ -1,8 +1,13 @@
 import json
 import math
+import shutil
+from itertools import accumulate
+from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import edge, make_reference_problem
+from test_pinned_outputs import HEADER, SOLVE_CASES
 
 from slbsearch import (
     EstimatedDigraph,
@@ -19,12 +24,17 @@ from slbsearch import (
     weighted_from_json,
     weighted_to_json,
 )
+from slbsearch.cli import main
 from slbsearch.io import dump_problem, dump_weighted, load_suite
 
+# written by the per-edge writer from the instance test_pinned_outputs pins
+PER_EDGE_FILE = Path(__file__).parent / "data" / "pinned-per-edge-problem.json"
 
-# The writers as first written, on json's own encoder: the files the
-# template writers produce must match these byte for byte.
-def reference_problem_json(problem):
+
+# The per-edge layout graph files had before the column layout, as its
+# writer produced it (json.dumps(indent=2) of one object per edge). Files in
+# this layout are still read.
+def per_edge_problem_json(problem):
     edges = [
         {
             "from": e.tail,
@@ -43,7 +53,7 @@ def reference_problem_json(problem):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def reference_weighted_json(wg):
+def per_edge_weighted_json(wg):
     doc = {
         "vertex_count": wg.vertex_count,
         "start": wg.start,
@@ -51,6 +61,68 @@ def reference_weighted_json(wg):
         "edges": [{"from": t, "to": h, "cost": c} for t, h, c in wg.edges],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+# The column layout on json's own encoder, built from the Edge view rather
+# than from the graph's arrays: the writers must match these byte for byte.
+def reference_problem_json(problem):
+    edges = list(problem.graph.edges)
+    specs = [s for e in edges for s in e.estimators]
+    doc = {
+        "vertex_count": problem.graph.vertex_count,
+        "start": problem.start,
+        "goals": sorted(problem.goals),
+        "tail": [e.tail for e in edges],
+        "head": [e.head for e in edges],
+        "est_offsets": list(accumulate((len(e.estimators) for e in edges), initial=0)),
+        "est_lower": [s.lower for s in specs],
+        "est_upper": [s.upper for s in specs],
+        "est_time": [s.time_cost for s in specs],
+        "true_cost": [e.true_cost for e in edges],
+    }
+    return json.dumps(doc) + "\n"
+
+
+def reference_weighted_json(wg):
+    doc = {
+        "vertex_count": wg.vertex_count,
+        "start": wg.start,
+        "goals": sorted(wg.goals),
+        "tail": [t for t, _, _ in wg.edges],
+        "head": [h for _, h, _ in wg.edges],
+        "cost": [c for _, _, c in wg.edges],
+    }
+    return json.dumps(doc) + "\n"
+
+
+ARRAYS = ("tail", "head", "est_offsets", "est_lower", "est_upper", "est_time", "true_cost",
+          "true_known")
+
+
+def assert_same_arrays(a, b):
+    """The two graphs' arrays hold the same bits (NaN and -0.0 included)."""
+    assert a.vertex_count == b.vertex_count
+    for name in ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+def assert_layouts_agree(problem, wg=None):
+    """Both writers match the reference, both layouts load into the written
+    arrays, and a column file round-trips byte for byte."""
+    text = problem_to_json(problem)
+    assert text == reference_problem_json(problem)
+    loaded = problem_from_json(text)
+    assert (loaded.start, loaded.goals) == (problem.start, problem.goals)
+    assert_same_arrays(loaded.graph, problem.graph)
+    assert_same_arrays(problem_from_json(per_edge_problem_json(problem)).graph, problem.graph)
+    assert problem_to_json(loaded) == text
+    if wg is not None:
+        text = weighted_to_json(wg)
+        assert text == reference_weighted_json(wg)
+        assert weighted_from_json(text) == wg
+        assert weighted_from_json(per_edge_weighted_json(wg)) == wg
+        assert weighted_to_json(weighted_from_json(text)) == text
 
 
 def make_odd_problem():
@@ -66,37 +138,75 @@ def make_odd_problem():
 
 
 class TestTemplateWriters:
+    """The column writers against the json reference, and files in the
+    per-edge and the column layout against each other."""
+
     @pytest.mark.parametrize("seed", [1, 7])
     def test_random_graph_files(self, seed):
         wg = gen_random_graph(5000, 0.002, (1, 20), seed)
-        assert weighted_to_json(wg) == reference_weighted_json(wg)
-        problem = synth_estimators(wg, seed)
-        assert problem_to_json(problem) == reference_problem_json(problem)
+        assert_layouts_agree(synth_estimators(wg, seed), wg)
 
     def test_grid_files(self):
         wg = gen_grid_graph(150, 150, (1, 9), 2)
-        assert weighted_to_json(wg) == reference_weighted_json(wg)
-        problem = synth_estimators(wg, 3)
-        assert problem_to_json(problem) == reference_problem_json(problem)
+        assert_layouts_agree(synth_estimators(wg, 3), wg)
 
-    def test_non_finite_bounds_and_missing_true_cost(self):
+    def test_non_finite_bounds_and_missing_true_cost(self, monkeypatch):
         problem = make_odd_problem()
         text = problem_to_json(problem)
         assert text == reference_problem_json(problem)
         assert "Infinity" in text and "NaN" in text and "null" in text
         # a NaN true cost is written as NaN and flagged, an unknown one as null
         doc = json.loads(text)
-        assert doc["edges"][1]["true_cost"] is None
-        assert math.isnan(doc["edges"][3]["true_cost"])
+        assert doc["true_cost"][1] is None
+        assert math.isnan(doc["true_cost"][3])
         flagged = [(v.edge, v.kind) for v in validate_graph(problem.graph) if v.kind == "true_cost"]
         assert flagged == [(3, "true_cost")]
+        # both layouts are refused alike, and read alike once validation is off
+        old = per_edge_problem_json(problem)
+        with pytest.raises(ValueError) as new_exc:
+            problem_from_json(text)
+        with pytest.raises(ValueError) as old_exc:
+            problem_from_json(old)
+        assert str(new_exc.value) == str(old_exc.value)
+        assert str(new_exc.value).startswith("invalid graph, 3 violations (first: edge 0: bounds:")
+        monkeypatch.setattr("slbsearch.io.validate_graph", lambda graph: [])
+        assert_layouts_agree(problem)
+        loaded = problem_from_json(old).graph
+        assert loaded.true_known.tolist() == [True, False, True, True]
+        assert math.copysign(1.0, loaded.est_lower[5]) == -1.0
 
     def test_empty_edge_list(self):
         problem = Problem(EstimatedDigraph(3, []), 0, frozenset({2}))
         wg = WeightedDigraph(3, 0, (2,), ())
-        assert problem_to_json(problem) == reference_problem_json(problem)
-        assert weighted_to_json(wg) == reference_weighted_json(wg)
-        assert '"edges": []' in weighted_to_json(wg)
+        assert_layouts_agree(problem, wg)
+        assert '"tail": []' in weighted_to_json(wg)
+        assert '"est_offsets": [0]' in problem_to_json(problem)
+
+    def test_numpy_integer_scalars_are_written_as_ints(self):
+        i = np.int64
+        wg = WeightedDigraph(i(2), i(0), (i(1),), ((i(0), i(1), i(7)),))
+        assert weighted_to_json(wg) == weighted_to_json(WeightedDigraph(2, 0, (1,), ((0, 1, 7),)))
+        problem = make_reference_problem()
+        scalars = Problem(problem.graph, i(problem.start), frozenset(map(i, problem.goals)))
+        assert problem_to_json(scalars) == problem_to_json(problem)
+
+
+class TestPerEdgeFile:
+    def test_loads_as_the_instance_it_was_written_from(self):
+        problem = synth_estimators(gen_random_graph(30, 0.15, (1, 20), 35), 2)
+        assert PER_EDGE_FILE.read_text() == per_edge_problem_json(problem)
+        loaded = load_problem(PER_EDGE_FILE)
+        assert (loaded.start, loaded.goals) == (problem.start, problem.goals)
+        assert_same_arrays(loaded.graph, problem.graph)
+
+    @pytest.mark.parametrize("case", list(SOLVE_CASES))
+    def test_solve_prints_the_pinned_output(self, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(PER_EDGE_FILE, "p.json")
+        argv, code, stdout, row = SOLVE_CASES[case]
+        assert main(["solve", "--graph", "p.json", *argv, "--metrics-out", "m.csv"]) == code
+        assert capsys.readouterr() == (stdout, "")
+        assert (tmp_path / "m.csv").read_bytes() == f"{HEADER}\r\n{row}\r\n".encode()
 
 
 class TestProblemJson:
@@ -107,8 +217,7 @@ class TestProblemJson:
         assert again == text
 
     def test_round_trip_keeps_negative_zero_after_equal_zero(self):
-        # loaded estimators are shared per distinct triple; -0.0 == 0.0, so
-        # the sharing must still tell them apart
+        # -0.0 == 0.0, so only the sign bit tells the second bound apart
         doc = {
             "vertex_count": 3, "start": 0, "goals": [2],
             "edges": [
@@ -116,10 +225,12 @@ class TestProblemJson:
                 {"from": 1, "to": 2, "estimators": [[-0.0, 2.0, 1.0]], "true_cost": 1.0},
             ],
         }
-        text = json.dumps(doc, indent=2) + "\n"
-        loaded = problem_from_json(text)
+        loaded = problem_from_json(json.dumps(doc, indent=2) + "\n")
         assert math.copysign(1.0, loaded.graph.edges[1].estimators[0].lower) == -1.0
-        assert problem_to_json(loaded) == text
+        text = problem_to_json(loaded)
+        assert json.loads(text)["est_lower"] == [0.0, -0.0]
+        assert '"est_lower": [0.0, -0.0]' in text
+        assert problem_to_json(problem_from_json(text)) == text
 
     def test_round_trip_preserves_semantics(self):
         problem = make_reference_problem()
@@ -131,18 +242,24 @@ class TestProblemJson:
 
     def test_document_shape(self):
         doc = json.loads(problem_to_json(make_reference_problem()))
-        assert set(doc) == {"vertex_count", "start", "goals", "edges"}
+        assert list(doc) == ["vertex_count", "start", "goals", "tail", "head", "est_offsets",
+                             "est_lower", "est_upper", "est_time", "true_cost"]
         assert doc["goals"] == [3, 4]
-        first = doc["edges"][0]
-        assert set(first) == {"from", "to", "estimators", "true_cost"}
-        assert first["estimators"] == [[4.0, 4.0, 1.0]]
+        assert (doc["tail"][0], doc["head"][0]) == (0, 1)
+        assert doc["est_offsets"] == [0, 1, 3, 5, 7, 9, 10]
+        first = [doc[key][0] for key in ("est_lower", "est_upper", "est_time", "true_cost")]
+        assert first == [4.0, 4.0, 1.0, 4.0]
 
     def test_missing_true_cost_loads_as_none(self):
-        doc = json.loads(problem_to_json(make_reference_problem()))
-        for e in doc["edges"]:
+        problem = make_reference_problem()
+        doc = json.loads(problem_to_json(problem))
+        doc["true_cost"] = [None] * len(doc["tail"])
+        old = json.loads(per_edge_problem_json(problem))
+        for e in old["edges"]:
             del e["true_cost"]
-        loaded = problem_from_json(json.dumps(doc))
-        assert all(e.true_cost is None for e in loaded.graph.edges)
+        for text in (json.dumps(doc), json.dumps(old)):
+            loaded = problem_from_json(text)
+            assert all(e.true_cost is None for e in loaded.graph.edges)
 
     def test_file_round_trip(self, tmp_path):
         problem = make_reference_problem()
@@ -159,16 +276,19 @@ class TestProblemJson:
             problem_from_json('{"vertex_count": 2}')
 
     def test_rejects_bad_estimator_shape(self):
-        doc = json.loads(problem_to_json(make_reference_problem()))
+        doc = json.loads(per_edge_problem_json(make_reference_problem()))
         doc["edges"][0]["estimators"] = [[1.0, 2.0]]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"edge 0 estimator 0: expected \[lower, upper"):
             problem_from_json(json.dumps(doc))
 
     def test_rejects_empty_estimators(self):
+        old = json.loads(per_edge_problem_json(make_reference_problem()))
+        old["edges"][1]["estimators"] = []
         doc = json.loads(problem_to_json(make_reference_problem()))
-        doc["edges"][0]["estimators"] = []
-        with pytest.raises(ValueError):
-            problem_from_json(json.dumps(doc))
+        doc["est_offsets"][2] = doc["est_offsets"][1]
+        for text in (json.dumps(old), json.dumps(doc)):
+            with pytest.raises(ValueError, match="edge 1 has no estimators"):
+                problem_from_json(text)
 
     def test_rejects_non_integer_vertex(self):
         doc = json.loads(problem_to_json(make_reference_problem()))
@@ -178,27 +298,28 @@ class TestProblemJson:
 
     def test_rejects_invalid_graph_in_one_error(self):
         doc = json.loads(problem_to_json(make_reference_problem()))
-        doc["edges"][2]["estimators"][0] = [9.0, 1.0, 1.0]
+        first = doc["est_offsets"][2]  # edge 2's first estimator
+        doc["est_lower"][first], doc["est_upper"][first] = 9.0, 1.0
         with pytest.raises(ValueError) as exc:
             problem_from_json(json.dumps(doc))
         assert str(exc.value).startswith("invalid graph, 3 violations (first: edge 2: bounds:")
 
     @pytest.mark.parametrize(
-        "field,value,named",
-        [("to", 5, "edge 1: endpoint 'to' 5 out of range for 5 vertices"),
-         ("from", -1, "edge 1: endpoint 'from' -1 out of range")],
+        "column,value,named",
+        [("head", 5, "edge 1: endpoint 'to' 5 out of range for 5 vertices"),
+         ("tail", -1, "edge 1: endpoint 'from' -1 out of range")],
         ids=["to-past-end", "negative-from"],
     )
-    def test_rejects_out_of_range_endpoint(self, field, value, named):
+    def test_rejects_out_of_range_endpoint(self, column, value, named):
         doc = json.loads(problem_to_json(make_reference_problem()))
-        doc["edges"][1][field] = value
+        doc[column][1] = value
         with pytest.raises(ValueError, match=named):
             problem_from_json(json.dumps(doc))
 
     def test_rejects_number_beyond_float(self):
         doc = json.loads(problem_to_json(make_reference_problem()))
-        doc["edges"][0]["estimators"][0][1] = 10**400
-        with pytest.raises(ValueError, match="edge 0 estimator 0 upper does not fit a float"):
+        doc["est_upper"][4] = 10**400  # edge 2's second estimator
+        with pytest.raises(ValueError, match="edge 2 estimator 1 upper does not fit a float"):
             problem_from_json(json.dumps(doc))
 
 
@@ -215,8 +336,9 @@ class TestWeightedJson:
     def test_costs_stay_integers(self):
         wg = WeightedDigraph(2, 0, (1,), ((0, 1, 7),))
         doc = json.loads(weighted_to_json(wg))
-        assert doc["edges"][0]["cost"] == 7
-        assert isinstance(doc["edges"][0]["cost"], int)
+        assert doc["cost"] == [7]
+        assert isinstance(doc["cost"][0], int)
+        assert weighted_from_json(json.dumps(doc)).edges == ((0, 1, 7),)
 
     def test_rejects_float_cost(self):
         text = json.dumps(
