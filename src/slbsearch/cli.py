@@ -108,7 +108,14 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
+_GEN_SHAPE_FLAGS = {"random": ("n", "edge_prob"), "grid": ("rows", "cols")}
+
+
 def _cmd_gen(args) -> int:
+    for model, names in _GEN_SHAPE_FLAGS.items():
+        for name in names:
+            if model != args.model and getattr(args, name) is not None:
+                raise ValueError(f"model {args.model} takes no --{name.replace('_', '-')}")
     if args.model == "random":
         if args.n is None or args.edge_prob is None:
             raise ValueError("model random needs --n and --edge-prob")

@@ -46,8 +46,15 @@ def gen_random_graph(n: int, edge_prob: float, cost_range, rng_seed: int) -> Wei
 
     The stream is that of one n x n matrix of uniforms (pair (i, j) is kept
     when its uniform is below edge_prob) followed by one n x n matrix of
-    costs, both in row-major order. Both are drawn in blocks of rows, so
-    memory is O(n) per row block while the draws stay O(n^2).
+    costs, both in row-major order. Each uniform takes exactly one 64-bit
+    PCG64 output, so the i + 1 uniforms of row i's columns 0..i, which can
+    never hold an edge, are skipped with bit_generator.advance (O(log k)
+    per skip) rather than drawn: only the n(n - 1)/2 forward uniforms are
+    generated, and the generator ends where the dense draw leaves it. The
+    costs cannot be skipped that way: integers uses Lemire rejection, so
+    the number of outputs one cost takes is not fixed, and all n^2 are
+    drawn. Both phases go in blocks of rows, so memory is O(n) per row
+    block.
     """
     if n < 2:
         raise ValueError("need at least 2 vertices")
@@ -55,13 +62,25 @@ def gen_random_graph(n: int, edge_prob: float, cost_range, rng_seed: int) -> Wei
         raise ValueError("edge_prob must be in (0, 1]")
     lo, hi = _check_cost_range(cost_range)
     rng = _rng(rng_seed)
+    advance = rng.bit_generator.advance
     starts = range(0, n, _BLOCK_ROWS)
+    forward = np.empty(_BLOCK_ROWS * (n - 1))  # one block's forward uniforms
     kept = []  # row-major positions i * n + j of the kept pairs
     for r0 in starts:
-        rows, cols = np.nonzero(rng.random((min(_BLOCK_ROWS, n - r0), n)) < edge_prob)
-        rows += r0
-        forward = cols > rows
-        kept.append(rows[forward] * n + cols[forward])
+        rows = np.arange(r0, min(r0 + _BLOCK_ROWS, n))
+        # row i's forward uniforms (columns i + 1..n - 1) fill forward up to ends[i - r0]
+        ends = np.cumsum(n - 1 - rows)
+        a = 0
+        for i, b in zip(rows.tolist(), ends.tolist()):
+            advance(i + 1)
+            rng.random(out=forward[a:b])
+            a = b
+        idx = np.flatnonzero(forward[:a] < edge_prob)
+        r = np.searchsorted(ends, idx, side="right")
+        # k places before the end of row i here is k places before the end
+        # of dense row i, at position (i + 1) * n
+        kept.append((rows[r] + 1) * n - (ends[r] - idx))
+    del forward  # free a block of uniforms before a block of costs is drawn
     flat = np.concatenate(kept)
     costs = np.empty(len(flat), dtype=np.int64)
     for r0 in starts:

@@ -512,6 +512,12 @@ _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--ou
             ["bench", "--suite", "suite.json", "--out-dir", "o"],
             "Unable to allocate",
         ),
+        # a shape flag of the other model is rejected, not ignored
+        ({}, _GEN_ARGV + ["--cost-max", "9", "--rng-seed", "0", "--rows", "3"],
+         "model random takes no --rows"),
+        ({}, ["gen", "--model", "grid", "--rows", "3", "--cols", "3", "--n", "9",
+              "--cost-min", "1", "--cost-max", "9", "--rng-seed", "0", "--out", "out.json"],
+         "model grid takes no --n"),
         ({}, ["gen", "--model", "grid", "--rows", "100000000", "--cols", "100000000",
               "--cost-min", "1", "--cost-max", "9", "--rng-seed", "0", "--out", "out.json"],
          "Unable to allocate"),
@@ -533,7 +539,7 @@ _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--ou
     ids=["synth-stray-endpoint", "solve-huge-bound", "solve-invalid-graph", "synth-huge-cost",
          "bench-huge-cost", "solve-nan-epsilon", "solve-deep-nesting", "solve-bool-bound",
          "gen-negative-seed", "gen-cost-beyond-int64", "solve-too-large", "bench-too-large",
-         "gen-grid-too-large", "abeauty-nan-l-est", "abeauty-nan-l-prune", "eiucs-nan-epsilon",
+         "gen-random-with-rows", "gen-grid-with-n", "gen-grid-too-large", "abeauty-nan-l-est", "abeauty-nan-l-prune", "eiucs-nan-epsilon",
          "beauty-negative-epsilon", "eiucs-zero-max-iters", "beauty-negative-max-iters",
          *_COLUMN_CASES],
 )

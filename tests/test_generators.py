@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from slbsearch import (
     oracle_lstar,
     synth_estimators,
 )
+from slbsearch.generators import _BLOCK_ROWS
 
 
 def dense_random_graph(n, edge_prob, cost_range, rng_seed):
@@ -32,13 +34,18 @@ class TestRandomGraph:
     @pytest.mark.parametrize(
         "n,edge_prob,cost_range,seed",
         [(2, 0.5, (1, 9), 4), (600, 0.01, (1, 20), 3), (300, 1.0, (1, 5), 1),
-         (300, 0.05, (1, 2**40), 2)],
-        ids=["two-vertices", "partial-last-block", "complete", "cost-beyond-32-bits"],
+         (300, 0.05, (1, 2**40), 2), (256, 0.05, (1, 20), 5), (257, 0.05, (1, 20), 6),
+         (513, 0.02, (1, 20), 7), (300, 1e-12, (1, 9), 8), (300, 0.05, (1, 2**31 + 1), 9)],
+        ids=["two-vertices", "partial-last-block", "complete", "cost-beyond-32-bits",
+             "one-full-block", "one-row-past-a-block", "one-row-past-two-blocks",
+             "no-pair-kept", "cost-with-many-rejections"],
     )
     def test_matches_dense_draws(self, n, edge_prob, cost_range, seed):
         wg = gen_random_graph(n, edge_prob, cost_range, seed)
         assert wg == dense_random_graph(n, edge_prob, cost_range, seed)
         assert all(type(x) is int for e in wg.edges for x in e)
+        if edge_prob < 1e-9:  # the no-pair-kept case must really keep none
+            assert wg.edges == ()
 
     def test_memory_is_not_quadratic_on_sparse_graphs(self):
         n = 4000
@@ -48,9 +55,24 @@ class TestRandomGraph:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the two dense n x n draws alone would hold 16 * n^2 bytes
-        assert peak < 16 * n * n / 10
+        # one row block of 8-byte draws is 8 * _BLOCK_ROWS * n bytes; the
+        # uniform block must be freed before the cost block is drawn
+        assert peak < 2.5 * 8 * _BLOCK_ROWS * n
 
+    @pytest.mark.parametrize(
+        "n,edge_prob,seed,digest",
+        [
+            (5000, 0.002, 0, "b2dab5e74bdf555bf2e16006dc2c875cb97735fed665587e98d95ba71f8b1b90"),
+            (5000, 0.002, 1, "fbbdad2dbbacf35b6af607a9ff4844de3231cc012d8d30e82911939225f51d49"),
+            (200, 0.05, 424242, "16543d5586b442f7125111c671b811a0297c4994d8a58187947a4d86cf4c15b9"),
+        ],
+        ids=["benchmark-seed-0", "benchmark-seed-1", "trend-suite"],
+    )
+    def test_pinned_digests(self, n, edge_prob, seed, digest):
+        # sha256 of repr(edges), recorded with the generator that drew all
+        # n^2 uniforms, for the benchmark's and the trend suite's graphs
+        wg = gen_random_graph(n, edge_prob, (1, 20), seed)
+        assert hashlib.sha256(repr(wg.edges).encode()).hexdigest() == digest
 
     def test_complete_two_vertices(self):
         wg = gen_random_graph(2, 1.0, (1, 1), rng_seed=42)
