@@ -35,17 +35,20 @@ no such route the pass returns the popped path's bracket unchanged, and
 only edges on tight routes are ever charged.
 
 Each pass is one ``_Pass``: its ``run`` method is the search loop, plain
-Python over a ``heapq`` frontier of ``(key, seq, vertex)`` tuples, with
-the graph and cache arrays read and written through ``memoryview``. The
-pass owns its search state as plain lists (g, the closed set, the parent
-edges, the heap and the pops), so it can be resumed to drain a tie and its
-closed set read afterwards. The three n-length lists are reused per graph:
-a pass that touched few vertices resets just those and hands the lists
-back, so a small search does not pay for the graph's size. The tie check
-walks backwards from the goals through the graph's predecessor index,
-testing every edge into each vertex it reaches, so the loop records
-nothing for it and its work grows with the route's backward cone, not
-with the graph.
+Python with the graph and cache arrays read and written through
+``memoryview``. Its frontier is a bucket queue (Dial, CACM 1969): a
+``heapq`` of the distinct keys and, per key, a list of vertices in push
+order. Keys are sums of bounds, so many entries share one; the loop walks
+a key's whole list and does heap work once per key, and equal keys still
+pop in push order. The pass owns its search state as plain lists (g, the
+closed set, the parent edges, the frontier and the pops), so it can be
+resumed to drain a tie and its closed set read afterwards. The three
+n-length lists are reused per graph: a pass that touched few vertices
+resets just those and hands the lists back, so a small search does not
+pay for the graph's size. The tie check walks backwards from the goals
+through the graph's predecessor index, testing every edge into each
+vertex it reaches, so the loop records nothing for it and its work grows
+with the route's backward cone, not with the graph.
 """
 
 from __future__ import annotations
@@ -111,8 +114,10 @@ class _Pass:
     g (inf), closed (False) and the parent edges (-1) are n-length lists
     taken from the free list on the graph's GraphArrays, or allocated when
     it is empty; ``release`` gives them back reset. Each pass takes its own
-    lists, so concurrent searches on one graph never share them. These, the
-    heap and the pops persist between calls to run, so a pass can be
+    lists, so concurrent searches on one graph never share them. The
+    frontier is ``keys``, a heap of the distinct queued keys, and
+    ``buckets``, which maps each of them to its vertices in push order.
+    These and the pops persist between calls to run, so a pass can be
     resumed to drain a tie at its goal key and the certification step can
     read the closed set afterwards.
     """
@@ -131,8 +136,8 @@ class _Pass:
             self.g = [math.inf] * n
             self.closed = [False] * n
             self.parent_edge = [-1] * n
-        self.heap: list[tuple[float, int, int]] = []  # (key, seq, vertex)
-        self.seq = 0  # insertion counter: equal keys pop in FIFO order
+        self.keys: list[float] = []  # heap of the distinct queued keys
+        self.buckets: dict[float, list[int]] = {}  # key -> vertices in push order
         self._pops: list[tuple[int, float]] = []
 
     def run(self, drain_key: float | None = None) -> int | None:
@@ -151,7 +156,7 @@ class _Pass:
         once per evaluation, not once per step.
 
         A first call (drain_key None) pushes the start and returns the
-        first goal popped, or None when the heap runs out. A later call
+        first goal popped, or None when the frontier runs out. A later call
         with a drain_key resumes the same frontier and pops every entry
         keyed at most drain_key, expanding non-goal vertices as usual;
         goals are recorded as pops but never expanded, and it returns None.
@@ -159,6 +164,11 @@ class _Pass:
         counters and simulated estimation time advance in place; a closed
         vertex that improves (impossible with valid bounds) raises
         RuntimeError once they are written back.
+
+        Entries pop in (key, push order). The smallest key is popped and its
+        list walked whole, together with what a zero-bound edge appends to
+        it meanwhile; a call that stops inside a list requeues the unpopped
+        rest at its key, so the order holds across calls.
         """
         arr, cache = self.arrays, self.cache
         indptr = memoryview(arr.indptr)
@@ -174,78 +184,91 @@ class _Pass:
         counters = cache._counters
         expansions, evaluations, prunings = counters
         tw = cache._tw  # summed in charge order, as a running total
-        g, closed, parent_edge, heap = self.g, self.closed, self.parent_edge, self.heap
-        goals, seq = self.problem.goals, self.seq
+        g, closed, parent_edge = self.g, self.closed, self.parent_edge
+        keys, buckets, goals = self.keys, self.buckets, self.problem.goals
         l_est, l_prune, eager = self.l_est, self.l_prune, self.eager
         record_pop = self._pops.append
         drain = drain_key is not None
         if not drain:
             start = self.problem.start
             g[start] = 0.0
-            heappush(heap, (0.0, seq, start))
-            seq += 1
+            keys.append(0.0)
+            buckets[0.0] = [start]
         found = None
         corrupt = -1
-        while heap:
-            if drain and heap[0][0] > drain_key:
+        while keys:
+            key = keys[0]
+            if drain and key > drain_key:
                 break
-            key, _, v = heappop(heap)
-            if closed[v] or key != g[v]:
-                continue  # stale entry superseded by a better key
-            record_pop((v, key))
-            if v in goals:
-                if drain:
-                    continue
-                found = v
-                break
-            closed[v] = True
-            expansions += 1
-            for ptr in range(indptr[v], indptr[v + 1]):
-                s = succ_vertex[ptr]
-                eid = succ_edge[ptr]
-                evaluations += 1
-                g_s = g[s]
-                # eager: run the sequence to its end; lazy: stop once the
-                # bound no longer beats g[s] or passes l_est
-                gt = key
-                if eager or gt < g_s:
-                    layer = applied = next_index[eid]
-                    low = tight_lower[eid]
-                    if layer:
-                        gt = key + low  # cached work, consumed as one free step
-                    if not (layer and gt > l_est):
-                        base = est_offsets[eid]
-                        k_e = est_offsets[eid + 1] - base
-                        while layer < k_e and (eager or gt < g_s):
-                            flat = base + layer
-                            if not invoked[flat]:
-                                invoked[flat] = True
-                                layer_counts[layer] += 1
-                                tw += est_time[flat]
-                            lower = est_lower[flat]
-                            if lower > low:
-                                low = lower
-                            layer += 1
-                            gt = key + low
-                            if gt > l_est:
-                                break
-                        if layer != applied:
-                            next_index[eid] = layer
-                            tight_lower[eid] = low
-                if gt < g_s:
-                    if closed[s]:
-                        corrupt = s
-                        break
-                    if gt <= l_prune:
-                        g[s] = gt
-                        parent_edge[s] = eid
-                        heappush(heap, (gt, seq, s))
-                        seq += 1
-                    else:
-                        prunings += 1
-            if corrupt >= 0:
-                break
-        self.seq = seq
+            heappop(keys)
+            # the walk also reaches what is appended at this key meanwhile
+            # (zero-bound edges), in push order
+            entries = iter(buckets[key])
+            for v in entries:
+                if closed[v] or key != g[v]:
+                    continue  # stale entry superseded by a better key
+                record_pop((v, key))
+                if v in goals:
+                    if drain:
+                        continue
+                    found = v
+                    break
+                closed[v] = True
+                expansions += 1
+                for ptr in range(indptr[v], indptr[v + 1]):
+                    s = succ_vertex[ptr]
+                    eid = succ_edge[ptr]
+                    evaluations += 1
+                    g_s = g[s]
+                    # eager: run the sequence to its end; lazy: stop once the
+                    # bound no longer beats g[s] or passes l_est
+                    gt = key
+                    if eager or gt < g_s:
+                        layer = applied = next_index[eid]
+                        low = tight_lower[eid]
+                        if layer:
+                            gt = key + low  # cached work, consumed as one free step
+                        if not (layer and gt > l_est):
+                            base = est_offsets[eid]
+                            k_e = est_offsets[eid + 1] - base
+                            while layer < k_e and (eager or gt < g_s):
+                                flat = base + layer
+                                if not invoked[flat]:
+                                    invoked[flat] = True
+                                    layer_counts[layer] += 1
+                                    tw += est_time[flat]
+                                lower = est_lower[flat]
+                                if lower > low:
+                                    low = lower
+                                layer += 1
+                                gt = key + low
+                                if gt > l_est:
+                                    break
+                            if layer != applied:
+                                next_index[eid] = layer
+                                tight_lower[eid] = low
+                    if gt < g_s:
+                        if closed[s]:
+                            corrupt = s
+                            break
+                        if gt <= l_prune:
+                            g[s] = gt
+                            parent_edge[s] = eid
+                            if gt in buckets:
+                                buckets[gt].append(s)
+                            else:
+                                buckets[gt] = [s]
+                                heappush(keys, gt)
+                        else:
+                            prunings += 1
+                if corrupt >= 0:
+                    break
+            else:
+                del buckets[key]
+                continue
+            buckets[key] = list(entries)  # stopped inside: requeue the unpopped rest
+            heappush(keys, key)
+            break
         counters[:] = expansions, evaluations, prunings
         cache._tw = tw
         cache.layer_counts += layer_counts
@@ -260,25 +283,27 @@ class _Pass:
         """Give the lists back to the graph's free list, reset, when that is
         cheaper than allocating them afresh; the pass must not be run again.
 
-        Every vertex a pass touched is in its pops or still on its heap: g
-        and the parent edge are set only with a push, and the entry pushed
+        Every vertex a pass touched is in its pops or still in its buckets:
+        g and the parent edge are set only with a push, and the entry pushed
         last for a vertex is either still queued or was popped and recorded
         (only entries superseded by a better key are skipped); closed is set
         only at a recorded pop.
         """
         g, closed, parent_edge = self.g, self.closed, self.parent_edge
         self.g = self.closed = self.parent_edge = None
-        if (len(self._pops) + len(self.heap)) * _RESET_SHARE > len(g):
+        queued = self.buckets.values()
+        if (len(self._pops) + sum(map(len, queued))) * _RESET_SHARE > len(g):
             return
         inf = math.inf
         for v, _ in self._pops:
             g[v] = inf
             closed[v] = False
             parent_edge[v] = -1
-        for _, _, v in self.heap:
-            g[v] = inf
-            closed[v] = False
-            parent_edge[v] = -1
+        for bucket in queued:
+            for v in bucket:
+                g[v] = inf
+                closed[v] = False
+                parent_edge[v] = -1
         self.arrays.free_pass_lists.append((g, closed, parent_edge))
 
     @property

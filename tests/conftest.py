@@ -74,6 +74,23 @@ def make_frontier_tie_problem():
     return Problem(EstimatedDigraph(5, edges), 0, frozenset({3, 4}))
 
 
+def make_queued_behind_goal_problem(vertex_count=7, goal_lowers=(1,)):
+    """The goal 2 pops at key k = 1 with two kinds of vertices queued at k:
+    3 and 4 were pushed before it and wait behind it, and 5 was pushed at k
+    through the zero-bound edge 1 -> 5 while k's list was being walked.
+    Expanding 3 pushes 6 at k through another zero-bound edge. Vertices 7..
+    only pad the graph."""
+    edges = [
+        lazy_edge(0, 1, 1),
+        lazy_edge(0, 2, *goal_lowers),
+        lazy_edge(0, 3, 1),
+        lazy_edge(0, 4, 1),
+        lazy_edge(1, 5, 0),
+        lazy_edge(3, 6, 0),
+    ]
+    return Problem(EstimatedDigraph(vertex_count, edges), 0, frozenset({2}))
+
+
 def make_closed_tie_problem():
     """Closed vertex 3 has tied parents 1 and 2; the recorded one, 1, sits
     behind edge 1, which rises; the optimum (k = 4) runs through 2."""

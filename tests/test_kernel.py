@@ -1,8 +1,8 @@
 """The search kernel: pinned traces, frontier order, resumption and state.
 
-The golden fingerprints were recorded with the kernel this one replaced (a
-hand-rolled binary heap over numpy arrays); any change to the pop order,
-the returned path or the charged work shows up here.
+The golden fingerprints were recorded on an earlier kernel and pin the pop
+order, the returned path and the charged work, so a frontier or loop
+change that alters any of them shows up here.
 """
 
 import hashlib
@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     edge,
     make_frontier_tie_problem,
+    make_queued_behind_goal_problem,
     make_reference_problem,
 )
 
@@ -115,21 +116,43 @@ def test_equal_keys_pop_in_insertion_order():
     assert res.pops == ((0, 0.0), (3, 1.0), (1, 1.0), (2, 1.0), (4, 1.0), (5, 2.0))
 
 
+def frontier(run):
+    """The queued (key, vertex) entries in pop order; the key heap holds
+    exactly the keys that have a list."""
+    assert sorted(run.keys) == sorted(run.buckets)
+    return [(key, v) for key in sorted(run.buckets) for v in run.buckets[key]]
+
+
 def test_drain_resumes_the_same_frontier():
     problem = make_frontier_tie_problem()
     run = _Pass(problem, EstimationCache(problem.graph), 1.0, math.inf, False)
     assert run.run() == 4
     assert run.pops == ((0, 0.0), (4, 4.0))
-    seq = run.seq
+    assert frontier(run) == [(4.0, 2), (5.0, 3)]
     # vertex 2 waits at key 4; draining expands it, and its edge into the
-    # goal ties the goal's bound; the goal 3 at key 5 stays queued
+    # goal ties the goal's bound, so it pushes nothing; the goal 3 at key 5
+    # stays queued
     assert run.run(drain_key=4.0) is None
     assert run.pops == ((0, 0.0), (4, 4.0), (2, 4.0))
     assert [v for v, c in enumerate(run.closed) if c] == [0, 2]
-    assert run.seq == seq
+    assert frontier(run) == [(5.0, 3)]
     assert run.run(drain_key=5.0) is None
     assert run.pops[-1] == (3, 5.0)
-    assert run.heap == []
+    assert frontier(run) == []
+
+
+def test_goal_stop_keeps_queue_order_at_its_key():
+    # the goal 2 pops at key 1 inside the list [1, 2, 3, 4], after 1 pushed
+    # 5 at key 1 while that list was walked; the drain takes 3 and 4 in push
+    # order, then 5, then 6, which 3 pushed at key 1 during the drain
+    problem = make_queued_behind_goal_problem()
+    run = _Pass(problem, EstimationCache(problem.graph), math.inf, math.inf, False)
+    assert run.run() == 2
+    assert run.pops == ((0, 0.0), (1, 1.0), (2, 1.0))
+    assert frontier(run) == [(1.0, 3), (1.0, 4), (1.0, 5)]
+    assert run.run(drain_key=1.0) is None
+    assert run.pops[3:] == ((3, 1.0), (4, 1.0), (5, 1.0), (6, 1.0))
+    assert frontier(run) == []
 
 
 def test_writes_land_in_the_cache_arrays():

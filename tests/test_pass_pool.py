@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import edge
+from conftest import edge, make_queued_behind_goal_problem
 
 from slbsearch import (
     EstimatedDigraph,
@@ -133,6 +133,25 @@ def test_raising_pass_drops_its_lists():
         assert search(query) == search(Problem(fresh_copy(graph), 0, frozenset({4})))
     assert len(pool) == 1
     assert_clean(graph)
+
+
+def test_pass_stopped_inside_a_list_hands_back_clean():
+    # the goal 2 pops at key 1 while 3, 4 and 5 are still queued there
+    certified = make_queued_behind_goal_problem(200)
+    pool = certified.graph.arrays().free_pass_lists
+    res = beauty(certified)
+    assert res.opt and res.pops == ((0, 0.0), (1, 1.0), (2, 1.0))
+    assert len(pool) == 1
+    assert_clean(certified.graph)
+    # the goal edge rises to 2 under post-search tightening, so the pass
+    # drains key 1 in push order before it hands its lists back
+    rising = make_queued_behind_goal_problem(200, goal_lowers=(1, 2))
+    pool = rising.graph.arrays().free_pass_lists
+    res = beauty(rising, l_est=0.5)
+    assert not res.opt and (res.l_under, res.l_over) == (1.0, 2.0)
+    assert [v for v, _ in res.pops] == [0, 1, 2, 3, 4, 5, 6]
+    assert len(pool) == 1
+    assert_clean(rising.graph)
 
 
 def test_grid_pass_too_large_to_pool():
