@@ -53,8 +53,9 @@ def gen_random_graph(n: int, edge_prob: float, cost_range, rng_seed: int) -> Wei
     generated, and the generator ends where the dense draw leaves it. The
     costs cannot be skipped that way: integers uses Lemire rejection, so
     the number of outputs one cost takes is not fixed, and all n^2 are
-    drawn. Both phases go in blocks of rows, so memory is O(n) per row
-    block.
+    drawn. Both phases go in blocks of rows, one block at a time: each
+    block is freed before the next is drawn, so memory is one block of
+    _BLOCK_ROWS * n draws plus the kept edges.
     """
     if n < 2:
         raise ValueError("need at least 2 vertices")
@@ -88,6 +89,7 @@ def gen_random_graph(n: int, edge_prob: float, cost_range, rng_seed: int) -> Wei
         block = rng.integers(lo, hi + 1, size=end - first)
         a, b = np.searchsorted(flat, (first, end))
         costs[a:b] = block[flat[a:b] - first]
+        del block  # free this block before the next one is drawn
     tails, heads = np.divmod(flat, n)
     edges = tuple(zip(tails.tolist(), heads.tolist(), costs.tolist()))
     return WeightedDigraph(n, 0, (n - 1,), edges)

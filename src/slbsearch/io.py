@@ -4,8 +4,10 @@ A graph file is one JSON object of flat columns, the graph's own arrays:
 ``vertex_count``, ``start``, ``goals``, ``tail`` and ``head``; then, in a
 problem file, ``est_offsets``, ``est_lower``, ``est_upper``, ``est_time`` and
 ``true_cost`` (``null`` where unknown), laid out as EstimatedDigraph stores
-them, and in a weighted file ``cost``. Each writer is one json.dumps of its
-columns. Files in the older per-edge layout (an ``edges`` list of objects)
+them, and in a weighted file ``cost``. The writers stream one column at a
+time: each column is built, encoded by json.dumps and written (or joined)
+before the next is built, and the text is that of one json.dumps of all
+the columns. Files in the older per-edge layout (an ``edges`` list of objects)
 are still read: their records are reshaped into the same columns.
 
 The loaders are where a graph file is checked, by one column checker for
@@ -19,8 +21,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from collections.abc import Iterator
 from itertools import accumulate
-from operator import index, lt
+from operator import index, itemgetter, lt
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -163,25 +166,35 @@ def _graph_columns(text: str, keys: tuple[str, ...], record_keys: tuple[str, ...
     return doc, n, start, goals
 
 
-def problem_to_json(problem: Problem) -> str:
+def _json_pieces(columns) -> Iterator[str]:
+    """The text of json.dumps(dict(columns), default=index) + "\n", one key
+    and column at a time. columns yields (key, column) pairs and builds each
+    column only when asked for it, so one column's list and text are alive
+    at a time."""
+    sep = "{"
+    for key, col in columns:
+        # numpy integer scalars (a start or goal, say) are written as the ints they hold
+        yield f"{sep}{json.dumps(key)}: {json.dumps(col, default=index)}"
+        del col  # free this column before the next one is built
+        sep = ", "
+    yield "}\n"
+
+
+def _problem_columns(problem: Problem):
     graph = problem.graph
+    yield "vertex_count", graph.vertex_count
+    yield "start", problem.start
+    yield "goals", sorted(problem.goals)
+    for key in ("tail", "head", "est_offsets", "est_lower", "est_upper", "est_time"):
+        yield key, getattr(graph, key).tolist()
     true_cost = graph.true_cost.tolist()
     for e in np.flatnonzero(~graph.true_known).tolist():
         true_cost[e] = None  # unknown, as distinct from a NaN true cost
-    doc = {
-        "vertex_count": graph.vertex_count,
-        "start": problem.start,
-        "goals": sorted(problem.goals),
-        "tail": graph.tail.tolist(),
-        "head": graph.head.tolist(),
-        "est_offsets": graph.est_offsets.tolist(),
-        "est_lower": graph.est_lower.tolist(),
-        "est_upper": graph.est_upper.tolist(),
-        "est_time": graph.est_time.tolist(),
-        "true_cost": true_cost,
-    }
-    # numpy integer scalars (a start or goal, say) are written as the ints they hold
-    return json.dumps(doc, default=index) + "\n"
+    yield "true_cost", true_cost
+
+
+def problem_to_json(problem: Problem) -> str:
+    return "".join(_json_pieces(_problem_columns(problem)))
 
 
 def problem_from_json(text: str) -> Problem:
@@ -230,20 +243,20 @@ def load_problem(path) -> Problem:
 
 
 def dump_problem(problem: Problem, path) -> None:
-    FsPath(path).write_text(problem_to_json(problem))
+    with FsPath(path).open("w") as f:
+        f.writelines(_json_pieces(_problem_columns(problem)))
+
+
+def _weighted_columns(wg: WeightedDigraph):
+    yield "vertex_count", wg.vertex_count
+    yield "start", wg.start
+    yield "goals", sorted(wg.goals)
+    for key, k in (("tail", 0), ("head", 1), ("cost", 2)):
+        yield key, list(map(itemgetter(k), wg.edges))
 
 
 def weighted_to_json(wg: WeightedDigraph) -> str:
-    tail, head, cost = zip(*wg.edges) if wg.edges else ((), (), ())
-    doc = {
-        "vertex_count": wg.vertex_count,
-        "start": wg.start,
-        "goals": sorted(wg.goals),
-        "tail": tail,
-        "head": head,
-        "cost": cost,
-    }
-    return json.dumps(doc, default=index) + "\n"
+    return "".join(_json_pieces(_weighted_columns(wg)))
 
 
 def weighted_from_json(text: str) -> WeightedDigraph:
@@ -262,7 +275,8 @@ def load_weighted(path) -> WeightedDigraph:
 
 
 def dump_weighted(wg: WeightedDigraph, path) -> None:
-    FsPath(path).write_text(weighted_to_json(wg))
+    with FsPath(path).open("w") as f:
+        f.writelines(_json_pieces(_weighted_columns(wg)))
 
 
 def load_suite(path) -> dict:

@@ -2,9 +2,10 @@
 
 Everything here ignores the search kernels and the estimation cache: edge
 tables are folded directly with numpy, shortest paths use a hand-rolled
-heapq Dijkstra over plain adjacency lists, and the enumeration oracle walks
-simple paths recursively. Intended for tests and benchmark ground truth,
-not for performance.
+heapq Dijkstra over a flat CSR of out-edges built in this module (not the
+kernel's GraphArrays), and the enumeration oracle walks simple paths
+recursively. Intended for tests and benchmark ground truth, not for
+performance.
 """
 
 from __future__ import annotations
@@ -46,15 +47,19 @@ def full_estimate(graph: EstimatedDigraph) -> FullEstimate:
 
 
 def _adjacency(graph: EstimatedDigraph):
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
-    for eid, (tail, head) in enumerate(zip(graph.tail.tolist(), graph.head.tolist())):
-        adj[tail].append((eid, head))
-    return adj
+    """Out-edges as flat CSR, built here from tail and head alone: the edges
+    leaving v are order[first[v]:first[v + 1]], in edge id order, and heads[k]
+    is the head of edge order[k]. All three are memoryviews, which read as
+    Python ints."""
+    first = np.zeros(graph.vertex_count + 1, np.int64)
+    np.cumsum(np.bincount(graph.tail, minlength=graph.vertex_count), out=first[1:])
+    order = np.argsort(graph.tail, kind="stable")
+    return memoryview(first), memoryview(order), memoryview(graph.head[order])
 
 
 def _dijkstra_to_goals(problem: Problem, weights) -> float:
     dist = np.full(problem.graph.vertex_count, math.inf).tolist()  # too large an n fails here
-    adj = _adjacency(problem.graph)
+    first, order, heads = _adjacency(problem.graph)
     dist[problem.start] = 0.0
     heap = [(0.0, problem.start)]
     while heap:
@@ -63,8 +68,9 @@ def _dijkstra_to_goals(problem: Problem, weights) -> float:
             continue
         if v in problem.goals:
             return d
-        for eid, h in adj[v]:
-            nd = d + weights[eid]
+        for k in range(first[v], first[v + 1]):
+            nd = d + weights[order[k]]
+            h = heads[k]
             if nd < dist[h]:
                 dist[h] = nd
                 heappush(heap, (nd, h))
@@ -91,7 +97,7 @@ def oracle_enumerate(problem: Problem) -> float:
     """
     graph = problem.graph
     full = full_estimate(graph)
-    adj = _adjacency(graph)
+    first, order, heads = _adjacency(graph)
     goals = problem.goals
     best = math.inf
     on_path = bytearray(graph.vertex_count)
@@ -104,9 +110,10 @@ def oracle_enumerate(problem: Problem) -> float:
             best = cost
             return
         on_path[v] = 1
-        for eid, h in adj[v]:
+        for k in range(first[v], first[v + 1]):
+            h = heads[k]
             if not on_path[h]:
-                visit(h, cost + float(full.lowers[eid]))
+                visit(h, cost + float(full.lowers[order[k]]))
         on_path[v] = 0
 
     visit(problem.start, 0.0)

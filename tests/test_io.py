@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import shutil
+import tracemalloc
 from itertools import accumulate
 from pathlib import Path
 
@@ -189,6 +191,58 @@ class TestTemplateWriters:
         problem = make_reference_problem()
         scalars = Problem(problem.graph, i(problem.start), frozenset(map(i, problem.goals)))
         assert problem_to_json(scalars) == problem_to_json(problem)
+
+
+# sha256 of the files dump_weighted and dump_problem write for the
+# random-queries benchmark's instance and a 30x30 grid (synth seed 0),
+# recorded with the writer that made one json.dumps of the whole document
+WRITTEN_DIGESTS = {
+    "random-queries": (
+        lambda: gen_random_graph(5000, 0.002, (1, 20), 0),
+        "9de40a5dc5b396078c8ec7d9fe238ea5b8fe9c2fe013aa67bf2edd8b147372b4",
+        "9d32d3e920accfdb3d2e2561b68bb9c5ea0fb42eeead2eccec1cb7a9b778cf05",
+    ),
+    "grid-30x30": (
+        lambda: gen_grid_graph(30, 30, (1, 9), 0),
+        "5a8b3a1d6bf3d645c08177856d2025dacb570a65593ad3d2d3c37560573e13b5",
+        "4cd2464d54ea2d9c7d2143710ed9ef7fd792573dd4118b5b105bf2699cd89377",
+    ),
+}
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedWriters:
+    """The file writers stream one column at a time; their bytes must not move."""
+
+    @pytest.mark.parametrize("name", WRITTEN_DIGESTS)
+    def test_pinned_file_digests(self, name, tmp_path):
+        make, weighted_digest, problem_digest = WRITTEN_DIGESTS[name]
+        wg = make()
+        problem = synth_estimators(wg, 0)
+        dump_weighted(wg, tmp_path / "w.json")
+        dump_problem(problem, tmp_path / "p.json")
+        for path, text, digest in (
+            (tmp_path / "w.json", weighted_to_json(wg), weighted_digest),
+            (tmp_path / "p.json", problem_to_json(problem), problem_digest),
+        ):
+            data = path.read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest
+            assert data.decode() == text
+
+    def test_dump_problem_holds_one_column_at_a_time(self, tmp_path):
+        problem = synth_estimators(gen_random_graph(5000, 0.002, (1, 20), 0), 0)
+        graph = problem.graph
+        column = max(traced_peak(getattr(graph, key).tolist) for key in ARRAYS)
+        # the whole document's lists and text at once peak near 7 columns' lists
+        assert traced_peak(lambda: dump_problem(problem, tmp_path / "p.json")) < 4 * column
 
 
 class TestPerEdgeFile:

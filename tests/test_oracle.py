@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from conftest import E01, E02, E14, E21, E23, E24, edge, make_reference_problem
@@ -11,6 +12,7 @@ from slbsearch import (
     oracle_enumerate,
     oracle_lstar,
 )
+from slbsearch.oracle import _adjacency
 
 
 class TestFullEstimate:
@@ -108,3 +110,25 @@ class TestOracleEnumerate:
         )
         problem = Problem(g, 0, frozenset({2}))
         assert oracle_enumerate(problem) == 5.0
+
+
+class TestAdjacency:
+    def test_out_edges_in_edge_id_order(self):
+        edges = [edge(2, 3, [(1, 1, 1)]), edge(0, 1, [(1, 1, 1)]), edge(2, 0, [(1, 1, 1)]),
+                 edge(0, 2, [(1, 1, 1)])]
+        first, order, heads = _adjacency(EstimatedDigraph(4, edges))
+        assert (first.tolist(), order.tolist(), heads.tolist()) == (
+            [0, 2, 2, 4, 4], [1, 3, 0, 2], [1, 2, 3, 0])
+        assert type(first[1]) is int and type(heads[0]) is int
+
+    def test_flat_in_vertex_count(self):
+        n = 10**6
+        graph = EstimatedDigraph(n, [edge(0, n - 1, [(1, 1, 1)])])
+        tracemalloc.start()
+        try:
+            _adjacency(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one int64 offset array and its bincount, not one list per vertex
+        assert peak < 3 * 8 * n
