@@ -6,15 +6,11 @@ from .estimation import EstimationCache, Metrics, write_metrics_csv
 from .generators import WeightedDigraph, gen_grid_graph, gen_random_graph
 from .graph import (
     Edge,
-    EdgeBoundState,
     EstimatedDigraph,
     EstimatorSpec,
     Path,
     Problem,
     Violation,
-    admissibility_factor,
-    path_bounds,
-    tightest_edge_bounds,
     validate_graph,
 )
 from .io import (
@@ -49,7 +45,6 @@ __all__ = [
     "DEFAULT_MULTIPLIER_TABLE",
     "DEFAULT_TIME_COSTS",
     "Edge",
-    "EdgeBoundState",
     "EstimatedDigraph",
     "EstimationCache",
     "EstimatorSpec",
@@ -64,7 +59,6 @@ __all__ = [
     "Violation",
     "WeightedDigraph",
     "a_beauty",
-    "admissibility_factor",
     "beauty",
     "beauty_ps",
     "default_backend_name",
@@ -80,12 +74,10 @@ __all__ = [
     "oracle_cstar",
     "oracle_enumerate",
     "oracle_lstar",
-    "path_bounds",
     "problem_from_json",
     "problem_to_json",
     "run_suite",
     "synth_estimators",
-    "tightest_edge_bounds",
     "validate_graph",
     "weighted_from_json",
     "weighted_to_json",

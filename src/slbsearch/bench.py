@@ -13,9 +13,9 @@ A suite config is a dict (usually loaded from JSON) with only these keys:
                    synthesis and form a single cell)
   algorithms       any of "eiucs", "beauty", "abeauty-<k>" (k without leading
                    zeros; "abeauty" means "abeauty-10"), each at most once
-  timeout_seconds  optional wall-clock budget per run; a cell with any run
-                   over budget is excluded from aggregates and listed
-                   separately (runs are not preempted, only disqualified)
+  timeout_seconds  optional non-negative wall-clock budget per run; a cell
+                   with any run over budget is excluded from aggregates and
+                   listed separately (runs are not preempted, only disqualified)
 
 The estimation-indifferent baseline is always run per cell, whether or not
 it is listed, because the headline ratios are relative to it:
@@ -161,8 +161,9 @@ def _check_suite(config: dict) -> None:
         dups = _repeats(values, keys)
         if dups:
             raise ValueError(f"suite key {key!r} lists {dups[0]!r} twice")
-    if not _is("a number", config.get("timeout_seconds", 0)):
-        raise ValueError("suite key 'timeout_seconds' must be a number")
+    timeout = config.get("timeout_seconds", 0)
+    if not (_is("a number", timeout) and timeout >= 0):
+        raise ValueError("suite key 'timeout_seconds' must be a non-negative number")
 
 
 def _materialize(spec: dict):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EdgeBoundState, EstimatedDigraph
+from .graph import EstimatedDigraph
 
 __all__ = ["Metrics", "EstimationCache", "write_metrics_csv"]
 
@@ -87,16 +87,6 @@ def write_metrics_csv(path, head, tail, rows) -> None:
             out.writerow([*lead, *w, *counts, m.estimation_time, m.search_time, *trail])
 
 
-class _StatesView:
-    """Read-only edge-index -> EdgeBoundState mapping over a cache."""
-
-    def __init__(self, cache: "EstimationCache"):
-        self._cache = cache
-
-    def __getitem__(self, eid: int) -> EdgeBoundState:
-        return self._cache.state(eid)
-
-
 class EstimationCache:
     """Mutable estimation state plus metric counters for one graph.
 
@@ -104,8 +94,8 @@ class EstimationCache:
     tightest_lower; per estimator, whether it was invoked; per layer, how
     many invocations were charged. A layer is applied at most once and only
     while not yet invoked, so the applied layers are exactly the invoked
-    ones, and the tightest upper bound is derived from them on demand
-    (``state`` and the read-only ``tightest_upper``) rather than stored.
+    ones, and the tightest upper bound is derived from them on each read of
+    the read-only ``tightest_upper`` rather than stored.
 
     Not safe for concurrent mutation; give each worker its own cache.
     """
@@ -165,41 +155,23 @@ class EstimationCache:
 
     # -- state inspection ---------------------------------------------------
 
-    def _upper(self, eid: int) -> float:
-        """Fold the upper bounds of the edge's invoked layers, in layer order,
-        keeping a layer's bound only when it is strictly below the fold."""
-        a, b = int(self._arr.est_offsets[eid]), int(self._arr.est_offsets[eid + 1])
-        up = math.inf
-        for bound, hit in zip(self._arr.est_upper[a:b].tolist(), self.invoked[a:b].tolist()):
-            if hit and bound < up:
-                up = bound
-        return up
-
-    def state(self, eid: int) -> EdgeBoundState:
-        return EdgeBoundState(
-            tightest_lower=float(self.tightest_lower[eid]),
-            tightest_upper=self._upper(eid),
-            next_index=int(self.next_index[eid]),
-        )
-
     @property
     def tightest_upper(self) -> np.ndarray:
         """Tightest upper bound per edge (inf before any estimator), built
-        afresh on each read; writing to it changes nothing, so it is locked."""
+        afresh on each read by folding the upper bounds of the edge's invoked
+        layers in layer order, keeping a bound only when it is strictly below
+        the fold; writing to it changes nothing, so it is locked."""
+        offsets, upper = self._arr.est_offsets, self._arr.est_upper
         out = np.full(len(self.next_index), math.inf)
         for eid in np.flatnonzero(self.next_index).tolist():
-            out[eid] = self._upper(eid)
+            a, b = int(offsets[eid]), int(offsets[eid + 1])
+            up = math.inf
+            for bound, hit in zip(upper[a:b].tolist(), self.invoked[a:b].tolist()):
+                if hit and bound < up:
+                    up = bound
+            out[eid] = up
         out.flags.writeable = False
         return out
-
-    @property
-    def states(self) -> _StatesView:
-        return _StatesView(self)
-
-    def invoked_layers(self, eid: int) -> tuple[int, ...]:
-        off = int(self._arr.est_offsets[eid])
-        k = self.sequence_length(eid)
-        return tuple(i + 1 for i in range(k) if self.invoked[off + i])
 
     def invocation_count(self) -> int:
         return int(self.invoked.sum())

@@ -14,7 +14,6 @@ applied upper bounds. Bounds are additive along paths.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -26,12 +25,8 @@ __all__ = [
     "EstimatedDigraph",
     "Problem",
     "Path",
-    "EdgeBoundState",
     "Violation",
     "validate_graph",
-    "tightest_edge_bounds",
-    "path_bounds",
-    "admissibility_factor",
 ]
 
 
@@ -215,20 +210,6 @@ class Path:
 
 
 @dataclass(frozen=True)
-class EdgeBoundState:
-    """What is currently known about one edge.
-
-    ``next_index`` counts applied sequence positions; 0 means nothing has
-    been applied yet, in which case the bounds fields are the vacuous
-    (0, inf).
-    """
-
-    tightest_lower: float = 0.0
-    tightest_upper: float = math.inf
-    next_index: int = 0
-
-
-@dataclass(frozen=True)
 class Violation:
     """One structural defect found by validate_graph."""
 
@@ -285,38 +266,3 @@ def validate_graph(graph: EstimatedDigraph) -> list[Violation]:
     found.sort(key=lambda v: v[:3])
     return [Violation(edge, kind, detail) for edge, _, _, kind, detail in found]
 
-
-def tightest_edge_bounds(state: EdgeBoundState) -> tuple[float, float]:
-    """Tightest (lower, upper) for an edge with at least one applied estimator."""
-    if state.next_index < 1:
-        raise ValueError("no estimator applied to this edge yet")
-    return (state.tightest_lower, state.tightest_upper)
-
-
-def path_bounds(path: Path, states) -> tuple[float, float]:
-    """Sum the tightest bounds along a path.
-
-    ``states`` maps edge index -> EdgeBoundState; every path edge must have
-    at least one applied estimator. The empty path has bounds (0, 0).
-    """
-    lo = 0.0
-    up = 0.0
-    for eid in path.edges:
-        l, u = tightest_edge_bounds(states[eid])
-        lo += l
-        up += u
-    return (lo, up)
-
-
-def admissibility_factor(path_upper: float, l_star: float) -> float:
-    """Worst-case suboptimality factor B with path_upper <= B * l_star.
-
-    Both arguments must be non-negative. By convention 0/0 is 1 (an upper
-    bound of zero is exactly optimal when the best bound is zero) and
-    anything positive over zero is inf.
-    """
-    if path_upper < 0 or l_star < 0:
-        raise ValueError("bounds must be non-negative")
-    if l_star == 0.0:
-        return 1.0 if path_upper == 0.0 else math.inf
-    return path_upper / l_star

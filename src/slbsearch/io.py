@@ -7,8 +7,10 @@ problem file, ``est_offsets``, ``est_lower``, ``est_upper``, ``est_time`` and
 them, and in a weighted file ``cost``. The writers stream one column at a
 time: each column is built, encoded by json.dumps and written (or joined)
 before the next is built, and the text is that of one json.dumps of all
-the columns. Files in the older per-edge layout (an ``edges`` list of objects)
-are still read: their records are reshaped into the same columns.
+the columns. A file is written to a temporary file beside it, which
+replaces it only once the last column is written. Files in the older
+per-edge layout (an ``edges`` list of objects) are still read: their
+records are reshaped into the same columns.
 
 The loaders are where a graph file is checked, by one column checker for
 both layouts: every Problem or WeightedDigraph they return has its start,
@@ -20,6 +22,7 @@ ValueError naming the first bad edge (and estimator).
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import accumulate
@@ -238,13 +241,27 @@ def problem_from_json(text: str) -> Problem:
     return Problem(graph, start, frozenset(goals))
 
 
+def _write_atomic(path, pieces) -> None:
+    """Stream pieces into a new file beside path, then move it over path; on
+    any error remove it and re-raise, so path keeps its bytes or absence."""
+    path = FsPath(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    f = tmp.open("x")  # "x": fails rather than take over a file of that name
+    try:
+        with f:
+            f.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
+
+
 def load_problem(path) -> Problem:
     return problem_from_json(FsPath(path).read_text())
 
 
 def dump_problem(problem: Problem, path) -> None:
-    with FsPath(path).open("w") as f:
-        f.writelines(_json_pieces(_problem_columns(problem)))
+    _write_atomic(path, _json_pieces(_problem_columns(problem)))
 
 
 def _weighted_columns(wg: WeightedDigraph):
@@ -275,8 +292,7 @@ def load_weighted(path) -> WeightedDigraph:
 
 
 def dump_weighted(wg: WeightedDigraph, path) -> None:
-    with FsPath(path).open("w") as f:
-        f.writelines(_json_pieces(_weighted_columns(wg)))
+    _write_atomic(path, _json_pieces(_weighted_columns(wg)))
 
 
 def load_suite(path) -> dict:

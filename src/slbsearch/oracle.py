@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .graph import EdgeBoundState, EstimatedDigraph, Problem
+from .graph import EstimatedDigraph, Problem
 
 __all__ = ["FullEstimate", "full_estimate", "oracle_lstar", "oracle_cstar", "oracle_enumerate"]
 
@@ -27,14 +27,6 @@ class FullEstimate:
 
     lowers: np.ndarray
     uppers: np.ndarray
-    counts: np.ndarray
-
-    def __getitem__(self, eid: int) -> EdgeBoundState:
-        return EdgeBoundState(
-            tightest_lower=float(self.lowers[eid]),
-            tightest_upper=float(self.uppers[eid]),
-            next_index=int(self.counts[eid]),
-        )
 
 
 def full_estimate(graph: EstimatedDigraph) -> FullEstimate:
@@ -42,8 +34,7 @@ def full_estimate(graph: EstimatedDigraph) -> FullEstimate:
     starts = arr.est_offsets[:-1]
     lowers = np.maximum.reduceat(arr.est_lower, starts)
     uppers = np.minimum.reduceat(arr.est_upper, starts)
-    counts = np.diff(arr.est_offsets)
-    return FullEstimate(lowers, uppers, counts)
+    return FullEstimate(lowers, uppers)
 
 
 def _adjacency(graph: EstimatedDigraph):

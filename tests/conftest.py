@@ -27,6 +27,12 @@ ITERATIONS_CSV_HEADER = [
 ]
 
 
+def charged_layers(cache, eid):
+    """The 1-based layers of edge eid that cache has invoked, in order."""
+    off = cache.graph.est_offsets
+    return tuple((np.flatnonzero(cache.invoked[off[eid]:off[eid + 1]]) + 1).tolist())
+
+
 def edge(tail, head, specs, true_cost=None):
     return Edge(tail, head, tuple(EstimatorSpec(*s) for s in specs), true_cost)
 

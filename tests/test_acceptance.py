@@ -11,14 +11,16 @@ import time
 
 import numpy as np
 import pytest
-from conftest import E01, E02, E14, E21, E23, E24, make_reference_problem, random_problem
+from conftest import (
+    E01, E02, E14, E21, E23, E24, charged_layers, make_reference_problem, random_problem,
+)
 
 from slbsearch import (
     EstimationCache,
     a_beauty,
-    admissibility_factor,
     beauty,
     ei_ucs,
+    full_estimate,
     gen_grid_graph,
     gen_random_graph,
     oracle_cstar,
@@ -88,7 +90,8 @@ def test_criterion_01_reference_bounds_and_factor():
     t0 = time.perf_counter()
     lstar = oracle_lstar(problem)
     cstar = oracle_cstar(problem)
-    factor = admissibility_factor(13.0, 7.0)
+    # the fully-estimated upper bound of the worse goal path 0-2-3 over L*
+    factor = float(full_estimate(problem.graph).uppers[[E02, E23]].sum()) / lstar
     dt = time.perf_counter() - t0
     ok = (
         lstar == 7.0
@@ -106,7 +109,7 @@ def test_criterion_02_lazy_golden_trace():
     invoked = {
         (eid, layer)
         for eid in range(len(problem.graph.edges))
-        for layer in cache.invoked_layers(eid)
+        for layer in charged_layers(cache, eid)
     }
     expected = {
         (E01, 1),
@@ -152,8 +155,8 @@ def test_criterion_03_anytime_golden_log():
     others = [e for e in (E01, E02, E21, E23, E24)]
     attribution_ok = (
         replay.path.edges == (E01, E14)
-        and cache.invoked_layers(E14) == (1, 2)
-        and all(cache.invoked_layers(e) == (1,) for e in others)
+        and charged_layers(cache, E14) == (1, 2)
+        and all(charged_layers(cache, e) == (1,) for e in others)
     )
     _report(3, log_ok and attribution_ok,
             f"log {[(r.path.edges, r.l_under, r.l_over) for r in out.log]} "

@@ -9,6 +9,7 @@ from conftest import (
     E21,
     E23,
     E24,
+    charged_layers,
     edge,
     make_closed_bracket_problem,
     make_closed_tie_problem,
@@ -57,10 +58,10 @@ class TestAnytimeGolden:
         assert first.metrics_delta.layer_invocations == (6, 1)
         # pass two pays only for the one refinement that changes the answer
         assert second.metrics_delta.layer_invocations == (0, 1)
-        assert cache.invoked_layers(E02) == (1, 2)
-        assert cache.invoked_layers(E14) == (1, 2)
-        assert cache.invoked_layers(E21) == (1,)
-        assert cache.invoked_layers(E23) == (1,)
+        assert charged_layers(cache, E02) == (1, 2)
+        assert charged_layers(cache, E14) == (1, 2)
+        assert charged_layers(cache, E21) == (1,)
+        assert charged_layers(cache, E23) == (1,)
         assert cache.invocation_count() == 8
 
     def test_forced_final_iteration_certifies(self, kernel):
@@ -104,7 +105,7 @@ class TestBracketInvariants:
         total = sum(rec.metrics_delta.invocations for rec in result.log)
         assert total == cache.invocation_count()
         for eid in range(len(problem.graph.edges)):
-            layers = cache.invoked_layers(eid)
+            layers = charged_layers(cache, eid)
             assert len(layers) <= cache.sequence_length(eid)
 
 

@@ -279,6 +279,11 @@ class TestBench:
             ),
             # json reads NaN, and no run time exceeds a NaN budget
             ({"instances": [], "timeout_seconds": float("nan")}, "'timeout_seconds'"),
+            # every run exceeds a negative budget, so every cell would time out
+            (
+                {"instances": [_GRID], "timeout_seconds": -1},
+                "suite key 'timeout_seconds' must be a non-negative number",
+            ),
             # two cells under one id would share one entry of summary.json
             (
                 {"instances": [{"id": "a", "model": "grid", "rows": 2, "cols": 2,
@@ -313,7 +318,7 @@ class TestBench:
         ],
         ids=[
             "random-without-n", "instances-not-a-list", "string-seed", "file-without-path",
-            "nan-timeout", "duplicate-id", "duplicate-algorithm", "duplicate-seed",
+            "nan-timeout", "negative-timeout", "duplicate-id", "duplicate-algorithm", "duplicate-seed",
             "aliased-algorithm", "zero-padded-budget", "huge-rows",
             "misspelled-seeds", "misspelled-algorithms", "stray-instance-key",
         ],

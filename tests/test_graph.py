@@ -3,20 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import E02, E14, E21, E23, E24, edge, make_reference_graph
+from conftest import E02, E14, E21, edge, make_reference_graph
 
 from slbsearch import (
     Edge,
-    EdgeBoundState,
     EstimatedDigraph,
     EstimatorSpec,
     Violation,
     Path,
     Problem,
-    admissibility_factor,
-    full_estimate,
-    path_bounds,
-    tightest_edge_bounds,
     gen_grid_graph,
     synth_estimators,
     validate_graph,
@@ -185,71 +180,6 @@ class TestValidateGraph:
         )
         kinds = {v.kind for v in validate_graph(g)}
         assert {"nesting", "bounds"} <= kinds
-
-
-class TestTightestEdgeBounds:
-    def test_both_layers_applied(self):
-        state = EdgeBoundState(tightest_lower=4, tightest_upper=6, next_index=2)
-        assert tightest_edge_bounds(state) == (4, 6)
-
-    def test_first_layer_only(self):
-        state = EdgeBoundState(tightest_lower=1, tightest_upper=10, next_index=1)
-        assert tightest_edge_bounds(state) == (1, 10)
-
-    def test_exact_single_estimator(self):
-        state = EdgeBoundState(tightest_lower=4, tightest_upper=4, next_index=1)
-        assert tightest_edge_bounds(state) == (4, 4)
-
-    def test_unestimated_edge_rejected(self):
-        with pytest.raises(ValueError):
-            tightest_edge_bounds(EdgeBoundState())
-
-
-class TestPathBounds:
-    def test_empty_path(self):
-        assert path_bounds(Path((), 0), {}) == (0.0, 0.0)
-
-    def test_fully_estimated_paths(self):
-        g = make_reference_graph()
-        full = full_estimate(g)
-        assert path_bounds(Path((E02, E24), 4), full) == (7.0, 11.0)
-        assert path_bounds(Path((E02, E23), 3), full) == (10.0, 13.0)
-
-    def test_additive_over_concatenation(self):
-        g = make_reference_graph()
-        full = full_estimate(g)
-        p1 = Path((E02,), 2)
-        p2 = Path((E21, E14), 4)
-        joined = Path(p1.edges + p2.edges, 4)
-        lo1, up1 = path_bounds(p1, full)
-        lo2, up2 = path_bounds(p2, full)
-        assert path_bounds(joined, full) == (lo1 + lo2, up1 + up2)
-
-    def test_unestimated_edge_on_path_rejected(self):
-        states = {0: EdgeBoundState()}
-        with pytest.raises(ValueError):
-            path_bounds(Path((0,), 1), states)
-
-
-class TestAdmissibilityFactor:
-    def test_worse_goal_path(self):
-        assert admissibility_factor(13, 7) == pytest.approx(13 / 7, abs=1e-12)
-
-    def test_optimal_path(self):
-        assert admissibility_factor(7, 7) == 1.0
-
-    def test_found_path(self):
-        assert admissibility_factor(11, 7) == pytest.approx(11 / 7, abs=1e-12)
-
-    def test_zero_lstar_zero_upper(self):
-        assert admissibility_factor(0, 0) == 1.0
-
-    def test_zero_lstar_positive_upper_unbounded(self):
-        assert admissibility_factor(3, 0) == math.inf
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            admissibility_factor(-1, 7)
 
 
 class TestProblem:

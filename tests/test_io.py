@@ -3,6 +3,7 @@ import json
 import math
 import shutil
 import tracemalloc
+from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
@@ -243,6 +244,43 @@ class TestStreamedWriters:
         column = max(traced_peak(getattr(graph, key).tolist) for key in ARRAYS)
         # the whole document's lists and text at once peak near 7 columns' lists
         assert traced_peak(lambda: dump_problem(problem, tmp_path / "p.json")) < 4 * column
+
+
+class TestAtomicWriters:
+    """A dump that fails leaves the target's bytes, or its absence, and no
+    temporary file beside it."""
+
+    # json.dumps cannot encode a Fraction, so each dump fails mid-file: after
+    # the tail and head columns, or after vertex_count
+    FAILING = {
+        "weighted": (dump_weighted, WeightedDigraph(2, 0, (1,), ((0, 1, Fraction(1, 2)),))),
+        "problem": (dump_problem, Problem(make_reference_problem().graph, Fraction(0), {3})),
+    }
+
+    @pytest.mark.parametrize("kind", FAILING)
+    def test_failed_dump_keeps_an_existing_file(self, tmp_path, kind):
+        dump, bad = self.FAILING[kind]
+        path = tmp_path / "f.json"
+        dump_weighted(gen_grid_graph(2, 2, (1, 3), 0), path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            dump(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+
+    @pytest.mark.parametrize("kind", FAILING)
+    def test_failed_dump_creates_no_file(self, tmp_path, kind):
+        dump, bad = self.FAILING[kind]
+        with pytest.raises(TypeError):
+            dump(bad, tmp_path / "f.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_leaves_no_file(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        with pytest.raises(IsADirectoryError):
+            dump_weighted(gen_grid_graph(2, 2, (1, 3), 0), tmp_path / "d")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
 
 
 class TestPerEdgeFile:

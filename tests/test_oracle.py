@@ -6,6 +6,7 @@ from conftest import E01, E02, E14, E21, E23, E24, edge, make_reference_problem
 
 from slbsearch import (
     EstimatedDigraph,
+    EstimationCache,
     Problem,
     full_estimate,
     oracle_cstar,
@@ -18,15 +19,24 @@ from slbsearch.oracle import _adjacency
 class TestFullEstimate:
     def test_reference_tables(self):
         full = full_estimate(make_reference_problem().graph)
-        lowers = {eid: full[eid].tightest_lower for eid in range(6)}
-        uppers = {eid: full[eid].tightest_upper for eid in range(6)}
+        lowers = dict(enumerate(full.lowers.tolist()))
+        uppers = dict(enumerate(full.uppers.tolist()))
         assert lowers == {E01: 4, E02: 3, E14: 4, E21: 3, E23: 7, E24: 4}
         assert uppers == {E01: 4, E02: 5, E14: 6, E21: 3, E23: 8, E24: 6}
 
     def test_counts_are_sequence_lengths(self):
-        full = full_estimate(make_reference_problem().graph)
-        assert full[E01].next_index == 1
-        assert full[E02].next_index == 2
+        # full means every layer applied: a cache that applied them all
+        # holds the sequence lengths and the same bounds
+        graph = make_reference_problem().graph
+        cache = EstimationCache(graph)
+        for eid in range(6):
+            while cache.has_remaining(eid):
+                cache.apply_next(eid)
+        assert cache.next_index[E01] == 1
+        assert cache.next_index[E02] == 2
+        full = full_estimate(graph)
+        assert cache.tightest_lower.tolist() == full.lowers.tolist()
+        assert cache.tightest_upper.tolist() == full.uppers.tolist()
 
     def test_empty_graph(self):
         full = full_estimate(EstimatedDigraph(1, []))

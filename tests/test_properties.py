@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import random_problem
+from conftest import charged_layers, random_problem
 
 from slbsearch import (
     Edge,
     EstimatedDigraph,
     EstimationCache,
     EstimatorSpec,
-    Path,
     Problem,
     a_beauty,
     beauty,
@@ -26,8 +25,6 @@ from slbsearch import (
     oracle_cstar,
     oracle_enumerate,
     oracle_lstar,
-    path_bounds,
-    tightest_edge_bounds,
 )
 
 INF = math.inf
@@ -60,18 +57,18 @@ class TestEstimationProperties:
         for j in range(1, len(e.estimators) + 1):
             low, layer = cache.apply_next(0)
             assert layer == j
-            s = cache.state(0)
-            assert s.next_index == j
-            assert low == s.tightest_lower
+            lower, upper = cache.tightest_lower[0], cache.tightest_upper[0]
+            assert cache.next_index[0] == j
+            assert low == lower
             # intervals only shrink, and never exclude the true cost
-            assert prev_low <= s.tightest_lower <= cost
-            assert cost <= s.tightest_upper <= prev_up
-            prev_low, prev_up = s.tightest_lower, s.tightest_upper
+            assert prev_low <= lower <= cost
+            assert cost <= upper <= prev_up
+            prev_low, prev_up = lower, upper
             charged += e.estimators[j - 1].time_cost
             assert cache.snapshot_metrics().estimation_time == charged
-            assert cache.invoked_layers(0) == tuple(range(1, j + 1))
+            assert charged_layers(cache, 0) == tuple(range(1, j + 1))
         assert not cache.has_remaining(0)
-        assert tightest_edge_bounds(cache.state(0)) == (prev_low, prev_up)
+        assert (cache.tightest_lower[0], cache.tightest_upper[0]) == (prev_low, prev_up)
         assert cache.invocation_count() == len(e.estimators)
 
     @given(estimator_edges())
@@ -84,30 +81,13 @@ class TestEstimationProperties:
             stepped.apply_next(0)
         jumped = EstimationCache(graph)
         jumped.apply_final(0)
-        assert jumped.state(0).tightest_lower == stepped.state(0).tightest_lower
-        assert jumped.state(0).tightest_upper == stepped.state(0).tightest_upper
+        assert jumped.tightest_lower[0] == stepped.tightest_lower[0]
+        assert jumped.tightest_upper[0] == stepped.tightest_upper[0]
         # the jump charges only the final layer
         assert jumped.snapshot_metrics().invocations == 1
         assert (
             jumped.snapshot_metrics().estimation_time == e.estimators[-1].time_cost
         )
-
-    @given(estimator_edges(), estimator_edges())
-    @settings(max_examples=60, deadline=None)
-    def test_path_bounds_are_additive(self, case_a, case_b):
-        ea, _ = case_a
-        eb, _ = case_b
-        graph = EstimatedDigraph(
-            3, [Edge(0, 1, ea.estimators, ea.true_cost), Edge(1, 2, eb.estimators, eb.true_cost)]
-        )
-        cache = EstimationCache(graph)
-        cache.apply_final(0)
-        cache.apply_final(1)
-        lo, up = path_bounds(Path((0, 1), 2), cache.states)
-        sa = cache.state(0)
-        sb = cache.state(1)
-        assert lo == sa.tightest_lower + sb.tightest_lower
-        assert up == sa.tightest_upper + sb.tightest_upper
 
 
 def exact_variant(problem):

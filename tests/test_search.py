@@ -8,6 +8,7 @@ from conftest import (
     E21,
     E23,
     E24,
+    charged_layers,
     edge,
     lazy_edge,
     make_closed_tie_problem,
@@ -52,7 +53,7 @@ class TestBeautyGolden:
         invoked = {
             (eid, layer)
             for eid in range(6)
-            for layer in cache.invoked_layers(eid)
+            for layer in charged_layers(cache, eid)
         }
         assert invoked == {
             (E01, 1),
@@ -85,8 +86,8 @@ class TestBeautyGolden:
         assert (res.l_under, res.l_over) == (7.0, 7.0)
         # exactly one genuinely new invocation: e02's refinement
         assert cache.invocation_count() == before + 1
-        assert cache.invoked_layers(E02) == (1, 2)
-        assert cache.invoked_layers(E23) == (1,)
+        assert charged_layers(cache, E02) == (1, 2)
+        assert charged_layers(cache, E23) == (1,)
 
     def test_metrics_counts(self, kernel):
         problem = make_reference_problem()
@@ -103,7 +104,7 @@ class TestBeautyGolden:
 def _charged_once(cache, result):
     assert result.metrics.invocations == cache.invocation_count()
     for eid in range(len(cache.graph.edges)):
-        assert len(cache.invoked_layers(eid)) <= cache.sequence_length(eid)
+        assert len(charged_layers(cache, eid)) <= cache.sequence_length(eid)
 
 
 class TestTieCertification:
@@ -134,7 +135,7 @@ class TestTieCertification:
         assert res.path == Path((2, 3), 4)
         assert res.opt is True
         assert res.l_under == res.l_over == oracle_lstar(problem) == 4.0
-        assert cache.invoked_layers(3) == (1,)
+        assert charged_layers(cache, 3) == (1,)
         _charged_once(cache, res)
 
     def test_tie_at_closed_interior_vertex(self, kernel):
@@ -148,7 +149,7 @@ class TestTieCertification:
         assert res.path == Path((2, 4, 5), 4)
         assert res.opt is True
         assert res.l_under == res.l_over == oracle_lstar(problem) == 4.0
-        assert cache.invoked_layers(1) == (1, 2)
+        assert charged_layers(cache, 1) == (1, 2)
         _charged_once(cache, res)
 
     def test_rising_route_dropped_and_next_route_tried(self, kernel):
@@ -173,8 +174,8 @@ class TestTieCertification:
         assert res.path == Path((1, 4), 4)
         assert res.opt is True
         assert res.l_under == res.l_over == oracle_lstar(problem) == 2.0
-        assert cache.invoked_layers(0) == (1, 2)
-        assert cache.invoked_layers(2) == (1, 2)
+        assert charged_layers(cache, 0) == (1, 2)
+        assert charged_layers(cache, 2) == (1, 2)
         _charged_once(cache, res)
 
     def test_no_tied_route_keeps_bracket_and_charges(self, kernel):
@@ -190,9 +191,9 @@ class TestTieCertification:
         assert res.pops == ((0, 0.0), (2, 2.0), (1, 4.0), (4, 5.0))
         assert res.metrics.layer_invocations == (6, 1)
         assert res.metrics.expansions == 3
-        assert cache.invoked_layers(E14) == (1, 2)
+        assert charged_layers(cache, E14) == (1, 2)
         for eid in (E01, E02, E21, E23, E24):
-            assert cache.invoked_layers(eid) == (1,)
+            assert charged_layers(cache, eid) == (1,)
         _charged_once(cache, res)
 
 
@@ -233,7 +234,7 @@ class TestBeautyPs:
         cache.apply_next(E14)
         opt, l_under, l_over = beauty_ps(Path((E01, E14), 4), 5.0, cache)
         assert (opt, l_under, l_over) == (False, 5.0, 8.0)
-        assert cache.invoked_layers(E14) == (1, 2)
+        assert charged_layers(cache, E14) == (1, 2)
 
     def test_partially_estimated_path_certifies_if_unchanged(self):
         problem = make_reference_problem()
