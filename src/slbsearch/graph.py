@@ -66,9 +66,9 @@ class GraphArrays:
     slices ``est_lower[est_offsets[e]:est_offsets[e+1]]`` (same for upper
     and time); these four are the graph's own arrays, not copies.
 
-    free_pass_lists holds (g, closed, parent edges) triples of n-length
-    lists that finished search passes handed back reset to inf, False and
-    -1; a new pass takes one (each pass its own) instead of allocating.
+    free_pass_lists holds (g, parent edges) pairs of n-length lists that
+    finished search passes handed back reset to inf and -1; a new pass
+    takes one (each pass its own) instead of allocating.
     """
 
     indptr: np.ndarray

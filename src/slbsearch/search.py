@@ -24,8 +24,8 @@ A lazy pass whose popped goal is left uncertified at its key k checks in
 the same pass whether the optimum is tied at k. It drains the tie (every
 frontier entry keyed exactly k is popped and, unless it is a goal,
 expanded), then runs lazy path evaluation in the manner of LazySP (Dellin
-& Srinivasa, ICAPS 2016) over the tight subgraph of the closed set: the
-edges (u, h) with u closed, g[h] <= k and g[u] + tightest lower bound ==
+& Srinivasa, ICAPS 2016) over the tight subgraph of every vertex with
+g <= k: the edges (u, h) with g[h] <= k and g[u] + tightest lower bound ==
 g[h]. A route from the start to a goal with g == k whose edges all keep
 their bound under the final estimator is certified at k; edges that rise
 are dropped and another route is tried. If the optimum is k, each optimal
@@ -40,9 +40,11 @@ Python with the graph and cache arrays read and written through
 ``heapq`` of the distinct keys and, per key, a list of vertices in push
 order. Keys are sums of bounds, so many entries share one; the loop walks
 a key's whole list and does heap work once per key, and equal keys still
-pop in push order. The pass owns its search state as plain lists (g, the
-closed set, the parent edges, the frontier and the pops), so it can be
-resumed to drain a tie and its closed set read afterwards. The three
+pop in push order. As in Dijkstra's algorithm, keys never fall below the
+key being expanded (an edge that would push one lower raises), so there
+is no closed set: a vertex's current entry is the one keyed at its g. The
+pass owns its search state as plain lists (g, the parent edges, the
+frontier and the pops), so it can be resumed to drain a tie. Its two
 n-length lists are reused per graph: a pass that touched few vertices
 resets just those and hands the lists back, so a small search does not
 pay for the graph's size. The tie check walks backwards from the goals
@@ -99,27 +101,26 @@ class SearchResult:
         return self.path is not None
 
 
-# Resetting one touched vertex in all three lists takes ~40-55 ns, and
-# allocating the three lists afresh ~7-11 ns per vertex of the graph
+# Resetting one touched vertex in both lists takes ~38-48 ns, and
+# allocating the two lists afresh ~4.6-10 ns per vertex of the graph
 # (timeit on a 2-core Xeon VM, CPython 3.11, n = 1000 to 22500, 50 to 2000
 # touched vertices). The reset is the cheaper of the two while a pass
-# touches under about a seventh of the graph; lists go back to the free list
-# only when it touched at most an eighth, where the reset clearly wins.
+# touches under a quarter (n = 22500) to a ninth (n = 1000) of the graph;
+# lists go back to the free list only when it touched at most an eighth.
 _RESET_SHARE = 8
 
 
 class _Pass:
     """One best-first pass and the search state it owns as plain lists.
 
-    g (inf), closed (False) and the parent edges (-1) are n-length lists
-    taken from the free list on the graph's GraphArrays, or allocated when
-    it is empty; ``release`` gives them back reset. Each pass takes its own
-    lists, so concurrent searches on one graph never share them. The
-    frontier is ``keys``, a heap of the distinct queued keys, and
-    ``buckets``, which maps each of them to its vertices in push order.
-    These and the pops persist between calls to run, so a pass can be
-    resumed to drain a tie at its goal key and the certification step can
-    read the closed set afterwards.
+    g (inf) and the parent edges (-1) are n-length lists taken from the
+    free list on the graph's GraphArrays, or allocated when it is empty;
+    ``release`` gives them back reset. Each pass takes its own lists, so
+    concurrent searches on one graph never share them. The frontier is
+    ``keys``, a heap of the distinct queued keys, and ``buckets``, which
+    maps each of them to its vertices in push order. These and the pops
+    persist between calls to run, so a pass can be resumed to drain a tie
+    at its goal key and the certification step can read g afterwards.
     """
 
     def __init__(self, problem, cache, l_est, l_prune, eager):
@@ -130,11 +131,10 @@ class _Pass:
         self.l_est = math.inf if eager else float(l_est)
         self.l_prune = float(l_prune)
         try:
-            self.g, self.closed, self.parent_edge = self.arrays.free_pass_lists.pop()
+            self.g, self.parent_edge = self.arrays.free_pass_lists.pop()
         except IndexError:
             n = problem.graph.vertex_count
             self.g = [math.inf] * n
-            self.closed = [False] * n
             self.parent_edge = [-1] * n
         self.keys: list[float] = []  # heap of the distinct queued keys
         self.buckets: dict[float, list[int]] = {}  # key -> vertices in push order
@@ -161,9 +161,11 @@ class _Pass:
         keyed at most drain_key, expanding non-goal vertices as usual;
         goals are recorded as pops but never expanded, and it returns None.
         Every pop is appended to the pops as (vertex, key). The cache's
-        counters and simulated estimation time advance in place; a closed
-        vertex that improves (impossible with valid bounds) raises
-        RuntimeError once they are written back.
+        counters and simulated estimation time advance in place. A push
+        below the key being expanded (impossible with valid bounds) raises
+        RuntimeError once they are written back; so no popped vertex
+        improves, and as each push strictly lowers g, an entry is current
+        exactly when its key equals g[v]. No closed set is needed.
 
         Entries pop in (key, push order). The smallest key is popped and its
         list walked whole, together with what a zero-bound edge appends to
@@ -184,7 +186,7 @@ class _Pass:
         counters = cache._counters
         expansions, evaluations, prunings = counters
         tw = cache._tw  # summed in charge order, as a running total
-        g, closed, parent_edge = self.g, self.closed, self.parent_edge
+        g, parent_edge = self.g, self.parent_edge
         keys, buckets, goals = self.keys, self.buckets, self.problem.goals
         l_est, l_prune, eager = self.l_est, self.l_prune, self.eager
         record_pop = self._pops.append
@@ -205,7 +207,7 @@ class _Pass:
             # (zero-bound edges), in push order
             entries = iter(buckets[key])
             for v in entries:
-                if closed[v] or key != g[v]:
+                if key != g[v]:
                     continue  # stale entry superseded by a better key
                 record_pop((v, key))
                 if v in goals:
@@ -213,7 +215,6 @@ class _Pass:
                         continue
                     found = v
                     break
-                closed[v] = True
                 expansions += 1
                 for ptr in range(indptr[v], indptr[v + 1]):
                     s = succ_vertex[ptr]
@@ -248,8 +249,8 @@ class _Pass:
                                 next_index[eid] = layer
                                 tight_lower[eid] = low
                     if gt < g_s:
-                        if closed[s]:
-                            corrupt = s
+                        if gt < key:
+                            corrupt = eid
                             break
                         if gt <= l_prune:
                             g[s] = gt
@@ -274,8 +275,8 @@ class _Pass:
         cache.layer_counts += layer_counts
         if corrupt >= 0:
             raise RuntimeError(
-                f"closed vertex {corrupt} improved during search; "
-                "edge bounds are inconsistent (negative or non-nested?)"
+                f"edge {corrupt} lowers vertex {s} to key {gt}, below the key {key} being "
+                "expanded; edge bounds are inconsistent (negative or non-nested?)"
             )
         return found
 
@@ -286,25 +287,22 @@ class _Pass:
         Every vertex a pass touched is in its pops or still in its buckets:
         g and the parent edge are set only with a push, and the entry pushed
         last for a vertex is either still queued or was popped and recorded
-        (only entries superseded by a better key are skipped); closed is set
-        only at a recorded pop.
+        (only entries superseded by a better key are skipped).
         """
-        g, closed, parent_edge = self.g, self.closed, self.parent_edge
-        self.g = self.closed = self.parent_edge = None
+        g, parent_edge = self.g, self.parent_edge
+        self.g = self.parent_edge = None
         queued = self.buckets.values()
         if (len(self._pops) + sum(map(len, queued))) * _RESET_SHARE > len(g):
             return
         inf = math.inf
         for v, _ in self._pops:
             g[v] = inf
-            closed[v] = False
             parent_edge[v] = -1
         for bucket in queued:
             for v in bucket:
                 g[v] = inf
-                closed[v] = False
                 parent_edge[v] = -1
-        self.arrays.free_pass_lists.append((g, closed, parent_edge))
+        self.arrays.free_pass_lists.append((g, parent_edge))
 
     @property
     def pops(self) -> tuple[tuple[int, float], ...]:
@@ -349,18 +347,19 @@ def beauty_ps(
 
 
 def _tight_route(run: _Pass, k: float, dead: set[int]) -> Path | None:
-    """A start-to-goal route through tight edges of the closed set, or None.
+    """A start-to-goal route through tight edges of vertices with g <= k, or None.
 
-    An edge (u, h) is tight when u is closed, g[h] <= k and g[u] plus the
-    edge's tightest lower bound equals g[h], the very float sum the kernel
-    stores. Routes end at a goal with g == k and avoid the dead edges. The
-    route is found backwards from the goals, so only vertices that reach a
-    goal through tight edges are visited: every edge into such a vertex is
-    read from the predecessor index and tested, in ascending tail and then
-    edge order. Bounds are never negative, so every vertex the walk reaches
-    has g <= k.
+    An edge (u, h) is tight when g[h] <= k and g[u] plus the edge's
+    tightest lower bound equals g[h], the very float sum the kernel stores.
+    Routes end at a goal with g == k and avoid the dead edges. The route is
+    found backwards from the goals: every edge into a visited vertex is read
+    from the predecessor index and tested, in ascending tail and then edge
+    order. Bounds are never negative, so every vertex reached has g <= k
+    and, after the drain, was popped; all but the goals were expanded. No
+    goal has g < k and those at k seed the seen set, so the tail u needs no
+    closed test and a route never passes through a goal.
     """
-    start, g, closed = run.problem.start, run.g, run.closed
+    start, g = run.problem.start, run.g
     tail = run.problem.graph.tail
     pred_indptr, pred_edge = run.arrays.pred_indptr, run.arrays.pred_edge
     tight_lower = run.cache.tightest_lower
@@ -377,7 +376,7 @@ def _tight_route(run: _Pass, k: float, dead: set[int]) -> Path | None:
             return Path(tuple(edges), v)
         into = pred_edge[pred_indptr[v]:pred_indptr[v + 1]]
         for u, eid, low in zip(tail[into].tolist(), into.tolist(), tight_lower[into].tolist()):
-            if closed[u] and g[u] + low == g[v] and u not in seen and eid not in dead:
+            if g[u] + low == g[v] and u not in seen and eid not in dead:
                 seen.add(u)
                 toward_goal[u] = (eid, v)
                 stack.append(u)

@@ -24,7 +24,6 @@ from slbsearch import (
     Problem,
     a_beauty,
     beauty,
-    default_backend_name,
     ei_ucs,
     gen_grid_graph,
     gen_random_graph,
@@ -134,7 +133,7 @@ def test_drain_resumes_the_same_frontier():
     # stays queued
     assert run.run(drain_key=4.0) is None
     assert run.pops == ((0, 0.0), (4, 4.0), (2, 4.0))
-    assert [v for v, c in enumerate(run.closed) if c] == [0, 2]
+    assert [v for v, _ in run.pops if v not in problem.goals] == [0, 2]  # expanded
     assert frontier(run) == [(5.0, 3)]
     assert run.run(drain_key=5.0) is None
     assert run.pops[-1] == (3, 5.0)
@@ -192,13 +191,29 @@ def test_poisoned_cache_raises_and_keeps_counts():
     cache = EstimationCache(graph)
     cache.next_index[2] = 1
     cache.tightest_lower[2] = -9.0
-    with pytest.raises(RuntimeError, match="closed vertex 3 improved"):
+    with pytest.raises(
+        RuntimeError, match=r"edge 2 lowers vertex 1 to key -7\.0, below the key 2\.0 being"
+    ):
         beauty(Problem(graph, 0, frozenset({4})), cache)
-    # 0, 3 and 1 were expanded, the last edge examined was the one that
-    # improved the closed vertex 3
+    # 0 and 3 were expanded; the last edge examined, 3 -> 1, took vertex 1
+    # from key 10 to -7, below the key 2 of vertex 3
     m = cache.snapshot_metrics()
-    assert (m.expansions, m.evaluations, m.prunings) == (3, 4, 0)
+    assert (m.expansions, m.evaluations, m.prunings) == (2, 3, 0)
 
 
-def test_kernel_name_is_numpy():
-    assert default_backend_name() == "numpy"
+def test_negative_cached_bound_into_an_unexpanded_vertex_raises():
+    # edge 1 -> 2 is poisoned to a bound of -5, so expanding 1 at key 2
+    # would push the goal 2 at key -3; no vertex it reaches was expanded,
+    # so nothing but the key itself shows that the bounds are inconsistent
+    graph = EstimatedDigraph(3, [edge(0, 1, [(2, 2, 1.0)]), edge(1, 2, [(5, 5, 1.0)])])
+    cache = EstimationCache(graph)
+    cache.next_index[1] = 1
+    cache.tightest_lower[1] = -5.0
+    with pytest.raises(
+        RuntimeError,
+        match=r"edge 1 lowers vertex 2 to key -3\.0, below the key 2\.0 being expanded; "
+        "edge bounds are inconsistent",
+    ):
+        beauty(Problem(graph, 0, frozenset({2})), cache)
+    m = cache.snapshot_metrics()
+    assert (m.expansions, m.evaluations, m.prunings) == (2, 2, 0)

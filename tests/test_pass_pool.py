@@ -1,9 +1,9 @@
 """Pass state reused per graph: pooled lists never change an answer.
 
-A search pass takes its g, closed and parent-edge lists from the free list
-on its graph's GraphArrays and, when it touched few enough vertices,
-hands them back reset. Every query here is checked against the same query
-on a freshly built copy of the graph, whose free list starts empty.
+A search pass takes its g and parent-edge lists from the free list on its
+graph's GraphArrays and, when it touched few enough vertices, hands them
+back reset. Every query here is checked against the same query on a
+freshly built copy of the graph, whose free list starts empty.
 """
 
 import math
@@ -63,13 +63,12 @@ def solve(algorithm, problem, cache, l_est, l_prune):
 
 
 def assert_clean(graph):
-    """Every pooled triple is all inf / False / -1, and no list is pooled twice."""
+    """Every pooled pair is all inf / -1, and no list is pooled twice."""
     pool = graph.arrays().free_pass_lists
-    for g, closed, parent_edge in pool:
+    for g, parent_edge in pool:
         assert g == [math.inf] * graph.vertex_count
-        assert not any(closed)
         assert parent_edge == [-1] * graph.vertex_count
-    ids = [id(lst) for triple in pool for lst in triple]
+    ids = [id(lst) for pair in pool for lst in pair]
     assert len(ids) == len(set(ids))
 
 
@@ -102,13 +101,14 @@ def test_mixed_queries_match_a_fresh_graph():
         pops = getattr(got, "pops", ())
         first_goal = next((i for i, (v, _) in enumerate(pops) if v in goals), None)
         drained += first_goal is not None and first_goal < len(pops) - 1
-    assert len(pool) == 1  # one pass at a time: one triple, reused throughout
+    assert len(pool) == 1  # one pass at a time: one pair, reused throughout
     assert took_pooled > 180 and 50 < no_path < 190 and drained > 0
 
 
 def test_raising_pass_drops_its_lists():
-    # 3 -> 1 is poisoned to a negative bound, so the closed vertex 3
-    # improves; vertices 5.. only make the graph large enough to pool
+    # 3 -> 1 is poisoned to a negative bound, so expanding 3 at key 2
+    # would push 1 at key -7; vertices 5.. only make the graph large
+    # enough to pool
     graph = EstimatedDigraph(
         200,
         [
@@ -126,7 +126,9 @@ def test_raising_pass_drops_its_lists():
     poisoned = EstimationCache(graph)
     poisoned.next_index[2] = 1
     poisoned.tightest_lower[2] = -9.0
-    with pytest.raises(RuntimeError, match="closed vertex 3 improved"):
+    with pytest.raises(
+        RuntimeError, match=r"edge 2 lowers vertex 1 to key -7\.0, below the key 2\.0"
+    ):
         beauty(query, poisoned)
     assert pool == []  # the raising pass's lists are not handed back
     for search in (beauty, ei_ucs):
@@ -175,8 +177,8 @@ def test_interleaved_passes_never_share_a_list():
     first = _Pass(problem, EstimationCache(graph), math.inf, math.inf, False)
     second = _Pass(problem, EstimationCache(graph), math.inf, math.inf, False)
     assert pool == []
-    lists = [first.g, first.closed, first.parent_edge, second.g, second.closed, second.parent_edge]
-    assert len({id(lst) for lst in lists}) == 6
+    lists = [first.g, first.parent_edge, second.g, second.parent_edge]
+    assert len({id(lst) for lst in lists}) == 4
     copy = fresh_copy(graph)
     alone = _Pass(
         Problem(copy, problem.start, problem.goals), EstimationCache(copy),
@@ -192,5 +194,5 @@ def test_interleaved_passes_never_share_a_list():
     assert_clean(graph)
     third = _Pass(problem, EstimationCache(graph), math.inf, math.inf, False)
     fourth = _Pass(problem, EstimationCache(graph), math.inf, math.inf, False)
-    assert len({id(third.g), id(fourth.g)} | {id(lst) for lst in lists}) == 6
+    assert len({id(third.g), id(fourth.g)} | {id(lst) for lst in lists}) == 4
     assert third.g is not fourth.g and pool == []

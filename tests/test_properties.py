@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import charged_layers, random_problem
+from conftest import charged_layers, lazy_edge, random_problem
 
 from slbsearch import (
     Edge,
@@ -179,6 +179,49 @@ class TestSearchAgainstOracles:
                 assert res.opt
                 assert res.l_under == lstar == res.l_over
             checked += 1
+
+
+def reaches_a_goal_only_at_its_end(problem, path):
+    *before, last = path.vertices(problem.graph)
+    return last in problem.goals and problem.goals.isdisjoint(before)
+
+
+class TestReturnedPaths:
+    def test_paths_reach_a_goal_only_at_their_end(self):
+        # the tie check follows tight edges from any vertex with g <= k; the
+        # goals at k seed its seen set, which keeps them off a route's
+        # interior, and no goal has g < k
+        rng = np.random.default_rng(163)
+        for _ in range(300):
+            problem = random_problem(rng)
+            l_est = float(rng.integers(0, 30))
+            l_prune = INF if rng.random() < 0.3 else l_est + float(rng.integers(0, 30))
+            paths = [
+                beauty(problem).path,
+                beauty(problem, l_est=l_est, l_prune=l_prune).path,
+                ei_ucs(problem).path,
+            ]
+            out = a_beauty(problem, max_iterations=8)
+            paths += [out.path] + [r.path for r in out.log]
+            for path in paths:
+                assert path is None or reaches_a_goal_only_at_its_end(problem, path)
+
+    def test_tie_route_does_not_pass_through_a_tied_goal(self):
+        # goals 1 and 2 both pop at k = 1 over edges that rise; the route
+        # 0-3-1 certifies goal 1 at k, and the zero-bound edge 1 -> 2 is
+        # tight, but 0-3-1-2 would reach goal 2 through goal 1
+        edges = [
+            lazy_edge(0, 1, 1, 5),
+            lazy_edge(0, 2, 1, 5),
+            lazy_edge(0, 3, 1),
+            lazy_edge(3, 1, 0),
+            lazy_edge(1, 2, 0),
+        ]
+        problem = Problem(EstimatedDigraph(4, edges), 0, frozenset({1, 2}))
+        res = beauty(problem, l_est=0.5)
+        assert res.opt and res.l_over == 1.0
+        assert res.path.vertices(problem.graph) == (0, 3, 1)
+        assert a_beauty(problem).path == res.path
 
 
 class TestAnytimeProperties:
