@@ -3,7 +3,7 @@
 A suite config is a dict (usually loaded from JSON) with only these keys:
 
   instances        list of instance specs, each {"id": ..., "model": ...}
-                   plus only the keys of its model, one of
+                   with a string id, plus only the keys of its model, one of
                      "random"        n, edge_prob, cost_min, cost_max, rng_seed
                      "grid"          rows, cols, cost_min, cost_max, rng_seed
                      "weighted_file" path to a weighted digraph JSON
@@ -137,6 +137,8 @@ def _check_suite(config: dict) -> None:
     for i, spec in enumerate(instances):
         if "id" not in spec or "model" not in spec:
             raise ValueError(f"instance {i}: instance spec needs 'id' and 'model'")
+        if not isinstance(spec["id"], str):
+            raise ValueError(f"instance {i}: 'id' must be a string")
         where = f"instance {spec['id']!r}"
         model = spec["model"]
         if not isinstance(model, str) or model not in _MODEL_KEYS:

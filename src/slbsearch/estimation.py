@@ -117,9 +117,6 @@ class EstimationCache:
     def sequence_length(self, eid: int) -> int:
         return int(self._arr.est_offsets[eid + 1] - self._arr.est_offsets[eid])
 
-    def applied_count(self, eid: int) -> int:
-        return int(self.next_index[eid])
-
     def has_remaining(self, eid: int) -> bool:
         return int(self.next_index[eid]) < self.sequence_length(eid)
 
@@ -158,18 +155,13 @@ class EstimationCache:
     @property
     def tightest_upper(self) -> np.ndarray:
         """Tightest upper bound per edge (inf before any estimator), built
-        afresh on each read by folding the upper bounds of the edge's invoked
-        layers in layer order, keeping a bound only when it is strictly below
-        the fold; writing to it changes nothing, so it is locked."""
-        offsets, upper = self._arr.est_offsets, self._arr.est_upper
-        out = np.full(len(self.next_index), math.inf)
-        for eid in np.flatnonzero(self.next_index).tolist():
-            a, b = int(offsets[eid]), int(offsets[eid + 1])
-            up = math.inf
-            for bound, hit in zip(upper[a:b].tolist(), self.invoked[a:b].tolist()):
-                if hit and bound < up:
-                    up = bound
-            out[eid] = up
+        afresh on each read as the minimum of the upper bounds of the edge's
+        invoked layers; writing to it changes nothing, so it is locked. It
+        equals a fold in layer order under ==; only where invoked bounds of
+        0.0 and -0.0 meet may it hold the other signed zero."""
+        hits = np.where(self.invoked, self._arr.est_upper, math.inf)
+        starts = self._arr.est_offsets[:-1]
+        out = np.minimum.reduceat(hits, starts) if len(starts) else np.empty(0)
         out.flags.writeable = False
         return out
 

@@ -21,34 +21,36 @@ certifies the path as exactly optimal or yields the bracket
 (l_under, l_over) a following pass can exploit.
 
 A lazy pass whose popped goal is left uncertified at its key k checks in
-the same pass whether the optimum is tied at k. It drains the tie (every
-frontier entry keyed exactly k is popped and, unless it is a goal,
-expanded), then runs lazy path evaluation in the manner of LazySP (Dellin
-& Srinivasa, ICAPS 2016) over the tight subgraph of every vertex with
-g <= k: the edges (u, h) with g[h] <= k and g[u] + tightest lower bound ==
-g[h]. A route from the start to a goal with g == k whose edges all keep
-their bound under the final estimator is certified at k; edges that rise
-are dropped and another route is tried. If the optimum is k, each optimal
+the same pass whether the optimum is tied at k. It drains the tie by
+resuming the loop up to key k until no goal is left there (every frontier
+entry keyed exactly k is popped and, unless it is a goal, expanded), then
+runs lazy path evaluation in the manner of LazySP (Dellin & Srinivasa,
+ICAPS 2016) over the tight subgraph of every vertex with g <= k: the
+edges (u, h) with g[h] <= k and g[u] + tightest lower bound == g[h]. A
+route from the start to a goal with g == k whose edges all keep their
+bound under the final estimator is certified at k; edges that rise are
+dropped and another route is tried. If the optimum is k, each optimal
 route lies in that subgraph and none of its edges can rise, so a goal
 popped at the optimum is always certified in the pass that pops it. With
 no such route the pass returns the popped path's bracket unchanged, and
 only edges on tight routes are ever charged.
 
-Each pass is one ``_Pass``: its ``run`` method is the search loop, plain
-Python with the graph and cache arrays read and written through
-``memoryview``. Its frontier is a bucket queue (Dial, CACM 1969): a
-``heapq`` of the distinct keys and, per key, a list of vertices in push
-order. Keys are sums of bounds, so many entries share one; the loop walks
-a key's whole list and does heap work once per key, and equal keys still
-pop in push order. As in Dijkstra's algorithm, keys never fall below the
-key being expanded (an edge that would push one lower raises), so there
-is no closed set: a vertex's current entry is the one keyed at its g. The
-pass owns its search state as plain lists (g, the parent edges, the
-frontier and the pops), so it can be resumed to drain a tie. Its two
-n-length lists are reused per graph: a pass that touched few vertices
-resets just those and hands the lists back, so a small search does not
-pay for the graph's size. The tie check walks backwards from the goals
-through the graph's predecessor index, testing every edge into each
+Each pass is one ``_Pass``: its ``run`` method is the search loop, one
+resumable pop loop with a key limit, plain Python with the graph and cache
+arrays read and written through ``memoryview``. Its frontier is a bucket
+queue (Dial, CACM 1969): a ``heapq`` of the distinct keys and, per key, a
+list of vertices in push order. Keys are sums of bounds, so many entries
+share one; the loop walks a key's whole list and does heap work once per
+key, and equal keys still pop in push order. As in Dijkstra's algorithm,
+keys never fall below the key being expanded (an edge that would push one
+lower raises), so there is no closed set: a vertex's current entry is the
+one keyed at its g. The pass owns its search state as plain lists (g, the
+parent edges, the frontier and the pops), so each call to ``run`` resumes
+where the last one stopped: at a goal, or before the first key past its
+limit. Its two n-length lists are reused per graph: a pass that touched
+few vertices resets just those and hands the lists back, so a small search
+does not pay for the graph's size. The tie check walks backwards from the
+goals through the graph's predecessor index, testing every edge into each
 vertex it reaches, so the loop records nothing for it and its work grows
 with the route's backward cone, not with the graph.
 """
@@ -84,9 +86,8 @@ class SearchResult:
     was certified as the tightest reachable one; a pass certified by its
     tie check returns the tied route, not the popped path. pops records
     the pop order as (vertex, key) pairs: every expansion, the goal pop
-    that ended the search and, after an uncertified lazy pop, the pops of
-    the tie drain at that goal's key (drained goals are recorded but not
-    expanded).
+    that ended the search and, after an uncertified lazy pop, every later
+    pop tied at that goal's key (a goal is recorded but never expanded).
     """
 
     path: Path | None
@@ -118,9 +119,10 @@ class _Pass:
     ``release`` gives them back reset. Each pass takes its own lists, so
     concurrent searches on one graph never share them. The frontier is
     ``keys``, a heap of the distinct queued keys, and ``buckets``, which
-    maps each of them to its vertices in push order. These and the pops
-    persist between calls to run, so a pass can be resumed to drain a tie
-    at its goal key and the certification step can read g afterwards.
+    maps each of them to its vertices in push order; the start is pushed
+    at key 0 when the pass is built. These and the pops persist between
+    calls to run, so the pass resumes to pop the tie at its goal key and
+    the certification step can read g afterwards.
     """
 
     def __init__(self, problem, cache, l_est, l_prune, eager):
@@ -136,11 +138,13 @@ class _Pass:
             n = problem.graph.vertex_count
             self.g = [math.inf] * n
             self.parent_edge = [-1] * n
-        self.keys: list[float] = []  # heap of the distinct queued keys
-        self.buckets: dict[float, list[int]] = {}  # key -> vertices in push order
+        start = problem.start
+        self.g[start] = 0.0
+        self.keys: list[float] = [0.0]  # heap of the distinct queued keys
+        self.buckets: dict[float, list[int]] = {0.0: [start]}  # key -> vertices in push order
         self._pops: list[tuple[int, float]] = []
 
-    def run(self, drain_key: float | None = None) -> int | None:
+    def run(self, limit: float = math.inf) -> int | None:
         """Best-first search on accumulated lower bounds.
 
         Lazy mode: while a successor's tentative bound still beats its
@@ -155,17 +159,16 @@ class _Pass:
         An edge's next_index and tightest lower bound are read and written
         once per evaluation, not once per step.
 
-        A first call (drain_key None) pushes the start and returns the
-        first goal popped, or None when the frontier runs out. A later call
-        with a drain_key resumes the same frontier and pops every entry
-        keyed at most drain_key, expanding non-goal vertices as usual;
-        goals are recorded as pops but never expanded, and it returns None.
-        Every pop is appended to the pops as (vertex, key). The cache's
-        counters and simulated estimation time advance in place. A push
-        below the key being expanded (impossible with valid bounds) raises
-        RuntimeError once they are written back; so no popped vertex
-        improves, and as each push strictly lowers g, an entry is current
-        exactly when its key equals g[v]. No closed set is needed.
+        Each call resumes the frontier and pops entries in (key, push
+        order), expanding each non-goal vertex, until it pops a goal, which
+        it returns unexpanded; it returns None once the next key exceeds
+        limit or the frontier runs out. Every pop is appended to the pops as
+        (vertex, key). The cache's counters and simulated estimation time
+        advance in place. A push below the key being expanded (impossible
+        with valid bounds) raises RuntimeError once they are written back;
+        so no popped vertex improves, and as each push strictly lowers g, an
+        entry is current exactly when its key equals g[v]. No closed set is
+        needed.
 
         Entries pop in (key, push order). The smallest key is popped and its
         list walked whole, together with what a zero-bound edge appends to
@@ -190,17 +193,11 @@ class _Pass:
         keys, buckets, goals = self.keys, self.buckets, self.problem.goals
         l_est, l_prune, eager = self.l_est, self.l_prune, self.eager
         record_pop = self._pops.append
-        drain = drain_key is not None
-        if not drain:
-            start = self.problem.start
-            g[start] = 0.0
-            keys.append(0.0)
-            buckets[0.0] = [start]
         found = None
         corrupt = -1
         while keys:
             key = keys[0]
-            if drain and key > drain_key:
+            if key > limit:
                 break
             heappop(keys)
             # the walk also reaches what is appended at this key meanwhile
@@ -211,8 +208,6 @@ class _Pass:
                     continue  # stale entry superseded by a better key
                 record_pop((v, key))
                 if v in goals:
-                    if drain:
-                        continue
                     found = v
                     break
                 expansions += 1
@@ -337,7 +332,7 @@ def beauty_ps(
     l_under = l_path
     l_cur = l_path
     for eid in path.edges:
-        if cache.applied_count(eid) < 1:
+        if cache.next_index[eid] < 1:
             raise ValueError(f"path edge {eid} has no applied estimator")
         if cache.has_remaining(eid):
             prev = float(cache.tightest_lower[eid])
@@ -349,15 +344,15 @@ def beauty_ps(
 def _tight_route(run: _Pass, k: float, dead: set[int]) -> Path | None:
     """A start-to-goal route through tight edges of vertices with g <= k, or None.
 
-    An edge (u, h) is tight when g[h] <= k and g[u] plus the edge's
-    tightest lower bound equals g[h], the very float sum the kernel stores.
-    Routes end at a goal with g == k and avoid the dead edges. The route is
-    found backwards from the goals: every edge into a visited vertex is read
-    from the predecessor index and tested, in ascending tail and then edge
-    order. Bounds are never negative, so every vertex reached has g <= k
-    and, after the drain, was popped; all but the goals were expanded. No
-    goal has g < k and those at k seed the seen set, so the tail u needs no
-    closed test and a route never passes through a goal.
+    An edge (u, h) is tight when g[h] <= k and g[u] plus the edge's tightest
+    lower bound equals g[h], the very float sum the kernel stores. Routes
+    end at a goal with g == k and avoid the dead edges. The route is found
+    backwards from the goals: every edge into a visited vertex is read from
+    the predecessor index and tested, in ascending tail and then edge order.
+    Bounds are never negative, so every vertex reached has g <= k and, once
+    the pass has run up to key k, was popped; all but the goals were
+    expanded. No goal has g < k and those at k seed the seen set, so the
+    tail u needs no closed test and a route never passes through a goal.
     """
     start, g = run.problem.start, run.g
     tail = run.problem.graph.tail
@@ -386,11 +381,15 @@ def _tight_route(run: _Pass, k: float, dead: set[int]) -> Path | None:
 def _certify_tie(run: _Pass, k: float) -> Path | None:
     """LazySP over the tight subgraph: a route whose full bound is k, or None.
 
-    Each candidate route has every edge jumped to its final estimator; a
+    The pass is first run up to key k until it pops no more goals, so every
+    entry tied at k is popped and each tied goal recorded unexpanded. Each
+    candidate route has every edge jumped to its final estimator; a
     route on which no edge rose is certified at k, otherwise the edges that
     rose are dropped and the next route is tried. Only edges on tight
     routes are ever charged.
     """
+    while run.run(k) is not None:
+        pass  # a tied goal is recorded as a pop, not expanded
     cache = run.cache
     dead: set[int] = set()
     while (route := _tight_route(run, k, dead)) is not None:
@@ -418,10 +417,7 @@ def _search(problem, cache, l_est, l_prune, eager):
         path = run.trace(goal)
         k = run.g[goal]
         opt, l_under, l_over = beauty_ps(path, k, cache)
-        if not opt and not eager:
-            # the optimum may still be tied at k: drain the tie, then look
-            # for a tight route that full estimation leaves at k
-            run.run(drain_key=k)
+        if not opt:  # an eager pass estimates fully, so its path never rises
             route = _certify_tie(run, k)
             if route is not None:
                 path, opt, l_over = route, True, k
@@ -450,8 +446,8 @@ def beauty(
     from an earlier pass, the guarantees weaken to the bracket documented
     on SearchResult but estimation effort drops. A goal popped at the
     optimum is still certified in this pass: when the popped path rises
-    under post-search tightening, the tie at its key is drained and a
-    tight route at that key is sought (see the module docstring). Pass a
+    under post-search tightening, the pass resumes to pop every entry tied
+    at its key and a tight route at that key is sought (see the module docstring). Pass a
     shared cache to reuse estimation work across calls. A NaN threshold
     raises ValueError: every comparison with it is false.
     """

@@ -315,12 +315,23 @@ class TestBench:
                 {"instances": [{**_GRID, "n": 7}]},
                 "instance 'g': model 'grid' takes no key 'n'",
             ),
+            # a list id used to end in a TypeError from the cell dict
+            (
+                {"instances": [{"id": ["x"], "model": "problem_file", "path": "p.json"}]},
+                "instance 0: 'id' must be a string",
+            ),
+            ({"instances": [{**_GRID, "id": 7}]}, "instance 0: 'id' must be a string"),
+            (
+                {"instances": [{**_GRID, "rows": "3"}]},
+                "instance 'g': key 'rows' must be an integer",
+            ),
         ],
         ids=[
             "random-without-n", "instances-not-a-list", "string-seed", "file-without-path",
             "nan-timeout", "negative-timeout", "duplicate-id", "duplicate-algorithm", "duplicate-seed",
             "aliased-algorithm", "zero-padded-budget", "huge-rows",
             "misspelled-seeds", "misspelled-algorithms", "stray-instance-key",
+            "list-id", "number-id", "string-rows",
         ],
     )
     def test_malformed_suite_exits_3(self, tmp_path, capsys, suite, named):
@@ -466,6 +477,9 @@ _COLUMN_CASES = {
                                              true_cost=[2.5, None, None]),
     "columns-long-cost": _synth_columns("cost: expected 1 entries, got 2", cost=[3, 4]),
     "columns-tail-not-a-list": _solve_columns("tail must be a list", tail="0"),
+    "columns-string-vertex-count": _solve_columns("vertex_count must be an integer",
+                                                  vertex_count="2"),
+    "columns-empty-goals": _solve_columns("goals must be a non-empty list", goals=[]),
     "columns-endpoint-out-of-range": _solve_columns(
         "edge 1: endpoint 'to' 2 out of range for 2 vertices", head=[1, 2]),
     "columns-synth-stray-endpoint": _synth_columns("edge 0: endpoint 'to' 7 out of range",
@@ -473,6 +487,8 @@ _COLUMN_CASES = {
     "columns-synth-huge-cost": _synth_columns("edge (0, 1): cost too large for a float",
                                               cost=[10**400]),
 }
+
+_SOLVE_ARGV = ["solve", "--graph", "p.json", "--alg", "beauty"]
 
 _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--out", "out.json",
              "--cost-min", "1"]
@@ -539,6 +555,15 @@ _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--ou
          "--max-iters", "0"], "max_iterations must be at least 1"),
         ({"p.json": _problem_doc()}, ["solve", "--graph", "p.json", "--alg", "beauty",
          "--max-iters", "-5"], "max_iterations must be at least 1"),
+        # per-edge records the converter refuses before any column is checked
+        ({"p.json": {**_problem_doc(), "edges": {}}}, _SOLVE_ARGV, "edges must be a list"),
+        ({"p.json": {**_problem_doc(), "edges": [5]}}, _SOLVE_ARGV, "edge 0 must be an object"),
+        ({"p.json": {**_problem_doc(), "edges": [{"from": 0, "estimators": []}]}}, _SOLVE_ARGV,
+         "edge 0: missing key 'to'"),
+        ({"p.json": {**_problem_doc(), "edges": [{"from": 0, "to": 1, "estimators": "x"}]}},
+         _SOLVE_ARGV, "edge 0: estimators must be a list"),
+        ({}, ["gen", "--model", "grid", "--rows", "3", "--cost-min", "1", "--cost-max", "9",
+              "--rng-seed", "0", "--out", "out.json"], "model grid needs --rows and --cols"),
         *_COLUMN_CASES.values(),
     ],
     ids=["synth-stray-endpoint", "solve-huge-bound", "solve-invalid-graph", "synth-huge-cost",
@@ -546,7 +571,8 @@ _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--ou
          "gen-negative-seed", "gen-cost-beyond-int64", "solve-too-large", "bench-too-large",
          "gen-random-with-rows", "gen-grid-with-n", "gen-grid-too-large", "abeauty-nan-l-est", "abeauty-nan-l-prune", "eiucs-nan-epsilon",
          "beauty-negative-epsilon", "eiucs-zero-max-iters", "beauty-negative-max-iters",
-         *_COLUMN_CASES],
+         "edges-not-a-list", "edge-not-an-object", "edge-without-to", "estimators-not-a-list",
+         "gen-grid-without-cols", *_COLUMN_CASES],
 )
 def test_malformed_file_exits_3_with_one_line(tmp_path, monkeypatch, capsys, files, argv, named):
     monkeypatch.chdir(tmp_path)

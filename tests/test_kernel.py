@@ -128,28 +128,29 @@ def test_drain_resumes_the_same_frontier():
     assert run.run() == 4
     assert run.pops == ((0, 0.0), (4, 4.0))
     assert frontier(run) == [(4.0, 2), (5.0, 3)]
-    # vertex 2 waits at key 4; draining expands it, and its edge into the
-    # goal ties the goal's bound, so it pushes nothing; the goal 3 at key 5
-    # stays queued
-    assert run.run(drain_key=4.0) is None
+    # vertex 2 waits at key 4; running up to key 4 expands it, and its edge
+    # into the goal ties the goal's bound, so it pushes nothing; the goal 3
+    # at key 5 stays queued
+    assert run.run(4.0) is None
     assert run.pops == ((0, 0.0), (4, 4.0), (2, 4.0))
     assert [v for v, _ in run.pops if v not in problem.goals] == [0, 2]  # expanded
     assert frontier(run) == [(5.0, 3)]
-    assert run.run(drain_key=5.0) is None
+    assert run.run(5.0) == 3  # the goal pops and is returned
     assert run.pops[-1] == (3, 5.0)
     assert frontier(run) == []
+    assert run.run(5.0) is None
 
 
 def test_goal_stop_keeps_queue_order_at_its_key():
     # the goal 2 pops at key 1 inside the list [1, 2, 3, 4], after 1 pushed
-    # 5 at key 1 while that list was walked; the drain takes 3 and 4 in push
-    # order, then 5, then 6, which 3 pushed at key 1 during the drain
+    # 5 at key 1 while that list was walked; running up to key 1 takes 3 and
+    # 4 in push order, then 5, then 6, which 3 pushed at key 1 meanwhile
     problem = make_queued_behind_goal_problem()
     run = _Pass(problem, EstimationCache(problem.graph), math.inf, math.inf, False)
     assert run.run() == 2
     assert run.pops == ((0, 0.0), (1, 1.0), (2, 1.0))
     assert frontier(run) == [(1.0, 3), (1.0, 4), (1.0, 5)]
-    assert run.run(drain_key=1.0) is None
+    assert run.run(1.0) is None
     assert run.pops[3:] == ((3, 1.0), (4, 1.0), (5, 1.0), (6, 1.0))
     assert frontier(run) == []
 

@@ -306,6 +306,17 @@ class TestEdgeCases:
             beauty(problem, cache, **{threshold: math.nan})
         assert cache.snapshot_metrics().expansions == 0
 
+    @pytest.mark.parametrize(
+        "bad,named",
+        [(edge(0, 5, [(1, 1, 1.0)]), "edge 0: endpoint out of range for 2 vertices"),
+         (edge(0, 1, []), "edge 0: empty estimator sequence")],
+        ids=["stray-endpoint", "no-estimators"],
+    )
+    def test_unvalidated_graph_rejected(self, bad, named):
+        # a graph built by hand is checked when its arrays are first built
+        with pytest.raises(ValueError, match=named):
+            beauty(Problem(EstimatedDigraph(2, [bad]), 0, frozenset({1})))
+
     def test_self_loops_and_parallel_edges(self, kernel):
         g = EstimatedDigraph(
             2,
