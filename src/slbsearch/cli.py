@@ -129,7 +129,7 @@ def _cmd_gen(args) -> int:
             args.rows, args.cols, (args.cost_min, args.cost_max), args.rng_seed
         )
     dump_weighted(wg, args.out)
-    print(f"wrote {args.out} ({wg.vertex_count} vertices, {len(wg.edges)} edges)")
+    print(f"wrote {args.out} ({wg.vertex_count} vertices, {len(wg.tail)} edges)")
     return EXIT_OK
 
 

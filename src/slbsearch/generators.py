@@ -1,4 +1,8 @@
-"""Reproducible weighted-digraph instance generators."""
+"""Reproducible weighted-digraph instance generators.
+
+A generator draws its edges as numpy arrays and returns them as the
+columns a WeightedDigraph holds, converted once to tuples of Python ints.
+"""
 
 from __future__ import annotations
 
@@ -11,12 +15,25 @@ __all__ = ["WeightedDigraph", "gen_random_graph", "gen_grid_graph"]
 
 @dataclass(frozen=True)
 class WeightedDigraph:
-    """Plain digraph with positive integer edge costs, pre-estimation."""
+    """Plain digraph with positive integer edge costs, pre-estimation.
+
+    Stored as the columns of its file: edge e runs from ``tail[e]`` to
+    ``head[e]`` at cost ``cost[e]``. Each column is a tuple of Python ints,
+    so ``==`` compares two graphs and synth's products of a cost are exact
+    (a numpy int64 cost would wrap). ``edges`` builds the (tail, head, cost)
+    triples from the columns on each read.
+    """
 
     vertex_count: int
     start: int
     goals: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]
+    tail: tuple[int, ...]
+    head: tuple[int, ...]
+    cost: tuple[int, ...]
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(zip(self.tail, self.head, self.cost))
 
 
 # Rows of the n x n pair matrix drawn at a time by gen_random_graph.
@@ -91,27 +108,27 @@ def gen_random_graph(n: int, edge_prob: float, cost_range, rng_seed: int) -> Wei
         costs[a:b] = block[flat[a:b] - first]
         del block  # free this block before the next one is drawn
     tails, heads = np.divmod(flat, n)
-    edges = tuple(zip(tails.tolist(), heads.tolist(), costs.tolist()))
-    return WeightedDigraph(n, 0, (n - 1,), edges)
+    return WeightedDigraph(n, 0, (n - 1,), tuple(tails.tolist()), tuple(heads.tolist()),
+                           tuple(costs.tolist()))
 
 
 def gen_grid_graph(rows: int, cols: int, cost_range, rng_seed: int) -> WeightedDigraph:
     """Directed grid: vertex r * cols + c, edges to the right and downward
     neighbors. Start is the top-left corner, goal the bottom-right. Fully
-    deterministic in rng_seed.
+    deterministic in rng_seed. Edges come cell by cell in row-major order,
+    each cell's right edge before its down edge.
     """
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError("grid must contain at least 2 cells")
     lo, hi = _check_cost_range(cost_range)
     rng = _rng(rng_seed)
-    costs = rng.integers(lo, hi + 1, size=(rows, cols, 2))
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1, int(costs[r, c, 0])))
-            if r + 1 < rows:
-                edges.append((v, v + cols, int(costs[r, c, 1])))
+    costs = rng.integers(lo, hi + 1, size=(rows, cols, 2))  # [..., 0] right, [..., 1] down
     n = rows * cols
-    return WeightedDigraph(n, 0, (n - 1,), tuple(edges))
+    v = np.arange(n).reshape(rows, cols, 1)
+    keep = np.ones((rows, cols, 2), np.bool_)
+    keep[:, -1, 0] = False  # the last column has no right edge
+    keep[-1, :, 1] = False  # the last row has no down edge
+    tails = np.broadcast_to(v, keep.shape)[keep]
+    heads = (v + (1, cols))[keep]
+    return WeightedDigraph(n, 0, (n - 1,), tuple(tails.tolist()), tuple(heads.tolist()),
+                           tuple(costs[keep].tolist()))

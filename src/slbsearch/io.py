@@ -4,13 +4,14 @@ A graph file is one JSON object of flat columns, the graph's own arrays:
 ``vertex_count``, ``start``, ``goals``, ``tail`` and ``head``; then, in a
 problem file, ``est_offsets``, ``est_lower``, ``est_upper``, ``est_time`` and
 ``true_cost`` (``null`` where unknown), laid out as EstimatedDigraph stores
-them, and in a weighted file ``cost``. The writers stream one column at a
-time: each column is built, encoded by json.dumps and written (or joined)
-before the next is built, and the text is that of one json.dumps of all
-the columns. A file is written to a temporary file beside it, which
-replaces it only once the last column is written. Files in the older
-per-edge layout (an ``edges`` list of objects) are still read: their
-records are reshaped into the same columns.
+them, and in a weighted file ``cost``, as WeightedDigraph stores its tail,
+head and cost tuples. The writers stream one column at a time: each column
+is built, encoded by json.dumps and written (or joined) before the next is
+built, and the text is that of one json.dumps of all the columns. A file
+is written to a temporary file beside it, which replaces it only once the
+last column is written. Files in the older per-edge layout (an ``edges``
+list of objects) are still read: their records are reshaped into the same
+columns.
 
 The loaders are where a graph file is checked, by one column checker for
 both layouts: every Problem or WeightedDigraph they return has its start,
@@ -26,7 +27,7 @@ import os
 from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import accumulate
-from operator import index, itemgetter, lt
+from operator import index, lt
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -268,8 +269,8 @@ def _weighted_columns(wg: WeightedDigraph):
     yield "vertex_count", wg.vertex_count
     yield "start", wg.start
     yield "goals", sorted(wg.goals)
-    for key, k in (("tail", 0), ("head", 1), ("cost", 2)):
-        yield key, list(map(itemgetter(k), wg.edges))
+    for key in ("tail", "head", "cost"):
+        yield key, getattr(wg, key)
 
 
 def weighted_to_json(wg: WeightedDigraph) -> str:
@@ -284,7 +285,7 @@ def weighted_from_json(text: str) -> WeightedDigraph:
     if not set(map(type, cost)) <= _INTS or (cost and min(cost) < 1):
         e = next(e for e, c in enumerate(cost) if type(c) is not int or c < 1)
         raise _bad(f"edge {e}: cost must be a positive integer")
-    return WeightedDigraph(n, start, tuple(sorted(goals)), tuple(zip(tail, head, cost)))
+    return WeightedDigraph(n, start, tuple(sorted(goals)), tuple(tail), tuple(head), tuple(cost))
 
 
 def load_weighted(path) -> WeightedDigraph:

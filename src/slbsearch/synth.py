@@ -40,6 +40,13 @@ def pick_multipliers(cost: int, seed: int):
     return DEFAULT_MULTIPLIER_TABLE[h - 1] if h >= 1 else DEFAULT_MULTIPLIER_TABLE[0]
 
 
+def _bad_edge(weighted: WeightedDigraph, cost: int, what: str) -> ValueError:
+    """The error for the first edge of this cost; costs are checked in order
+    of first use, so that is the first edge with a bad cost."""
+    e = weighted.cost.index(cost)
+    return ValueError(f"edge ({weighted.tail[e]}, {weighted.head[e]}): {what}")
+
+
 def synth_estimators(weighted: WeightedDigraph, seed: int) -> Problem:
     """Estimated problem over the weighted graph's vertices, start and goals.
 
@@ -47,26 +54,22 @@ def synth_estimators(weighted: WeightedDigraph, seed: int) -> Problem:
     integer products, and looked up per edge. Raises ValueError for a cost
     below 1 or one whose bounds do not fit a float.
     """
-    m = len(weighted.edges)
-    tails, heads, costs = zip(*weighted.edges) if m else ((), (), ())
-    index = {}  # distinct cost -> its row of the table, in order of first use
+    m = len(weighted.cost)
+    index = {c: row for row, c in enumerate(dict.fromkeys(weighted.cost))}  # in order of first use
     table = []  # the lower bounds of each distinct cost; the last is also its upper bound
-    for tail, head, cost in weighted.edges:
-        if cost in index:
-            continue
+    for cost in index:
         if cost < 1:
-            raise ValueError(f"edge ({tail}, {head}): cost must be a positive integer")
+            raise _bad_edge(weighted, cost, "cost must be a positive integer")
         try:
             table.append([float(cost * f) for f in pick_multipliers(cost, seed)])
         except OverflowError:
-            raise ValueError(f"edge ({tail}, {head}): cost too large for a float") from None
-        index[cost] = len(index)
+            raise _bad_edge(weighted, cost, "cost too large for a float") from None
     k = len(DEFAULT_TIME_COSTS)
-    rows = np.fromiter(map(index.get, costs), np.int64, m)
+    rows = np.fromiter(map(index.get, weighted.cost), np.int64, m)
     lowers = np.array(table, np.float64).reshape(-1, k)[rows]
     top = lowers[:, -1]
     graph = EstimatedDigraph.from_arrays(
-        weighted.vertex_count, tails, heads, np.arange(0, k * m + 1, k),
+        weighted.vertex_count, weighted.tail, weighted.head, np.arange(0, k * m + 1, k),
         lowers.ravel(), np.repeat(top, k), np.tile(DEFAULT_TIME_COSTS, m),
         top, np.ones(m, np.bool_),
     )

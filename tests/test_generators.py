@@ -27,7 +27,37 @@ def dense_random_graph(n, edge_prob, cost_range, rng_seed):
         for j in range(i + 1, n):
             if keep[i, j]:
                 edges.append((i, j, int(costs[i, j])))
-    return WeightedDigraph(n, 0, (n - 1,), tuple(edges))
+    return WeightedDigraph(n, 0, (n - 1,), *columns(edges))
+
+
+def loop_grid_graph(rows, cols, cost_range, rng_seed):
+    """gen_grid_graph as first written: a loop over the cells, each cell's
+    right edge before its down edge. The masked generator must match it."""
+    rng = np.random.default_rng(rng_seed)
+    costs = rng.integers(cost_range[0], cost_range[1] + 1, size=(rows, cols, 2))
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1, int(costs[r, c, 0])))
+            if r + 1 < rows:
+                edges.append((v, v + cols, int(costs[r, c, 1])))
+    n = rows * cols
+    return WeightedDigraph(n, 0, (n - 1,), *columns(edges))
+
+
+def columns(edges):
+    """The tail, head and cost columns of a list of (tail, head, cost) triples."""
+    return tuple(zip(*edges)) if edges else ((), (), ())
+
+
+def assert_python_int_columns(wg):
+    # a numpy int64 cost would make synth's cost * f wrap silently
+    for key in ("tail", "head", "cost"):
+        column = getattr(wg, key)
+        assert type(column) is tuple, key
+        assert all(type(x) is int for x in column), key
 
 
 class TestRandomGraph:
@@ -43,7 +73,7 @@ class TestRandomGraph:
     def test_matches_dense_draws(self, n, edge_prob, cost_range, seed):
         wg = gen_random_graph(n, edge_prob, cost_range, seed)
         assert wg == dense_random_graph(n, edge_prob, cost_range, seed)
-        assert all(type(x) is int for e in wg.edges for x in e)
+        assert_python_int_columns(wg)
         if edge_prob < 1e-9:  # the no-pair-kept case must really keep none
             assert wg.edges == ()
 
@@ -119,6 +149,17 @@ class TestRandomGraph:
 
 
 class TestGridGraph:
+    @pytest.mark.parametrize(
+        "rows,cols,cost_range,seed",
+        [(1, 2, (1, 9), 0), (2, 1, (1, 9), 1), (3, 4, (1, 9), 5), (7, 5, (1, 2**40), 2),
+         (150, 150, (1, 20), 12)],
+        ids=["1x2", "2x1", "3x4", "7x5-cost-beyond-32-bits", "150x150"],
+    )
+    def test_matches_cell_loop(self, rows, cols, cost_range, seed):
+        wg = gen_grid_graph(rows, cols, cost_range, seed)
+        assert wg == loop_grid_graph(rows, cols, cost_range, seed)
+        assert_python_int_columns(wg)
+
     def test_single_pair(self):
         wg = gen_grid_graph(1, 2, (5, 5), rng_seed=0)
         assert wg.edges == ((0, 1, 5),)

@@ -180,15 +180,15 @@ class TestTemplateWriters:
 
     def test_empty_edge_list(self):
         problem = Problem(EstimatedDigraph(3, []), 0, frozenset({2}))
-        wg = WeightedDigraph(3, 0, (2,), ())
+        wg = WeightedDigraph(3, 0, (2,), (), (), ())
         assert_layouts_agree(problem, wg)
         assert '"tail": []' in weighted_to_json(wg)
         assert '"est_offsets": [0]' in problem_to_json(problem)
 
     def test_numpy_integer_scalars_are_written_as_ints(self):
         i = np.int64
-        wg = WeightedDigraph(i(2), i(0), (i(1),), ((i(0), i(1), i(7)),))
-        assert weighted_to_json(wg) == weighted_to_json(WeightedDigraph(2, 0, (1,), ((0, 1, 7),)))
+        wg = WeightedDigraph(i(2), i(0), (i(1),), (i(0),), (i(1),), (i(7),))
+        assert weighted_to_json(wg) == weighted_to_json(WeightedDigraph(2, 0, (1,), (0,), (1,), (7,)))
         problem = make_reference_problem()
         scalars = Problem(problem.graph, i(problem.start), frozenset(map(i, problem.goals)))
         assert problem_to_json(scalars) == problem_to_json(problem)
@@ -253,7 +253,7 @@ class TestAtomicWriters:
     # json.dumps cannot encode a Fraction, so each dump fails mid-file: after
     # the tail and head columns, or after vertex_count
     FAILING = {
-        "weighted": (dump_weighted, WeightedDigraph(2, 0, (1,), ((0, 1, Fraction(1, 2)),))),
+        "weighted": (dump_weighted, WeightedDigraph(2, 0, (1,), (0,), (1,), (Fraction(1, 2),))),
         "problem": (dump_problem, Problem(make_reference_problem().graph, Fraction(0), {3})),
     }
 
@@ -426,7 +426,7 @@ class TestWeightedJson:
         assert weighted_from_json(weighted_to_json(wg)) == wg
 
     def test_costs_stay_integers(self):
-        wg = WeightedDigraph(2, 0, (1,), ((0, 1, 7),))
+        wg = WeightedDigraph(2, 0, (1,), (0,), (1,), (7,))
         doc = json.loads(weighted_to_json(wg))
         assert doc["cost"] == [7]
         assert isinstance(doc["cost"][0], int)

@@ -12,7 +12,7 @@ from slbsearch.synth import pick_multipliers
 
 
 def single_edge(cost):
-    return WeightedDigraph(2, 0, (1,), ((0, 1, cost),))
+    return WeightedDigraph(2, 0, (1,), (0,), (1,), (cost,))
 
 
 class TestHashMapping:
@@ -50,36 +50,31 @@ class TestSynthEstimators:
         assert problem.graph.edges[0].true_cost == 10.0
 
     def test_determinism(self):
-        wg = WeightedDigraph(3, 0, (2,), ((0, 1, 4), (1, 2, 7), (0, 2, 13)))
+        wg = WeightedDigraph(3, 0, (2,), (0, 1, 0), (1, 2, 2), (4, 7, 13))
         a = synth_estimators(wg, seed=5)
         b = synth_estimators(wg, seed=5)
         assert list(a.graph.edges) == list(b.graph.edges)
 
     def test_same_cost_same_sequence_across_edges(self):
-        wg = WeightedDigraph(4, 0, (3,), ((0, 1, 6), (1, 3, 6), (0, 2, 6), (2, 3, 6)))
+        wg = WeightedDigraph(4, 0, (3,), (0, 1, 0, 2), (1, 3, 2, 3), (6, 6, 6, 6))
         problem = synth_estimators(wg, seed=2)
         seqs = {e.estimators for e in problem.graph.edges}
         assert len(seqs) == 1
 
     def test_output_is_always_valid(self):
-        wg = WeightedDigraph(
-            5,
-            0,
-            (4,),
-            tuple((i, i + 1, cost) for i, cost in enumerate((1, 5, 9, 20))),
-        )
+        wg = WeightedDigraph(5, 0, (4,), (0, 1, 2, 3), (1, 2, 3, 4), (1, 5, 9, 20))
         for seed in range(9):
             problem = synth_estimators(wg, seed)
             assert validate_graph(problem.graph) == []
 
     def test_keeps_start_and_goals(self):
-        wg = WeightedDigraph(4, 1, (2, 3), ((1, 2, 5), (1, 3, 5)))
+        wg = WeightedDigraph(4, 1, (2, 3), (1, 1), (2, 3), (5, 5))
         problem = synth_estimators(wg, seed=0)
         assert problem.start == 1
         assert problem.goals == frozenset({2, 3})
 
     def test_non_positive_cost_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\): cost must be a positive integer"):
             synth_estimators(single_edge(0), seed=0)
 
     @pytest.mark.parametrize("cost", [2**53 + 1, 2**70])
@@ -96,4 +91,10 @@ class TestSynthEstimators:
     def test_cost_beyond_float_rejected(self):
         with pytest.raises(ValueError, match="too large for a float"):
             synth_estimators(single_edge(10**400), seed=0)
+
+    def test_first_edge_with_a_bad_cost_is_named(self):
+        # 10**400 first appears on edge (1, 2), after a good cost on (0, 1)
+        wg = WeightedDigraph(3, 0, (2,), (0, 1, 0), (1, 2, 2), (5, 10**400, 10**400))
+        with pytest.raises(ValueError, match=r"^edge \(1, 2\): cost too large for a float$"):
+            synth_estimators(wg, seed=0)
 

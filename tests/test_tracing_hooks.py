@@ -47,3 +47,17 @@ def test_arrays_fields_read_by_the_benchmark():
     for name in ("indptr", "succ_vertex", "succ_edge", "est_offsets", "est_lower", "est_upper",
                  "est_time"):
         assert isinstance(getattr(arr, name), np.ndarray), name
+
+
+def test_counts_read_by_the_benchmark():
+    # outside TRACED, perfbench reads these: spans._counts takes
+    # len(wg.edges) in the synth span, workloads._solve_three takes
+    # len(problem.graph.edges), and workloads.py reads both cache counts
+    wg = slbsearch.gen_grid_graph(3, 3, (1, 9), 1)
+    assert len(wg.edges) == len(wg.tail) == 12
+    problem = slbsearch.synth_estimators(wg, 0)
+    assert len(problem.graph.edges) == 12
+    cache = slbsearch.estimation.EstimationCache(problem.graph)
+    slbsearch.ei_ucs(problem, cache=cache)
+    assert cache.invocation_count() > 0
+    assert 0 < cache.final_layer_invocations() <= cache.invocation_count()
