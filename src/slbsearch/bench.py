@@ -39,7 +39,7 @@ from .anytime import a_beauty, check_epsilon, check_max_iterations
 from .estimation import EstimationCache, Metrics, write_metrics_csv
 from .generators import gen_grid_graph, gen_random_graph
 from .graph import Path, Problem
-from .io import load_problem, load_weighted
+from .io import _write_atomic, load_problem, load_weighted
 from .oracle import oracle_lstar
 from .search import beauty, check_thresholds, ei_ucs
 from .synth import synth_estimators
@@ -367,6 +367,4 @@ def _write_outputs(report: SuiteReport, out_dir: FsPath) -> None:
         "excluded": report.excluded,
         "algorithms": report.aggregates.get("algorithms", {}),
     }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(_sanitize(summary), fh, indent=2)
-        fh.write("\n")
+    _write_atomic(out_dir / "summary.json", (json.dumps(_sanitize(summary), indent=2), "\n"))

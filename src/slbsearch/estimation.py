@@ -16,10 +16,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from io import StringIO
 
 import numpy as np
 
 from .graph import EstimatedDigraph
+from .io import _write_atomic
 
 __all__ = ["Metrics", "EstimationCache", "write_metrics_csv"]
 
@@ -72,19 +74,19 @@ def write_metrics_csv(path, head, tail, rows) -> None:
     Each row is (head values, Metrics, tail values). The columns are the
     head names, w_1..w_K (invocations per estimator layer, K the deepest
     sequence among the rows and at least 3), expansions, evaluations,
-    prunings, T_w, T_v, then the tail names.
+    prunings, T_w, T_v, then the tail names. The file is written
+    atomically, as the graph files are: a failed write leaves path as it was.
     """
     k = max([3] + [len(m.layer_invocations) for _, m, _ in rows])
     layers = [f"w_{i}" for i in range(1, k + 1)]
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(
-            [*head, *layers, "expansions", "evaluations", "prunings", "T_w", "T_v", *tail]
-        )
-        for lead, m, trail in rows:
-            w = m.layer_invocations + (0,) * (k - len(m.layer_invocations))
-            counts = (m.expansions, m.evaluations, m.prunings)
-            out.writerow([*lead, *w, *counts, m.estimation_time, m.search_time, *trail])
+    buf = StringIO()
+    out = csv.writer(buf)
+    out.writerow([*head, *layers, "expansions", "evaluations", "prunings", "T_w", "T_v", *tail])
+    for lead, m, trail in rows:
+        w = m.layer_invocations + (0,) * (k - len(m.layer_invocations))
+        counts = (m.expansions, m.evaluations, m.prunings)
+        out.writerow([*lead, *w, *counts, m.estimation_time, m.search_time, *trail])
+    _write_atomic(path, (buf.getvalue(),))
 
 
 class EstimationCache:

@@ -244,10 +244,11 @@ def problem_from_json(text: str) -> Problem:
 
 def _write_atomic(path, pieces) -> None:
     """Stream pieces into a new file beside path, then move it over path; on
-    any error remove it and re-raise, so path keeps its bytes or absence."""
+    any error remove it and re-raise, so path keeps its bytes or absence.
+    Newlines are written as they are in the pieces, on every platform."""
     path = FsPath(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    f = tmp.open("x")  # "x": fails rather than take over a file of that name
+    f = tmp.open("x", newline="")  # "x": fails rather than take over a file of that name
     try:
         with f:
             f.writelines(pieces)

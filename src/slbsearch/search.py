@@ -44,15 +44,19 @@ share one; the loop walks a key's whole list and does heap work once per
 key, and equal keys still pop in push order. As in Dijkstra's algorithm,
 keys never fall below the key being expanded (an edge that would push one
 lower raises), so there is no closed set: a vertex's current entry is the
-one keyed at its g. The pass owns its search state as plain lists (g, the
-parent edges, the frontier and the pops), so each call to ``run`` resumes
-where the last one stopped: at a goal, or before the first key past its
-limit. Its two n-length lists are reused per graph: a pass that touched
-few vertices resets just those and hands the lists back, so a small search
-does not pay for the graph's size. The tie check walks backwards from the
-goals through the graph's predecessor index, testing every edge into each
-vertex it reaches, so the loop records nothing for it and its work grows
-with the route's backward cone, not with the graph.
+one keyed at its g. For the same reason a popped vertex keeps its key as
+g for the rest of the pass, so a pop is recorded as its vertex alone and the
+keys are read back from g once, before the lists are handed back. The pass
+owns its search state as plain lists (g, the parent edges, the frontier and
+the popped vertices), so each call to ``run`` resumes where the last one
+stopped: at a goal, or before the first key past its limit. Its two
+n-length lists are reused per graph: a pass that touched few vertices
+resets just those and hands the lists back, so a small search does not pay
+for the graph's size. An edge with cached estimation work reads where its
+sequence ends only when it can take a step. The tie check walks backwards
+from the goals through the graph's predecessor index, testing every edge
+into each vertex it reaches, so the loop records nothing for it and its
+work grows with the route's backward cone, not with the graph.
 """
 
 from __future__ import annotations
@@ -88,6 +92,8 @@ class SearchResult:
     the pop order as (vertex, key) pairs: every expansion, the goal pop
     that ended the search and, after an uncertified lazy pop, every later
     pop tied at that goal's key (a goal is recorded but never expanded).
+    It is stored as two tuples, pop_vertices and pop_keys, and paired on
+    each read; a popped vertex's key is its g, final once it is popped.
     """
 
     path: Path | None
@@ -95,11 +101,16 @@ class SearchResult:
     l_under: float
     l_over: float
     metrics: Metrics
-    pops: tuple[tuple[int, float], ...] = ()
+    pop_vertices: tuple[int, ...] = ()
+    pop_keys: tuple[float, ...] = ()
 
     @property
     def found(self) -> bool:
         return self.path is not None
+
+    @property
+    def pops(self) -> tuple[tuple[int, float], ...]:
+        return tuple(zip(self.pop_vertices, self.pop_keys))
 
 
 # Resetting one touched vertex in both lists takes ~38-48 ns, and
@@ -120,9 +131,10 @@ class _Pass:
     concurrent searches on one graph never share them. The frontier is
     ``keys``, a heap of the distinct queued keys, and ``buckets``, which
     maps each of them to its vertices in push order; the start is pushed
-    at key 0 when the pass is built. These and the pops persist between
-    calls to run, so the pass resumes to pop the tie at its goal key and
-    the certification step can read g afterwards.
+    at key 0 when the pass is built. These and the popped vertices persist
+    between calls to run, so the pass resumes to pop the tie at its goal
+    key and the certification step can read g afterwards. A popped vertex
+    keeps its key as g, so ``pops`` pairs each with g until ``release``.
     """
 
     def __init__(self, problem, cache, l_est, l_prune, eager):
@@ -142,7 +154,7 @@ class _Pass:
         self.g[start] = 0.0
         self.keys: list[float] = [0.0]  # heap of the distinct queued keys
         self.buckets: dict[float, list[int]] = {0.0: [start]}  # key -> vertices in push order
-        self._pops: list[tuple[int, float]] = []
+        self.popped: list[int] = []  # each popped vertex keeps its key as g
 
     def run(self, limit: float = math.inf) -> int | None:
         """Best-first search on accumulated lower bounds.
@@ -157,18 +169,21 @@ class _Pass:
         above l_prune count as prunings. Eager mode fully estimates every
         examined edge up front, with no estimation cutoff (the baseline).
         An edge's next_index and tightest lower bound are read and written
-        once per evaluation, not once per step.
+        once per evaluation, not once per step. An edge with cached work
+        that can take no step (it has reached k_max, the longest sequence
+        of the graph, its bound passes l_est or, lazily, no longer beats
+        g[s]) reads nothing more and writes nothing.
 
         Each call resumes the frontier and pops entries in (key, push
         order), expanding each non-goal vertex, until it pops a goal, which
         it returns unexpanded; it returns None once the next key exceeds
-        limit or the frontier runs out. Every pop is appended to the pops as
-        (vertex, key). The cache's counters and simulated estimation time
-        advance in place. A push below the key being expanded (impossible
-        with valid bounds) raises RuntimeError once they are written back;
-        so no popped vertex improves, and as each push strictly lowers g, an
-        entry is current exactly when its key equals g[v]. No closed set is
-        needed.
+        limit or the frontier runs out. Every pop appends its vertex to
+        popped. The cache's counters and simulated estimation time advance
+        in place. A push below the key being expanded (impossible with
+        valid bounds) raises RuntimeError once they are written back; so no
+        popped vertex improves, and its key stays g[v] for the rest of the
+        pass. As each push strictly lowers g, an entry is current exactly
+        when its key equals g[v]. No closed set is needed.
 
         Entries pop in (key, push order). The smallest key is popped and its
         list walked whole, together with what a zero-bound edge appends to
@@ -185,14 +200,15 @@ class _Pass:
         next_index = memoryview(cache.next_index)
         tight_lower = memoryview(cache.tightest_lower)
         invoked = memoryview(cache.invoked)
-        layer_counts = [0] * arr.k_max  # charged here, added to the cache's on return
+        k_max = arr.k_max
+        layer_counts = [0] * k_max  # charged here, added to the cache's on return
         counters = cache._counters
         expansions, evaluations, prunings = counters
         tw = cache._tw  # summed in charge order, as a running total
         g, parent_edge = self.g, self.parent_edge
         keys, buckets, goals = self.keys, self.buckets, self.problem.goals
         l_est, l_prune, eager = self.l_est, self.l_prune, self.eager
-        record_pop = self._pops.append
+        record_pop = self.popped.append
         found = None
         corrupt = -1
         while keys:
@@ -206,7 +222,7 @@ class _Pass:
             for v in entries:
                 if key != g[v]:
                     continue  # stale entry superseded by a better key
-                record_pop((v, key))
+                record_pop(v)  # its key stays g[v]: nothing is pushed below key
                 if v in goals:
                     found = v
                     break
@@ -224,7 +240,12 @@ class _Pass:
                         low = tight_lower[eid]
                         if layer:
                             gt = key + low  # cached work, consumed as one free step
-                        if not (layer and gt > l_est):
+                        # a cached edge can take no step once it reaches k_max
+                        # (no sequence is longer), passes l_est or, lazily, no
+                        # longer beats g[s]
+                        if not layer or (
+                            layer != k_max and not gt > l_est and (eager or gt < g_s)
+                        ):
                             base = est_offsets[eid]
                             k_e = est_offsets[eid + 1] - base
                             while layer < k_e and (eager or gt < g_s):
@@ -279,7 +300,7 @@ class _Pass:
         """Give the lists back to the graph's free list, reset, when that is
         cheaper than allocating them afresh; the pass must not be run again.
 
-        Every vertex a pass touched is in its pops or still in its buckets:
+        Every vertex a pass touched was popped or is still in its buckets:
         g and the parent edge are set only with a push, and the entry pushed
         last for a vertex is either still queued or was popped and recorded
         (only entries superseded by a better key are skipped).
@@ -287,10 +308,10 @@ class _Pass:
         g, parent_edge = self.g, self.parent_edge
         self.g = self.parent_edge = None
         queued = self.buckets.values()
-        if (len(self._pops) + sum(map(len, queued))) * _RESET_SHARE > len(g):
+        if (len(self.popped) + sum(map(len, queued))) * _RESET_SHARE > len(g):
             return
         inf = math.inf
-        for v, _ in self._pops:
+        for v in self.popped:
             g[v] = inf
             parent_edge[v] = -1
         for bucket in queued:
@@ -301,7 +322,9 @@ class _Pass:
 
     @property
     def pops(self) -> tuple[tuple[int, float], ...]:
-        return tuple(self._pops)
+        """The pops as (vertex, key) pairs, each key read back from g; valid
+        until ``release``."""
+        return tuple(zip(self.popped, map(self.g.__getitem__, self.popped)))
 
     def trace(self, vertex: int) -> Path:
         """Walk the parent edges back to the start; empty path at the start."""
@@ -421,9 +444,11 @@ def _search(problem, cache, l_est, l_prune, eager):
             route = _certify_tie(run, k)
             if route is not None:
                 path, opt, l_over = route, True, k
+    popped = tuple(run.popped)
+    keys = tuple(map(run.g.__getitem__, popped))  # before release resets g
     run.release()
     return SearchResult(
-        path, opt, l_under, l_over, cache.snapshot_metrics() - before, run.pops
+        path, opt, l_under, l_over, cache.snapshot_metrics() - before, popped, keys
     )
 
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+from pathlib import Path
 
 import pytest
 from conftest import ITERATIONS_CSV_HEADER, RUNS_CSV_HEADER, make_reference_problem
@@ -194,3 +196,25 @@ class TestTimeoutsAndOutputs:
         assert summary["cells"] == 1
         assert set(summary["algorithms"]) == {"eiucs", "beauty", "abeauty-10"}
         assert summary["excluded"] == []
+
+    @pytest.mark.parametrize("name", ["runs.csv", "iterations.csv", "summary.json"])
+    def test_failed_write_keeps_the_existing_file(
+        self, reference_file, tmp_path, monkeypatch, name
+    ):
+        out = tmp_path / "out"
+        run_suite(ref_suite(reference_file, ["abeauty-10"]), out_dir=out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["iterations.csv", "runs.csv", "summary.json"]
+        replace = os.replace
+
+        def failing(src, dst):
+            if Path(dst).name == name:
+                raise OSError("no space left on device")
+            replace(src, dst)
+
+        # every byte is written before the rename that fails
+        monkeypatch.setattr(os, "replace", failing)
+        with pytest.raises(OSError, match="no space left"):
+            run_suite(ref_suite(reference_file, ["beauty"]), out_dir=out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()}[name] == before[name]
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)

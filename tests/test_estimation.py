@@ -160,3 +160,19 @@ class TestMetrics:
             a, b = csv.DictReader(fh)
         assert [a[f"w_{i}"] for i in range(1, 6)] == ["1", "0", "0", "0", "0"]
         assert [b[f"w_{i}"] for i in range(1, 6)] == ["4", "3", "2", "1", "9"]
+
+    def test_failed_csv_write_keeps_an_existing_file(self, tmp_path):
+        class Unwritable:
+            def __str__(self):
+                raise ValueError("cannot be written")
+
+        m = Metrics((1,), 1, 1, 0, 1.0)
+        out = tmp_path / "m.csv"
+        write_metrics_csv(out, ("id",), (), [(("a",), m, ())])
+        before = out.read_bytes()
+        assert before.endswith(b"\r\n") and b"\r\r" not in before
+        # the second row fails after the header and the first row
+        with pytest.raises(ValueError, match="cannot be written"):
+            write_metrics_csv(out, ("id",), (), [(("b",), m, ()), ((Unwritable(),), m, ())])
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]

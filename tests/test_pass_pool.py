@@ -156,6 +156,21 @@ def test_pass_stopped_inside_a_list_hands_back_clean():
     assert_clean(rising.graph)
 
 
+def test_result_pops_outlive_the_pooled_lists():
+    problem = make_queued_behind_goal_problem(200)
+    pool = problem.graph.arrays().free_pass_lists
+    res = beauty(problem)
+    assert len(pool) == 1
+    lists = pool[0]
+    # another query takes the same lists, writes g and hands them back reset
+    other = beauty(Problem(problem.graph, 1, frozenset({5})))
+    assert other.pops == ((1, 0.0), (5, 0.0)) and pool == [lists]
+    assert res.pops == ((0, 0.0), (1, 1.0), (2, 1.0))
+    assert all(type(v) is int and type(k) is float for v, k in res.pops)
+    rerun = beauty(problem)
+    assert rerun == res and hash(rerun) == hash(res)
+
+
 def test_grid_pass_too_large_to_pool():
     problem = synth_estimators(gen_grid_graph(20, 20, (1, 9), 2), 3)
     pool = problem.graph.arrays().free_pass_lists

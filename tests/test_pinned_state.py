@@ -35,7 +35,7 @@ from slbsearch import (
 
 ALGORITHMS = ("ei_ucs", "beauty", "beauty_thresholds", "a_beauty")
 
-# (family, algorithm) or "warm" -> sha256 hex digest
+# (family, algorithm), "warm" or "warm-random" -> sha256 hex digest
 GOLDEN = {
     ("ties", "ei_ucs"): "d67ab4d4992e26f701e698916908522f553f2f471a587c85c6069b9531b58cc1",
     ("ties", "beauty"): "3ccadf7b3796f50f76dd860be48cb58ba52918e5e65bd48032c2a1917ea40e5b",
@@ -54,6 +54,7 @@ GOLDEN = {
     ("gen-random", "beauty_thresholds"): "8b31ea4ce359e4677e65ef865a423a095684bcb4e3c7569c99233d0745eb6629",
     ("gen-random", "a_beauty"): "ae26489644650a233336d4e5ff272bc45930873d7e0bac94e21398397d434945",
     "warm": "bc8b91dfb44d54d14c3123361fad03cbf01507472da700bb09e24fa6e1d2988c",
+    "warm-random": "4eff7b49be5c192fa0956c2c797b8a2944da817780b2f4fc1f350e144551cb47",
 }
 
 
@@ -145,16 +146,37 @@ def test_fresh_cache_state_is_pinned(family, algorithm, monkeypatch):
         assert digest.drained > 0  # some pass drained the tie at its goal key
 
 
+def _warm_queries(problem, algorithms, rng, digest, monkeypatch):
+    """Run each algorithm in turn on one cache, from a random start to a random goal."""
+    graph, n = problem.graph, problem.graph.vertex_count
+    cache = EstimationCache(graph)
+    for algorithm in algorithms:
+        start, goal = (int(v) for v in rng.integers(0, n, size=2))
+        query = Problem(graph, start, frozenset({goal}))
+        _run(algorithm, query, cache, rng, digest, monkeypatch)
+        digest.cache(cache)
+
+
 def test_warm_cache_sequence_is_pinned(monkeypatch):
     """One cache per graph, shared by a sequence of mixed queries."""
     rng = np.random.default_rng(8)
     digest = _Digest()
     for problem in _problems("gen-random")[:60]:
-        graph, n = problem.graph, problem.graph.vertex_count
-        cache = EstimationCache(graph)
-        for algorithm in rng.choice(ALGORITHMS, size=6).tolist():
-            start, goal = (int(v) for v in rng.integers(0, n, size=2))
-            query = Problem(graph, start, frozenset({goal}))
-            _run(algorithm, query, cache, rng, digest, monkeypatch)
-            digest.cache(cache)
+        _warm_queries(problem, rng.choice(ALGORITHMS, size=6).tolist(), rng, digest, monkeypatch)
     assert digest.sha.hexdigest() == GOLDEN["warm"]
+
+
+def test_warm_cache_over_mixed_sequence_lengths_is_pinned(monkeypatch):
+    """One cache per graph of 1 to 3 layers per edge, shared by every algorithm.
+
+    Here an edge can be exhausted before the graph's longest sequence, and
+    ei_ucs, which estimates every edge it examines to the end, meets edges
+    that earlier queries left partly or fully estimated.
+    """
+    rng = np.random.default_rng(9)
+    digest = _Digest()
+    problems = _problems("random")
+    for problem in problems:
+        _warm_queries(problem, rng.permutation(ALGORITHMS).tolist(), rng, digest, monkeypatch)
+    assert digest.sha.hexdigest() == GOLDEN["warm-random"]
+    assert any(len(set(np.diff(p.graph.est_offsets))) > 1 for p in problems)
