@@ -77,6 +77,7 @@ def write_metrics_csv(path, head, tail, rows) -> None:
     prunings, T_w, T_v, then the tail names. The file is written
     atomically, as the graph files are: a failed write leaves path as it was.
     """
+    rows = list(rows)  # read once: a generator cannot be walked twice
     k = max([3] + [len(m.layer_invocations) for _, m, _ in rows])
     layers = [f"w_{i}" for i in range(1, k + 1)]
     buf = StringIO()
@@ -94,10 +95,12 @@ class EstimationCache:
 
     Per edge it stores next_index (applied sequence positions) and
     tightest_lower; per estimator, whether it was invoked; per layer, how
-    many invocations were charged. A layer is applied at most once and only
-    while not yet invoked, so the applied layers are exactly the invoked
-    ones, and the tightest upper bound is derived from them on each read of
-    the read-only ``tightest_upper`` rather than stored.
+    many invocations were charged. next_index only grows, and apply_final
+    exhausts the edge it jumps, so no layer at or past next_index is
+    invoked: applying one charges it without testing invoked, each layer is
+    charged at most once, and the applied layers are exactly the invoked
+    ones. The tightest upper bound is derived from them on each read of the
+    read-only ``tightest_upper`` rather than stored.
 
     Not safe for concurrent mutation; give each worker its own cache.
     """
@@ -123,13 +126,13 @@ class EstimationCache:
         return int(self.next_index[eid]) < self.sequence_length(eid)
 
     def _apply(self, eid: int, layer: int) -> float:
-        """Apply sequence position layer (0-based) and mark the edge consumed
-        up to it; charge its time_cost once per cache lifetime."""
+        """Apply sequence position layer (0-based), at or past next_index, and
+        mark the edge consumed up to it; charge its time_cost. No layer at or
+        past next_index was invoked, so the charge needs no test."""
         flat = int(self._arr.est_offsets[eid]) + layer
-        if not self.invoked[flat]:
-            self.invoked[flat] = True
-            self.layer_counts[layer] += 1
-            self._tw += float(self._arr.est_time[flat])
+        self.invoked[flat] = True
+        self.layer_counts[layer] += 1
+        self._tw += float(self._arr.est_time[flat])
         low = max(float(self.tightest_lower[eid]), float(self._arr.est_lower[flat]))
         self.tightest_lower[eid] = low
         self.next_index[eid] = layer + 1

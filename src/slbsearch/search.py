@@ -52,8 +52,12 @@ the popped vertices), so each call to ``run`` resumes where the last one
 stopped: at a goal, or before the first key past its limit. Its two
 n-length lists are reused per graph: a pass that touched few vertices
 resets just those and hands the lists back, so a small search does not pay
-for the graph's size. An edge with cached estimation work reads where its
-sequence ends only when it can take a step. The tie check walks backwards
+for the graph's size. An expansion counts its edges as evaluations at once.
+A lazy edge that cannot improve its successor is skipped before its id is
+read, and an edge with cached estimation work reads where its sequence ends
+only when it can take a step. A step charges its layer without testing
+invoked: next_index only grows and apply_final exhausts the edge it jumps,
+so no layer at or past next_index is invoked. The tie check walks backwards
 from the goals through the graph's predecessor index, testing every edge
 into each vertex it reaches, so the loop records nothing for it and its
 work grows with the route's backward cone, not with the graph.
@@ -172,7 +176,12 @@ class _Pass:
         once per evaluation, not once per step. An edge with cached work
         that can take no step (it has reached k_max, the longest sequence
         of the graph, its bound passes l_est or, lazily, no longer beats
-        g[s]) reads nothing more and writes nothing.
+        g[s]) reads nothing more and writes nothing; lazily, an edge whose
+        key does not beat g[s] is skipped before its id is read. A step
+        charges its layer without testing invoked, as no layer at or past
+        next_index is invoked (the cache's invariant). Evaluations are
+        counted once per expansion, as its number of edges, less those after
+        an edge that raises.
 
         Each call resumes the frontier and pops entries in (key, push
         order), expanding each non-goal vertex, until it pops a goal, which
@@ -207,6 +216,7 @@ class _Pass:
         tw = cache._tw  # summed in charge order, as a running total
         g, parent_edge = self.g, self.parent_edge
         keys, buckets, goals = self.keys, self.buckets, self.problem.goals
+        bucket_at = buckets.get
         l_est, l_prune, eager = self.l_est, self.l_prune, self.eager
         record_pop = self.popped.append
         found = None
@@ -227,55 +237,59 @@ class _Pass:
                     found = v
                     break
                 expansions += 1
-                for ptr in range(indptr[v], indptr[v + 1]):
+                lo, hi = indptr[v], indptr[v + 1]
+                evaluations += hi - lo  # less the edges after a corrupt one
+                for ptr in range(lo, hi):
                     s = succ_vertex[ptr]
-                    eid = succ_edge[ptr]
-                    evaluations += 1
                     g_s = g[s]
+                    if not (eager or key < g_s):
+                        continue  # lazy: the edge cannot improve s
+                    eid = succ_edge[ptr]
                     # eager: run the sequence to its end; lazy: stop once the
                     # bound no longer beats g[s] or passes l_est
                     gt = key
-                    if eager or gt < g_s:
-                        layer = applied = next_index[eid]
-                        low = tight_lower[eid]
-                        if layer:
-                            gt = key + low  # cached work, consumed as one free step
-                        # a cached edge can take no step once it reaches k_max
-                        # (no sequence is longer), passes l_est or, lazily, no
-                        # longer beats g[s]
-                        if not layer or (
-                            layer != k_max and not gt > l_est and (eager or gt < g_s)
-                        ):
-                            base = est_offsets[eid]
-                            k_e = est_offsets[eid + 1] - base
-                            while layer < k_e and (eager or gt < g_s):
-                                flat = base + layer
-                                if not invoked[flat]:
-                                    invoked[flat] = True
-                                    layer_counts[layer] += 1
-                                    tw += est_time[flat]
-                                lower = est_lower[flat]
-                                if lower > low:
-                                    low = lower
-                                layer += 1
-                                gt = key + low
-                                if gt > l_est:
-                                    break
-                            if layer != applied:
-                                next_index[eid] = layer
-                                tight_lower[eid] = low
+                    layer = applied = next_index[eid]
+                    low = tight_lower[eid]
+                    if layer:
+                        gt = key + low  # cached work, consumed as one free step
+                    # a cached edge can take no step once it reaches k_max
+                    # (no sequence is longer), passes l_est or, lazily, no
+                    # longer beats g[s]
+                    if not layer or (
+                        layer != k_max and not gt > l_est and (eager or gt < g_s)
+                    ):
+                        base = est_offsets[eid]
+                        k_e = est_offsets[eid + 1] - base
+                        while layer < k_e and (eager or gt < g_s):
+                            # no layer at or past next_index was invoked: charge it
+                            flat = base + layer
+                            invoked[flat] = True
+                            layer_counts[layer] += 1
+                            tw += est_time[flat]
+                            lower = est_lower[flat]
+                            if lower > low:
+                                low = lower
+                            layer += 1
+                            gt = key + low
+                            if gt > l_est:
+                                break
+                        if layer != applied:
+                            next_index[eid] = layer
+                            tight_lower[eid] = low
                     if gt < g_s:
                         if gt < key:
                             corrupt = eid
+                            evaluations -= hi - 1 - ptr  # never examined
                             break
                         if gt <= l_prune:
                             g[s] = gt
                             parent_edge[s] = eid
-                            if gt in buckets:
-                                buckets[gt].append(s)
-                            else:
+                            bucket = bucket_at(gt)
+                            if bucket is None:
                                 buckets[gt] = [s]
                                 heappush(keys, gt)
+                            else:
+                                bucket.append(s)
                         else:
                             prunings += 1
                 if corrupt >= 0:

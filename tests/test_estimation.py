@@ -161,6 +161,20 @@ class TestMetrics:
         assert [a[f"w_{i}"] for i in range(1, 6)] == ["1", "0", "0", "0", "0"]
         assert [b[f"w_{i}"] for i in range(1, 6)] == ["4", "3", "2", "1", "9"]
 
+    def test_csv_rows_from_a_generator(self, tmp_path):
+        rows = [
+            ((f"r{i}",), Metrics((i + 1,) * (i + 2), i, 2 * i, 0, float(i)), ())
+            for i in range(3)
+        ]
+        listed, generated = tmp_path / "list.csv", tmp_path / "gen.csv"
+        write_metrics_csv(listed, ("id",), (), rows)
+        write_metrics_csv(generated, ("id",), (), (row for row in rows))
+        with open(generated, newline="") as fh:
+            read = list(csv.DictReader(fh))
+        assert [r["id"] for r in read] == ["r0", "r1", "r2"]
+        assert read[2]["w_4"] == "3"  # the deepest sequence, seen in the last row
+        assert generated.read_bytes() == listed.read_bytes()
+
     def test_failed_csv_write_keeps_an_existing_file(self, tmp_path):
         class Unwritable:
             def __str__(self):

@@ -202,6 +202,29 @@ def test_poisoned_cache_raises_and_keeps_counts():
     assert (m.expansions, m.evaluations, m.prunings) == (2, 3, 0)
 
 
+def test_corrupt_edge_mid_expansion_counts_only_the_edges_examined():
+    graph = EstimatedDigraph(
+        5,
+        [
+            edge(0, 1, [(10, 10, 1.0)]),
+            edge(0, 3, [(2, 2, 1.0)]),
+            edge(3, 1, [(0, 0, 1.0)]),
+            edge(3, 4, [(5, 5, 1.0)]),
+        ],
+    )
+    cache = EstimationCache(graph)
+    cache.next_index[2] = 1
+    cache.tightest_lower[2] = -9.0
+    with pytest.raises(
+        RuntimeError, match=r"edge 2 lowers vertex 1 to key -7\.0, below the key 2\.0 being"
+    ):
+        beauty(Problem(graph, 0, frozenset({4})), cache)
+    # 3 -> 1 raises before 3 -> 4, the last edge of the expansion, is examined
+    m = cache.snapshot_metrics()
+    assert (m.expansions, m.evaluations, m.prunings) == (2, 3, 0)
+    assert cache.next_index[3] == 0
+
+
 def test_negative_cached_bound_into_an_unexpanded_vertex_raises():
     # edge 1 -> 2 is poisoned to a bound of -5, so expanding 1 at key 2
     # would push the goal 2 at key -3; no vertex it reaches was expanded,

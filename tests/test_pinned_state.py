@@ -5,7 +5,8 @@ and Metrics, then repr(T_w) and the bytes of the cache's next_index,
 tightest_lower, tightest_upper, invoked and layer_counts. The digests were
 recorded with the kernel that stored tightest_upper as its own array and
 gave every pass freshly allocated lists, so a change to either shows up
-here as soon as it alters one pop, bound or charge.
+here as soon as it alters one pop, bound or charge. The last test runs the
+same warm queries but checks the cache's invariant after each one.
 """
 
 import hashlib
@@ -180,3 +181,33 @@ def test_warm_cache_over_mixed_sequence_lengths_is_pinned(monkeypatch):
         _warm_queries(problem, rng.permutation(ALGORITHMS).tolist(), rng, digest, monkeypatch)
     assert digest.sha.hexdigest() == GOLDEN["warm-random"]
     assert any(len(set(np.diff(p.graph.est_offsets))) > 1 for p in problems)
+
+
+class _InvariantCheck(_Digest):
+    """Checks the cache after each query instead of hashing it."""
+
+    def __init__(self):
+        super().__init__()
+        self.jumped = 0  # queries after which some edge had skipped a layer
+
+    def cache(self, cache):
+        off, applied = cache.graph.est_offsets, cache.next_index
+        for e in range(len(applied)):
+            assert not cache.invoked[off[e] + applied[e]:off[e + 1]].any()
+        assert cache.invoked.sum() == cache.layer_counts.sum()
+        self.jumped += int(cache.invoked.sum() < applied.sum())
+
+
+def test_no_layer_at_or_past_next_index_is_invoked(monkeypatch):
+    """The invariant a step's charge rests on, after every query.
+
+    One cache per graph of 1 to 3 layers per edge is shared by every
+    algorithm; a_beauty's beauty_ps jumps edges with apply_final. After
+    each query no layer at or past an edge's next_index is invoked, and
+    each invoked layer was charged exactly once.
+    """
+    rng = np.random.default_rng(10)
+    check = _InvariantCheck()
+    for problem in _problems("random"):
+        _warm_queries(problem, rng.permutation(ALGORITHMS).tolist(), rng, check, monkeypatch)
+    assert check.jumped > 0
