@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +69,9 @@ class GraphArrays:
 
     free_pass_lists holds (g, parent edges) pairs of n-length lists that
     finished search passes handed back reset to inf and -1; a new pass
-    takes one (each pass its own) instead of allocating.
+    takes one (each pass its own) instead of allocating. ``full_lower``,
+    the eager pass's table of fully-estimated lower bounds, is built on
+    its first read and kept.
     """
 
     indptr: np.ndarray
@@ -82,6 +85,22 @@ class GraphArrays:
     est_time: np.ndarray
     k_max: int
     free_pass_lists: list = field(default_factory=list, repr=False, compare=False)
+
+    @cached_property
+    def full_lower(self) -> np.ndarray:
+        """Each edge's tightest lower bound once its whole sequence is applied
+        to a fresh cache: the search loop's fold, from 0.0 (a fresh cache's
+        bound), keeping a layer's lower bound only when it is strictly
+        greater. So a NaN is never kept and, of 0.0 and -0.0, the first
+        stays. An eager pass reads its fresh edges' bounds from it."""
+        starts, lens = self.est_offsets[:-1], np.diff(self.est_offsets)
+        out = np.zeros(len(lens))
+        for depth in range(self.k_max):
+            at = np.flatnonzero(lens > depth)  # edges with a layer at this depth
+            lower = self.est_lower[starts[at] + depth]
+            rises = lower > out[at]
+            out[at[rises]] = lower[rises]
+        return out
 
 
 @dataclass(frozen=True)

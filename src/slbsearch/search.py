@@ -53,21 +53,29 @@ stopped: at a goal, or before the first key past its limit. Its two
 n-length lists are reused per graph: a pass that touched few vertices
 resets just those and hands the lists back, so a small search does not pay
 for the graph's size. An expansion counts its edges as evaluations at once.
-A lazy edge that cannot improve its successor is skipped before its id is
-read, and an edge with cached estimation work reads where its sequence ends
-only when it can take a step. A step charges its layer without testing
-invoked: next_index only grows and apply_final exhausts the edge it jumps,
-so no layer at or past next_index is invoked. The tie check walks backwards
-from the goals through the graph's predecessor index, testing every edge
-into each vertex it reaches, so the loop records nothing for it and its
-work grows with the route's backward cone, not with the graph.
+The estimation step loop serves only the lazy passes (``beauty`` and the
+passes of ``a_beauty``). A lazy edge that cannot improve its successor is
+skipped before its id is read, and an edge with cached estimation work
+reads where its sequence ends only when it can take a step. A step charges
+its layer without testing invoked: next_index only grows and apply_final
+exhausts the edge it jumps, so no layer at or past next_index is invoked.
+An eager pass (``ei_ucs``) takes no steps: it reads a fresh edge's full
+bound from a per-graph table, writes nothing to the cache while it runs,
+and has the cache charge every edge it examined with layers left in one
+vectorized step, in examination order, when it returns. The tie check
+walks backwards from the goals through the graph's predecessor index,
+testing every edge into each vertex it reaches, so the loop records
+nothing for it and its work grows with the route's backward cone, not
+with the graph.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import sub
 
 from .estimation import EstimationCache, Metrics
 from .graph import Path, Problem
@@ -146,7 +154,7 @@ class _Pass:
         self.cache = cache
         self.arrays = problem.graph.arrays()
         self.eager = bool(eager)
-        self.l_est = math.inf if eager else float(l_est)
+        self.l_est = float(l_est)  # an eager pass does not read it
         self.l_prune = float(l_prune)
         try:
             self.g, self.parent_edge = self.arrays.free_pass_lists.pop()
@@ -170,18 +178,29 @@ class _Pass:
         charged once per cache lifetime. Estimation stops early once the
         tentative bound exceeds l_est. Successors are recorded only if they
         improve and their bound does not exceed l_prune; improving bounds
-        above l_prune count as prunings. Eager mode fully estimates every
-        examined edge up front, with no estimation cutoff (the baseline).
-        An edge's next_index and tightest lower bound are read and written
-        once per evaluation, not once per step. An edge with cached work
-        that can take no step (it has reached k_max, the longest sequence
-        of the graph, its bound passes l_est or, lazily, no longer beats
-        g[s]) reads nothing more and writes nothing; lazily, an edge whose
-        key does not beat g[s] is skipped before its id is read. A step
-        charges its layer without testing invoked, as no layer at or past
-        next_index is invoked (the cache's invariant). Evaluations are
-        counted once per expansion, as its number of edges, less those after
-        an edge that raises.
+        above l_prune count as prunings. An edge's next_index and tightest
+        lower bound are read and written once per evaluation, not once per
+        step. An edge with cached work that can take no step (it has
+        reached k_max, the longest sequence of the graph, its bound passes
+        l_est or no longer beats g[s]) reads nothing more and writes
+        nothing, and an edge whose key does not beat g[s] is skipped before
+        its id is read. A step charges its layer without testing invoked,
+        as no layer at or past next_index is invoked (the cache's
+        invariant).
+
+        Eager mode (the baseline) fully estimates every examined edge, with
+        no estimation cutoff, and takes no steps: a fresh edge's bound is
+        read from the graph's full_lower table, a partly applied one (on a
+        shared cache) folds its remaining lower bounds from its tightest
+        one, and an exhausted one keeps its bound. Each edge with layers
+        left is recorded with its new bound, in examination order, and
+        nothing is written to the cache until the cache charges every
+        recorded edge at once (EstimationCache._charge_rest) as run returns
+        or just before it raises. That is safe because a pass examines
+        each edge at most once: each vertex is expanded at most once.
+
+        Evaluations are counted once per expansion, as its number of edges,
+        less those after an edge that raises.
 
         Each call resumes the frontier and pops entries in (key, push
         order), expanding each non-goal vertex, until it pops a goal, which
@@ -210,14 +229,19 @@ class _Pass:
         tight_lower = memoryview(cache.tightest_lower)
         invoked = memoryview(cache.invoked)
         k_max = arr.k_max
-        layer_counts = [0] * k_max  # charged here, added to the cache's on return
         counters = cache._counters
         expansions, evaluations, prunings = counters
-        tw = cache._tw  # summed in charge order, as a running total
+        l_est, l_prune, eager = self.l_est, self.l_prune, self.eager
+        if eager:  # nothing is written to the cache until run returns
+            full_lower = memoryview(arr.full_lower)
+            charged_edges, charged_lowers = array("q"), array("d")
+            charge_edge, charge_lower = charged_edges.append, charged_lowers.append
+        else:
+            layer_counts = [0] * k_max  # charged here, added to the cache's on return
+            tw = cache._tw  # summed in charge order, as a running total
         g, parent_edge = self.g, self.parent_edge
         keys, buckets, goals = self.keys, self.buckets, self.problem.goals
         bucket_at = buckets.get
-        l_est, l_prune, eager = self.l_est, self.l_prune, self.eager
         record_pop = self.popped.append
         found = None
         corrupt = -1
@@ -242,40 +266,57 @@ class _Pass:
                 for ptr in range(lo, hi):
                     s = succ_vertex[ptr]
                     g_s = g[s]
-                    if not (eager or key < g_s):
-                        continue  # lazy: the edge cannot improve s
-                    eid = succ_edge[ptr]
-                    # eager: run the sequence to its end; lazy: stop once the
-                    # bound no longer beats g[s] or passes l_est
-                    gt = key
-                    layer = applied = next_index[eid]
-                    low = tight_lower[eid]
-                    if layer:
-                        gt = key + low  # cached work, consumed as one free step
-                    # a cached edge can take no step once it reaches k_max
-                    # (no sequence is longer), passes l_est or, lazily, no
-                    # longer beats g[s]
-                    if not layer or (
-                        layer != k_max and not gt > l_est and (eager or gt < g_s)
-                    ):
-                        base = est_offsets[eid]
-                        k_e = est_offsets[eid + 1] - base
-                        while layer < k_e and (eager or gt < g_s):
-                            # no layer at or past next_index was invoked: charge it
-                            flat = base + layer
-                            invoked[flat] = True
-                            layer_counts[layer] += 1
-                            tw += est_time[flat]
-                            lower = est_lower[flat]
-                            if lower > low:
-                                low = lower
-                            layer += 1
-                            gt = key + low
-                            if gt > l_est:
-                                break
-                        if layer != applied:
-                            next_index[eid] = layer
-                            tight_lower[eid] = low
+                    if eager:
+                        # the full bound, charged when run returns
+                        eid = succ_edge[ptr]
+                        layer = next_index[eid]
+                        if not layer:
+                            low = full_lower[eid]
+                            charge_edge(eid)
+                            charge_lower(low)
+                        else:  # cached work: fold the layers left, if any
+                            low = tight_lower[eid]
+                            first = est_offsets[eid] + layer
+                            end = est_offsets[eid + 1]
+                            if first < end:
+                                for lower in est_lower[first:end]:
+                                    if lower > low:
+                                        low = lower
+                                charge_edge(eid)
+                                charge_lower(low)
+                        gt = key + low
+                    elif not key < g_s:
+                        continue  # the edge cannot improve s
+                    else:
+                        # stop once the bound no longer beats g[s] or passes l_est
+                        eid = succ_edge[ptr]
+                        gt = key
+                        layer = applied = next_index[eid]
+                        low = tight_lower[eid]
+                        if layer:
+                            gt = key + low  # cached work, consumed as one free step
+                        # a cached edge can take no step once it reaches k_max
+                        # (no sequence is longer), passes l_est or no longer
+                        # beats g[s]
+                        if not layer or (layer != k_max and not gt > l_est and gt < g_s):
+                            base = est_offsets[eid]
+                            k_e = est_offsets[eid + 1] - base
+                            while layer < k_e and gt < g_s:
+                                # no layer at or past next_index was invoked: charge it
+                                flat = base + layer
+                                invoked[flat] = True
+                                layer_counts[layer] += 1
+                                tw += est_time[flat]
+                                lower = est_lower[flat]
+                                if lower > low:
+                                    low = lower
+                                layer += 1
+                                gt = key + low
+                                if gt > l_est:
+                                    break
+                            if layer != applied:
+                                next_index[eid] = layer
+                                tight_lower[eid] = low
                     if gt < g_s:
                         if gt < key:
                             corrupt = eid
@@ -301,8 +342,12 @@ class _Pass:
             heappush(keys, key)
             break
         counters[:] = expansions, evaluations, prunings
-        cache._tw = tw
-        cache.layer_counts += layer_counts
+        if eager:
+            if charged_edges:
+                cache._charge_rest(charged_edges, charged_lowers)
+        elif any(layer_counts):
+            cache._tw = tw
+            cache.layer_counts += layer_counts
         if corrupt >= 0:
             raise RuntimeError(
                 f"edge {corrupt} lowers vertex {s} to key {gt}, below the key {key} being "
@@ -445,7 +490,9 @@ def _search(problem, cache, l_est, l_prune, eager):
         cache = EstimationCache(problem.graph)
     elif cache.graph is not problem.graph:
         raise ValueError("the cache was built for another graph")
-    before = cache.snapshot_metrics()
+    counts_before, counters_before, tw_before = (
+        cache.layer_counts.tolist(), tuple(cache._counters), cache._tw
+    )
     run = _Pass(problem, cache, l_est, l_prune, eager)
     goal = run.run()
     if goal is None:
@@ -461,9 +508,12 @@ def _search(problem, cache, l_est, l_prune, eager):
     popped = tuple(run.popped)
     keys = tuple(map(run.g.__getitem__, popped))  # before release resets g
     run.release()
-    return SearchResult(
-        path, opt, l_under, l_over, cache.snapshot_metrics() - before, popped, keys
+    metrics = Metrics(
+        tuple(map(sub, cache.layer_counts.tolist(), counts_before)),
+        *map(sub, cache._counters, counters_before),
+        cache._tw - tw_before,
     )
+    return SearchResult(path, opt, l_under, l_over, metrics, popped, keys)
 
 
 def check_thresholds(l_est: float, l_prune: float) -> None:

@@ -6,6 +6,7 @@ change that alters any of them shows up here.
 """
 
 import hashlib
+import heapq
 import math
 
 import numpy as np
@@ -241,3 +242,174 @@ def test_negative_cached_bound_into_an_unexpanded_vertex_raises():
         beauty(Problem(graph, 0, frozenset({2})), cache)
     m = cache.snapshot_metrics()
     assert (m.expansions, m.evaluations, m.prunings) == (2, 2, 0)
+
+
+def _order_sensitive_graph(rng):
+    """A graph built from arrays, unvalidated: 1-4 layers per edge, a fifth of
+    the steps lower the bound (non-nested), zero lowers are -0.0 half the
+    time, and layer prices are non-integers over many magnitudes, so the
+    order of their summation shows in T_w."""
+    n = int(rng.integers(4, 14))
+    m = int(rng.integers(2 * n, 4 * n))
+    lens = rng.integers(1, 5, m)
+    offsets = np.concatenate([[0], np.cumsum(lens)])
+    lower, price = [], []
+    for k in lens.tolist():
+        low = float(rng.integers(0, 4))
+        for _ in range(k):
+            low = low * rng.random() if rng.random() < 0.2 else low + float(rng.integers(0, 3))
+            lower.append(-0.0 if low == 0.0 and rng.random() < 0.5 else low)
+            price.append(float(rng.random() * 10.0 ** rng.integers(-3, 8)))
+    lower = np.array(lower)
+    graph = EstimatedDigraph.from_arrays(
+        n, rng.integers(0, n, m), rng.integers(0, n, m), offsets, lower, lower + 5.0,
+        np.array(price), np.zeros(m), np.zeros(m, np.bool_),
+    )
+    return graph, n
+
+
+def _eager_model(problem, cache):
+    """ei_ucs written out layer by layer on copies of the cache's state: pop
+    in (key, push order), and for each expanded vertex take its out-edges in
+    CSR order, charging each remaining layer and folding its lower bound as
+    it goes. Returns the state and the pops."""
+    graph = problem.graph
+    off, est_lower, est_time = graph.est_offsets, graph.est_lower, graph.est_time
+    next_index = cache.next_index.copy()
+    tight = cache.tightest_lower.copy()
+    invoked = cache.invoked.copy()
+    counts = cache.layer_counts.copy()
+    tw = cache._tw
+    expansions, evaluations, prunings = cache._counters
+    g = {problem.start: 0.0}
+    heap, pushes, pops = [(0.0, 0, problem.start)], 1, []
+    while heap:
+        key, _, v = heapq.heappop(heap)
+        if g[v] != key:
+            continue
+        pops.append((v, key))
+        if v in problem.goals:
+            break
+        expansions += 1
+        for eid in np.flatnonzero(graph.tail == v).tolist():
+            evaluations += 1
+            low = float(tight[eid])
+            for layer in range(int(next_index[eid]), int(off[eid + 1] - off[eid])):
+                flat = int(off[eid]) + layer
+                invoked[flat] = True
+                counts[layer] += 1
+                tw += float(est_time[flat])
+                if est_lower[flat] > low:
+                    low = float(est_lower[flat])
+                next_index[eid] = layer + 1
+            tight[eid] = low
+            s = int(graph.head[eid])
+            if key + low < g.get(s, math.inf):
+                g[s] = key + low
+                heapq.heappush(heap, (key + low, pushes, s))
+                pushes += 1
+    state = (next_index, tight, invoked, counts)
+    return (
+        [a.tobytes() for a in state], repr(tw), [expansions, evaluations, prunings], tuple(pops)
+    )
+
+
+def _state(cache):
+    arrays = (cache.next_index, cache.tightest_lower, cache.invoked, cache.layer_counts)
+    return [[a.tobytes() for a in arrays], repr(cache._tw), list(cache._counters)]
+
+
+def test_eager_charges_equal_a_layer_by_layer_model():
+    # per graph, one cache shared by beauty, thresholded beauty and ei_ucs,
+    # so an ei_ucs pass meets fresh, partly applied and exhausted edges
+    met = set()
+    order_sensitive = 0
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        graph, n = _order_sensitive_graph(rng)
+        cache = EstimationCache(graph)
+        for _ in range(8):
+            problem = Problem(graph, int(rng.integers(0, n)), frozenset({int(rng.integers(0, n))}))
+            kind = int(rng.integers(0, 3))
+            if kind == 0:
+                beauty(problem, cache)
+                continue
+            if kind == 1:
+                beauty(problem, cache, float(rng.integers(1, 6)) + 0.5, float(rng.integers(2, 9)))
+                continue
+            *expected, pops = _eager_model(problem, cache)
+            done, invoked = cache.next_index.copy(), cache.invoked.copy()
+            assert ei_ucs(problem, cache).pops == pops
+            assert _state(cache) == expected
+            examined = np.isin(graph.tail, [v for v, _ in pops if v not in problem.goals])
+            done, k_e = done[examined], np.diff(graph.est_offsets)[examined]
+            kinds = {"fresh": done == 0, "partly applied": (0 < done) & (done < k_e),
+                     "exhausted": done == k_e}
+            met |= {name for name, hit in kinds.items() if hit.any()}
+            charged = graph.est_time[cache.invoked & ~invoked].tolist()
+            order_sensitive += sum(charged) != sum(sorted(charged))
+    assert met == {"fresh", "partly applied", "exhausted"}
+    assert order_sensitive > 0
+
+
+def test_full_lower_table_folds_like_the_steps_and_is_built_once_by_an_eager_pass():
+    # built by hand and not validated: a non-nested sequence, a NaN lower
+    # after a finite one and before one, -0.0 alone and after 0.0, and
+    # sequences of one to four layers
+    sequences = [[3.0, 1.0, 2.0], [1.0, math.nan], [math.nan, 2.0], [-0.0], [0.0, -0.0],
+                 [5.0], [0.5, 1.5, 1.5, 4.0]]
+    m = len(sequences)
+    lower = np.array([x for seq in sequences for x in seq])
+    graph = EstimatedDigraph.from_arrays(
+        2, [0] * m, [1] * m, np.cumsum([0] + [len(seq) for seq in sequences]), lower,
+        np.full(len(lower), 9.0), np.arange(1.0, len(lower) + 1), np.zeros(m), np.zeros(m, bool),
+    )
+    arrays = graph.arrays()
+    problem = Problem(graph, 0, frozenset({1}))
+    beauty(problem, EstimationCache(graph))
+    assert "full_lower" not in vars(arrays)  # a lazy pass does not build it
+    eager = EstimationCache(graph)
+    ei_ucs(problem, eager)
+    table = vars(arrays)["full_lower"]
+    assert eager.tightest_lower.tobytes() == table.tobytes()
+    # the steps' fold, taken on a fresh cache one layer at a time
+    cache = EstimationCache(graph)
+    for eid, seq in enumerate(sequences):
+        for _ in seq:
+            cache.apply_next(eid)
+    assert table.tobytes() == cache.tightest_lower.tobytes()
+    assert table.tolist() == [3.0, 1.0, 2.0, 0.0, 0.0, 5.0, 4.0]
+    assert not np.signbit(table).any()
+    ei_ucs(problem, EstimationCache(graph))
+    assert vars(arrays)["full_lower"] is table  # a second eager pass reuses it
+    empty = EstimatedDigraph(3).arrays().full_lower
+    assert empty.dtype == np.float64 and empty.shape == (0,)
+
+
+def test_eager_pass_charges_the_edges_examined_before_a_corrupt_one():
+    # edge 2 (3 -> 1) is poisoned exhausted at -9: expanding 3 at key 2 would
+    # push 1 at -7; edges 0 and 1, examined before it, are charged in order,
+    # and edge 3 (3 -> 4), after it, is not
+    graph = EstimatedDigraph(
+        5,
+        [
+            edge(0, 1, [(4, 12, 0.1), (10, 10, 0.7)]),
+            edge(0, 3, [(1, 3, 0.2), (2, 2, 0.3)]),
+            edge(3, 1, [(0, 0, 1.0)]),
+            edge(3, 4, [(5, 5, 1.0)]),
+        ],
+    )
+    cache = EstimationCache(graph)
+    cache.next_index[2] = 1
+    cache.tightest_lower[2] = -9.0
+    with pytest.raises(
+        RuntimeError, match=r"edge 2 lowers vertex 1 to key -7\.0, below the key 2\.0 being"
+    ):
+        ei_ucs(Problem(graph, 0, frozenset({4})), cache)
+    m = cache.snapshot_metrics()
+    assert (m.expansions, m.evaluations, m.prunings) == (2, 3, 0)
+    assert cache.invoked.tolist() == [True, True, True, True, False, False]
+    assert cache.layer_counts.tolist() == [2, 2]
+    assert repr(cache._tw) == repr(((0.0 + 0.1) + 0.7) + 0.2 + 0.3)
+    assert cache.next_index.tolist() == [2, 2, 1, 0]
+    assert cache.tightest_lower.tolist() == [10.0, 2.0, -9.0, 0.0]
