@@ -5,10 +5,7 @@ sequence has been applied and the tightest lower bound so far; the
 tightest upper bound is derived from the invoked layers. Searches thread a
 cache through several runs so work is never repeated: each estimator's
 time_cost is charged at most once per cache lifetime, and re-encounters
-consume the saved result for free.
-
-Metrics snapshots are immutable; subtracting two snapshots gives the cost
-of whatever ran in between.
+consume the saved result for free. Metrics values are immutable.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ _CHARGE_CHUNK = 4096
 
 @dataclass(frozen=True)
 class Metrics:
-    """Simulated-cost accounting for a run (or a delta between snapshots).
+    """Simulated-cost accounting for a run or a cache's lifetime so far.
 
     layer_invocations[i] counts genuine invocations of sequence position
     i + 1, estimation_time is the sum of their time_costs, and search_time
@@ -59,18 +56,6 @@ class Metrics:
     @property
     def total_time(self) -> float:
         return self.estimation_time + self.search_time
-
-    def __sub__(self, other: "Metrics") -> "Metrics":
-        k = max(len(self.layer_invocations), len(other.layer_invocations))
-        mine = self.layer_invocations + (0,) * (k - len(self.layer_invocations))
-        theirs = other.layer_invocations + (0,) * (k - len(other.layer_invocations))
-        return Metrics(
-            layer_invocations=tuple(a - b for a, b in zip(mine, theirs)),
-            expansions=self.expansions - other.expansions,
-            evaluations=self.evaluations - other.evaluations,
-            prunings=self.prunings - other.prunings,
-            estimation_time=self.estimation_time - other.estimation_time,
-        )
 
 
 def write_metrics_csv(path, head, tail, rows) -> None:
@@ -100,19 +85,18 @@ class EstimationCache:
 
     Per edge it stores next_index (applied sequence positions) and
     tightest_lower; per estimator, whether it was invoked; per layer, how
-    many invocations were charged. next_index only grows, and apply_final
-    exhausts the edge it jumps, so no layer at or past next_index is
-    invoked: applying one charges it without testing invoked, each layer is
-    charged at most once, and the applied layers are exactly the invoked
-    ones. The tightest upper bound is derived from them on each read of the
-    read-only ``tightest_upper`` rather than stored.
+    many invocations were charged. The read-only ``tightest_upper`` is
+    derived from the invoked layers on each read. Layers are charged by a
+    lazy pass's steps, by ``_apply`` (``apply_next``, ``apply_final``) and
+    by ``_charge_rest``, for an eager pass. Invariants:
 
-    Layers are charged at three sites: a lazy search pass's steps, written
-    as it takes them; ``_apply`` (``apply_next``, ``apply_final``); and
-    ``_charge_rest``, which an eager pass calls once, as its run returns or
-    just before it raises, for every edge it examined with layers left. An
-    eager pass writes nothing to the cache while it runs: it examines each
-    edge at most once, so the state it reads is the state before the run.
+    - next_index only grows and apply_final exhausts the edge it jumps, so
+      no layer at or past next_index is invoked: each is charged at most
+      once, without a test, and the applied layers are the invoked ones;
+    - ``_tw`` is summed in charge order;
+    - an edge with layers left holds the fold of its applied prefix: only
+      a lazy step and apply_next leave one, each adding one layer with the
+      fold that builds ``GraphArrays.full_lower``.
 
     Not safe for concurrent mutation; give each worker its own cache.
     """
@@ -150,20 +134,19 @@ class EstimationCache:
         self.next_index[eid] = layer + 1
         return low
 
-    def _charge_rest(self, edges, lowers) -> None:
-        """Charge, in order, every layer from next_index to the end of each
-        edge's sequence, and give the edge its tightest lower bound.
+    def _charge_rest(self, edges) -> None:
+        """Exhaust each edge in edges, the int64 buffer an eager pass filled
+        in examination order with every edge it examined with layers left.
 
-        edges and lowers are the buffers (int64 and float64) an eager pass
-        filled in examination order; each edge appears once. T_w is summed
-        in that charge order by np.cumsum, which adds sequentially from the
-        running total, as the step loop does. Chunks of _CHARGE_CHUNK edges
-        keep the temporaries small.
+        Every layer from next_index on is charged, edge by edge, and T_w
+        summed in that order by np.cumsum, which adds sequentially from the
+        running total. Each edge takes its full_lower bound, exact by the
+        class invariant. Chunks of _CHARGE_CHUNK edges keep the temporaries
+        small.
         """
         arr = self._arr
         offsets, ends, est_time = arr.est_offsets, arr.est_offsets[1:], arr.est_time
         edges = np.frombuffer(edges, np.int64)
-        lowers = np.frombuffer(lowers, np.float64)
         tw = self._tw
         for at in range(0, len(edges), _CHARGE_CHUNK):
             eids = edges[at:at + _CHARGE_CHUNK]
@@ -179,7 +162,7 @@ class EstimationCache:
             times[0] += tw  # so the cumsum's first sum is tw + the first charge
             tw = float(times.cumsum()[-1])
             self.next_index[eids] = k_e
-            self.tightest_lower[eids] = lowers[at:at + _CHARGE_CHUNK]
+            self.tightest_lower[eids] = arr.full_lower[eids]
         self._tw = tw
 
     def apply_next(self, eid: int) -> tuple[float, int]:

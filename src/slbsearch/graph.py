@@ -60,18 +60,16 @@ class Edge:
 class GraphArrays:
     """Flat array form of a graph, read by the search loop and the cache.
 
-    Successors are CSR over the tail vertex, preserving edge declaration
-    order within each tail. Predecessors are CSR over the head vertex: the
-    edges into v are ``pred_edge[pred_indptr[v]:pred_indptr[v + 1]]``, in
-    ascending (tail, edge) order. Estimator layers for edge e live in the flat
-    slices ``est_lower[est_offsets[e]:est_offsets[e+1]]`` (same for upper
-    and time); these four are the graph's own arrays, not copies.
-
-    free_pass_lists holds (g, parent edges) pairs of n-length lists that
-    finished search passes handed back reset to inf and -1; a new pass
-    takes one (each pass its own) instead of allocating. ``full_lower``,
-    the eager pass's table of fully-estimated lower bounds, is built on
-    its first read and kept.
+    - Successors: CSR over the tail vertex, in edge declaration order.
+    - Predecessors: CSR over the head vertex; the edges into v are
+      ``pred_edge[pred_indptr[v]:pred_indptr[v + 1]]``, by tail, then edge.
+    - Edge e's layers: ``est_offsets[e]:est_offsets[e + 1]`` of est_lower,
+      est_upper and est_time, the graph's own arrays, not copies.
+    - free_pass_lists: (g, parent edges) pairs of n-length lists that
+      finished passes handed back reset to inf and -1, each taken by one
+      new pass.
+    - ``full_lower``: every edge's fully-estimated lower bound, built on
+      its first read and kept.
     """
 
     indptr: np.ndarray
@@ -92,7 +90,7 @@ class GraphArrays:
         to a fresh cache: the search loop's fold, from 0.0 (a fresh cache's
         bound), keeping a layer's lower bound only when it is strictly
         greater. So a NaN is never kept and, of 0.0 and -0.0, the first
-        stays. An eager pass reads its fresh edges' bounds from it."""
+        stays. An eager pass gives it to every edge it charges."""
         starts, lens = self.est_offsets[:-1], np.diff(self.est_offsets)
         out = np.zeros(len(lens))
         for depth in range(self.k_max):
@@ -243,11 +241,14 @@ def validate_graph(graph: EstimatedDigraph) -> list[Violation]:
     Checks per estimator: 0 <= lower <= upper < inf and finite non-negative
     time_cost. Checks per adjacent pair: interval nesting and strictly
     increasing time_cost. When true_cost is present it must lie in every
-    interval of the sequence. An empty list means the graph is valid.
+    interval of the sequence. Across edges, the final lower bounds must sum
+    to a finite float, so no path's bound overflows to inf (which a search
+    would report as no path); the edge where their running sum overflows is
+    named. An empty list means the graph is valid.
 
     Each rule is one array mask. Violations come by edge; within an edge,
     endpoints, emptiness, each layer's bounds and time_cost, each pair's
-    nesting and time order, then the true cost against each layer.
+    nesting and time order, the true cost against each layer, then the sum.
     """
     n, tail, head = graph.vertex_count, graph.tail, graph.head
     lens = np.diff(graph.est_offsets)
@@ -281,6 +282,12 @@ def validate_graph(graph: EstimatedDigraph) -> list[Violation]:
             edge = int(owner[k])
             i = k - int(graph.est_offsets[edge])  # the layer, from 0
             found.append((edge, section, i, kind, detail(k, i)))
+    finals = lo[graph.est_offsets[1:][lens > 0] - 1]
+    with np.errstate(over="ignore"):  # a non-finite final is a bounds defect already
+        if np.isfinite(finals).all() and not np.isfinite(finals.sum()):
+            edge = int(np.flatnonzero(lens > 0)[np.argmin(np.isfinite(finals.cumsum()))])
+            found.append((edge, 5, 0, "overflow",
+                          f"final lower bounds of edges 0 to {edge} sum past the largest float"))
     # stable, so bounds stay before time_cost and nesting before time_order
     found.sort(key=lambda v: v[:3])
     return [Violation(edge, kind, detail) for edge, _, _, kind, detail in found]

@@ -1,72 +1,36 @@
 """Best-first search for the tightest fully-estimated path lower bound.
 
-The target quantity is the minimum, over all start-to-goal paths, of the
-path's lower bound after every estimator on every path edge has been
-applied. A path attaining that minimum certifies the tightest available
-optimistic bound on the true shortest-path cost, and the ratio of its upper
-to lower bound caps how suboptimal acting on it can be.
+The target is the minimum, over start-to-goal paths, of the path's lower
+bound once every estimator on every path edge is applied. A path attaining
+it certifies the tightest available optimistic bound on the true
+shortest-path cost.
 
-``beauty`` searches like uniform-cost search on accumulated lower bounds
-but estimates lazily: a successor edge is only tightened while that could
-still change the successor's recorded bound, and estimation stops early
-once the tentative bound clears the l_est threshold. Candidates whose bound
-exceeds l_prune are discarded. With both thresholds at infinity the result
-is exact; with thresholds from a previous pass it does strictly less
-estimation work. ``ei_ucs`` is the estimation-indifferent baseline that
-fully estimates every edge it touches.
+- ``beauty`` searches on accumulated lower bounds and tightens a successor
+  edge only while that could still change the successor's bound, stopping
+  once the bound passes ``l_est``; bounds above ``l_prune`` are discarded.
+  With both thresholds at infinity the result is exact.
+- ``ei_ucs``, the estimation-indifferent baseline, fully estimates every
+  edge it examines.
+- ``beauty_ps`` jumps each edge of a found path to its final estimator,
+  which certifies the path or yields the bracket (l_under, l_over).
+- A lazy pass whose popped goal is uncertified at key k pops every entry
+  tied at k, then runs lazy path evaluation as in LazySP (Dellin &
+  Srinivasa, ICAPS 2016) over the tight subgraph of the vertices with
+  g <= k. A goal popped at the optimum is so certified in the pass that
+  pops it, and only edges on tight routes are charged.
 
-After a goal is popped, ``beauty_ps`` tightens the returned path's own
-bound by jumping each path edge to its final estimator, which either
-certifies the path as exactly optimal or yields the bracket
-(l_under, l_over) a following pass can exploit.
+Each pass is one ``_Pass``, whose ``run`` is the one search loop: plain
+Python over ``memoryview``s of the graph and cache arrays, with a bucket
+queue (Dial, CACM 1969) as its frontier. Invariants:
 
-A lazy pass whose popped goal is left uncertified at its key k checks in
-the same pass whether the optimum is tied at k. It drains the tie by
-resuming the loop up to key k until no goal is left there (every frontier
-entry keyed exactly k is popped and, unless it is a goal, expanded), then
-runs lazy path evaluation in the manner of LazySP (Dellin & Srinivasa,
-ICAPS 2016) over the tight subgraph of every vertex with g <= k: the
-edges (u, h) with g[h] <= k and g[u] + tightest lower bound == g[h]. A
-route from the start to a goal with g == k whose edges all keep their
-bound under the final estimator is certified at k; edges that rise are
-dropped and another route is tried. If the optimum is k, each optimal
-route lies in that subgraph and none of its edges can rise, so a goal
-popped at the optimum is always certified in the pass that pops it. With
-no such route the pass returns the popped path's bracket unchanged, and
-only edges on tight routes are ever charged.
-
-Each pass is one ``_Pass``: its ``run`` method is the search loop, one
-resumable pop loop with a key limit, plain Python with the graph and cache
-arrays read and written through ``memoryview``. Its frontier is a bucket
-queue (Dial, CACM 1969): a ``heapq`` of the distinct keys and, per key, a
-list of vertices in push order. Keys are sums of bounds, so many entries
-share one; the loop walks a key's whole list and does heap work once per
-key, and equal keys still pop in push order. As in Dijkstra's algorithm,
-keys never fall below the key being expanded (an edge that would push one
-lower raises), so there is no closed set: a vertex's current entry is the
-one keyed at its g. For the same reason a popped vertex keeps its key as
-g for the rest of the pass, so a pop is recorded as its vertex alone and the
-keys are read back from g once, before the lists are handed back. The pass
-owns its search state as plain lists (g, the parent edges, the frontier and
-the popped vertices), so each call to ``run`` resumes where the last one
-stopped: at a goal, or before the first key past its limit. Its two
-n-length lists are reused per graph: a pass that touched few vertices
-resets just those and hands the lists back, so a small search does not pay
-for the graph's size. An expansion counts its edges as evaluations at once.
-The estimation step loop serves only the lazy passes (``beauty`` and the
-passes of ``a_beauty``). A lazy edge that cannot improve its successor is
-skipped before its id is read, and an edge with cached estimation work
-reads where its sequence ends only when it can take a step. A step charges
-its layer without testing invoked: next_index only grows and apply_final
-exhausts the edge it jumps, so no layer at or past next_index is invoked.
-An eager pass (``ei_ucs``) takes no steps: it reads a fresh edge's full
-bound from a per-graph table, writes nothing to the cache while it runs,
-and has the cache charge every edge it examined with layers left in one
-vectorized step, in examination order, when it returns. The tie check
-walks backwards from the goals through the graph's predecessor index,
-testing every edge into each vertex it reaches, so the loop records
-nothing for it and its work grows with the route's backward cone, not
-with the graph.
+- entries pop in (key, push order), across calls to ``run`` too;
+- nothing is pushed below the key being expanded (an edge that would
+  raises), so there is no closed set and a popped vertex's g is final;
+- each layer is charged at most once per cache;
+- ``T_w`` is summed in charge order;
+- an eager pass writes nothing to the cache until it returns;
+- an edge with layers left holds the fold of its applied prefix, so its
+  fully-estimated bound is ``GraphArrays.full_lower``.
 """
 
 from __future__ import annotations
@@ -169,54 +133,30 @@ class _Pass:
         self.popped: list[int] = []  # each popped vertex keeps its key as g
 
     def run(self, limit: float = math.inf) -> int | None:
-        """Best-first search on accumulated lower bounds.
+        """Resume the frontier and pop until a goal, which is returned
+        unexpanded, or return None once the next key exceeds limit or the
+        frontier runs out.
 
-        Lazy mode: while a successor's tentative bound still beats its
-        recorded one and the edge has unapplied estimators, take one
-        estimation step; previously cached work is consumed as a single
-        free step, after which genuinely new estimators are invoked and
-        charged once per cache lifetime. Estimation stops early once the
-        tentative bound exceeds l_est. Successors are recorded only if they
-        improve and their bound does not exceed l_prune; improving bounds
-        above l_prune count as prunings. An edge's next_index and tightest
-        lower bound are read and written once per evaluation, not once per
-        step. An edge with cached work that can take no step (it has
-        reached k_max, the longest sequence of the graph, its bound passes
-        l_est or no longer beats g[s]) reads nothing more and writes
-        nothing, and an edge whose key does not beat g[s] is skipped before
-        its id is read. A step charges its layer without testing invoked,
-        as no layer at or past next_index is invoked (the cache's
-        invariant).
+        Every pop is appended to popped; every other pop is expanded, and
+        its edges counted as evaluations, less those after an edge that
+        raises. A lazy pass steps an edge's estimators while the successor's
+        tentative bound beats g[s] and does not pass l_est; cached work is
+        one free step. An eager pass fully estimates every examined edge: one
+        with layers left takes its full_lower bound and is charged by
+        EstimationCache._charge_rest as run returns or just before it raises;
+        an exhausted one keeps its cached bound, which apply_final may have
+        left below the table's. An improving successor above l_prune counts
+        as a pruning. Invariants:
 
-        Eager mode (the baseline) fully estimates every examined edge, with
-        no estimation cutoff, and takes no steps: a fresh edge's bound is
-        read from the graph's full_lower table, a partly applied one (on a
-        shared cache) folds its remaining lower bounds from its tightest
-        one, and an exhausted one keeps its bound. Each edge with layers
-        left is recorded with its new bound, in examination order, and
-        nothing is written to the cache until the cache charges every
-        recorded edge at once (EstimationCache._charge_rest) as run returns
-        or just before it raises. That is safe because a pass examines
-        each edge at most once: each vertex is expanded at most once.
-
-        Evaluations are counted once per expansion, as its number of edges,
-        less those after an edge that raises.
-
-        Each call resumes the frontier and pops entries in (key, push
-        order), expanding each non-goal vertex, until it pops a goal, which
-        it returns unexpanded; it returns None once the next key exceeds
-        limit or the frontier runs out. Every pop appends its vertex to
-        popped. The cache's counters and simulated estimation time advance
-        in place. A push below the key being expanded (impossible with
-        valid bounds) raises RuntimeError once they are written back; so no
-        popped vertex improves, and its key stays g[v] for the rest of the
-        pass. As each push strictly lowers g, an entry is current exactly
-        when its key equals g[v]. No closed set is needed.
-
-        Entries pop in (key, push order). The smallest key is popped and its
-        list walked whole, together with what a zero-bound edge appends to
-        it meanwhile; a call that stops inside a list requeues the unpopped
-        rest at its key, so the order holds across calls.
+        - entries pop in (key, push order); a call that stops inside a key's
+          list requeues the rest at that key;
+        - a push below the key being expanded raises RuntimeError, once the
+          counters are written back, so an entry is current exactly when its
+          key equals g[v];
+        - no layer at or past next_index is invoked, so a step charges its
+          layer without testing invoked;
+        - an eager pass examines each edge at most once (each vertex is
+          expanded once), so reading the cache as it was is exact.
         """
         arr, cache = self.arrays, self.cache
         indptr = memoryview(arr.indptr)
@@ -234,8 +174,8 @@ class _Pass:
         l_est, l_prune, eager = self.l_est, self.l_prune, self.eager
         if eager:  # nothing is written to the cache until run returns
             full_lower = memoryview(arr.full_lower)
-            charged_edges, charged_lowers = array("q"), array("d")
-            charge_edge, charge_lower = charged_edges.append, charged_lowers.append
+            charged_edges = array("q")
+            charge_edge = charged_edges.append
         else:
             layer_counts = [0] * k_max  # charged here, added to the cache's on return
             tw = cache._tw  # summed in charge order, as a running total
@@ -270,20 +210,11 @@ class _Pass:
                         # the full bound, charged when run returns
                         eid = succ_edge[ptr]
                         layer = next_index[eid]
-                        if not layer:
+                        if not layer or est_offsets[eid] + layer < est_offsets[eid + 1]:
                             low = full_lower[eid]
                             charge_edge(eid)
-                            charge_lower(low)
-                        else:  # cached work: fold the layers left, if any
+                        else:  # exhausted: apply_final may have skipped a layer
                             low = tight_lower[eid]
-                            first = est_offsets[eid] + layer
-                            end = est_offsets[eid + 1]
-                            if first < end:
-                                for lower in est_lower[first:end]:
-                                    if lower > low:
-                                        low = lower
-                                charge_edge(eid)
-                                charge_lower(low)
                         gt = key + low
                     elif not key < g_s:
                         continue  # the edge cannot improve s
@@ -344,7 +275,7 @@ class _Pass:
         counters[:] = expansions, evaluations, prunings
         if eager:
             if charged_edges:
-                cache._charge_rest(charged_edges, charged_lowers)
+                cache._charge_rest(charged_edges)
         elif any(layer_counts):
             cache._tw = tw
             cache.layer_counts += layer_counts

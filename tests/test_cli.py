@@ -203,6 +203,16 @@ class TestSolve:
         assert code == 3
         assert "invalid graph" in capsys.readouterr().err
 
+    def test_path_sum_overflow_exits_3_not_2(self, tmp_path, capsys):
+        # each bound is a float, but the only path's sum is inf: not "no path"
+        big = [(1e308, 1e308, 1.0)]
+        graph = EstimatedDigraph(3, [edge(0, 1, big), edge(1, 2, big)])
+        path = tmp_path / "big.json"
+        dump_problem(Problem(graph, 0, frozenset({2})), path)
+        code = run_cli("solve", "--graph", str(path), "--alg", "eiucs")
+        assert code == 3
+        assert "overflow" in capsys.readouterr().err
+
     def test_usage_errors_exit_3(self, ref_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("solve", "--graph", ref_path, "--alg", "bfs")

@@ -122,14 +122,6 @@ class TestMetrics:
         assert m.total_time == 17.0
         assert m.invocations == 3
 
-    def test_subtraction_gives_delta(self):
-        a = Metrics((5, 3), 7, 11, 2, 40.0)
-        b = Metrics((2, 1), 3, 6, 0, 12.0)
-        d = a - b
-        assert d.layer_invocations == (3, 2)
-        assert (d.expansions, d.evaluations, d.prunings) == (4, 5, 2)
-        assert d.estimation_time == 28.0
-
     def test_csv_row_shape(self, tmp_path):
         m = Metrics((5, 3), 7, 11, 2, 40.0)
         out = tmp_path / "m.csv"

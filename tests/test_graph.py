@@ -170,6 +170,16 @@ class TestValidateGraph:
         g = EstimatedDigraph(2, [edge(0, 5, [(1, 2, 1.0)])])
         assert any(v.kind == "endpoint" for v in validate_graph(g))
 
+    def test_path_sum_overflow(self):
+        # each bound is a valid float; their sum along 0 -> 1 -> 2 is inf
+        big = [(1e308, 1e308, 1.0)]
+        g = EstimatedDigraph(4, [edge(2, 3, [(1, 1, 1.0)]), edge(0, 1, big), edge(1, 2, big)])
+        detail = "final lower bounds of edges 0 to 2 sum past the largest float"
+        assert validate_graph(g) == [Violation(2, "overflow", detail)]
+        # an infinite bound is reported as bounds alone, not as an overflow too
+        g = EstimatedDigraph(2, [edge(0, 1, big), edge(0, 1, [(1, math.inf, 1.0)])])
+        assert [v.kind for v in validate_graph(g)] == ["bounds"]
+
     def test_all_defects_reported_not_just_first(self):
         g = EstimatedDigraph(
             2,

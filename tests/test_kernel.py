@@ -320,22 +320,28 @@ def _state(cache):
 
 
 def test_eager_charges_equal_a_layer_by_layer_model():
-    # per graph, one cache shared by beauty, thresholded beauty and ei_ucs,
-    # so an ei_ucs pass meets fresh, partly applied and exhausted edges
+    # per graph, one cache shared by beauty, thresholded beauty, apply_final
+    # and ei_ucs, so an ei_ucs pass meets fresh, partly applied and exhausted
+    # edges, some of them exhausted by a jump past a higher layer
     met = set()
-    order_sensitive = 0
+    order_sensitive = skipped = 0
     for seed in range(16):
         rng = np.random.default_rng(seed)
         graph, n = _order_sensitive_graph(rng)
         cache = EstimationCache(graph)
         for _ in range(8):
             problem = Problem(graph, int(rng.integers(0, n)), frozenset({int(rng.integers(0, n))}))
-            kind = int(rng.integers(0, 3))
+            kind = int(rng.integers(0, 4))
             if kind == 0:
                 beauty(problem, cache)
                 continue
             if kind == 1:
                 beauty(problem, cache, float(rng.integers(1, 6)) + 0.5, float(rng.integers(2, 9)))
+                continue
+            if kind == 2:
+                left = np.flatnonzero(cache.next_index < np.diff(graph.est_offsets))
+                for eid in rng.choice(left, len(left) // 2, replace=False).tolist():
+                    cache.apply_final(eid)
                 continue
             *expected, pops = _eager_model(problem, cache)
             done, invoked = cache.next_index.copy(), cache.invoked.copy()
@@ -346,10 +352,13 @@ def test_eager_charges_equal_a_layer_by_layer_model():
             kinds = {"fresh": done == 0, "partly applied": (0 < done) & (done < k_e),
                      "exhausted": done == k_e}
             met |= {name for name, hit in kinds.items() if hit.any()}
+            full = graph.arrays().full_lower[examined]
+            skipped += (kinds["exhausted"] & (cache.tightest_lower[examined] != full)).sum()
             charged = graph.est_time[cache.invoked & ~invoked].tolist()
             order_sensitive += sum(charged) != sum(sorted(charged))
     assert met == {"fresh", "partly applied", "exhausted"}
     assert order_sensitive > 0
+    assert skipped > 0  # so reading full_lower for an exhausted edge fails the model
 
 
 def test_full_lower_table_folds_like_the_steps_and_is_built_once_by_an_eager_pass():
