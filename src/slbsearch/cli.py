@@ -10,8 +10,7 @@ import argparse
 import math
 import sys
 
-from .bench import run_algorithm, run_suite, write_runs_csv
-from .generators import gen_grid_graph, gen_random_graph
+from .bench import _materialize, run_algorithm, run_suite, write_runs_csv
 from .io import dump_problem, dump_weighted, load_problem, load_suite, load_weighted
 from .synth import synth_estimators
 
@@ -116,18 +115,11 @@ def _cmd_gen(args) -> int:
         for name in names:
             if model != args.model and getattr(args, name) is not None:
                 raise ValueError(f"model {args.model} takes no --{name.replace('_', '-')}")
-    if args.model == "random":
-        if args.n is None or args.edge_prob is None:
-            raise ValueError("model random needs --n and --edge-prob")
-        wg = gen_random_graph(
-            args.n, args.edge_prob, (args.cost_min, args.cost_max), args.rng_seed
-        )
-    else:
-        if args.rows is None or args.cols is None:
-            raise ValueError("model grid needs --rows and --cols")
-        wg = gen_grid_graph(
-            args.rows, args.cols, (args.cost_min, args.cost_max), args.rng_seed
-        )
+    names = _GEN_SHAPE_FLAGS[args.model]
+    if any(getattr(args, name) is None for name in names):
+        flags = " and ".join(f"--{name.replace('_', '-')}" for name in names)
+        raise ValueError(f"model {args.model} needs {flags}")
+    wg = _materialize(vars(args))
     dump_weighted(wg, args.out)
     print(f"wrote {args.out} ({wg.vertex_count} vertices, {len(wg.tail)} edges)")
     return EXIT_OK

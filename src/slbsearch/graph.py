@@ -235,6 +235,16 @@ class Violation:
     detail: str
 
 
+def sum_overflow(values: np.ndarray) -> int | None:
+    """Index of the value at which the running sum of values passes the
+    largest float; None when it never does, or when some value is not finite
+    (a bound defect of its own)."""
+    with np.errstate(over="ignore"):
+        if np.isfinite(values).all() and not np.isfinite(values.sum()):
+            return int(np.argmin(np.isfinite(values.cumsum())))
+    return None
+
+
 def validate_graph(graph: EstimatedDigraph) -> list[Violation]:
     """Check every edge's estimator sequence; return all defects found.
 
@@ -282,12 +292,11 @@ def validate_graph(graph: EstimatedDigraph) -> list[Violation]:
             edge = int(owner[k])
             i = k - int(graph.est_offsets[edge])  # the layer, from 0
             found.append((edge, section, i, kind, detail(k, i)))
-    finals = lo[graph.est_offsets[1:][lens > 0] - 1]
-    with np.errstate(over="ignore"):  # a non-finite final is a bounds defect already
-        if np.isfinite(finals).all() and not np.isfinite(finals.sum()):
-            edge = int(np.flatnonzero(lens > 0)[np.argmin(np.isfinite(finals.cumsum()))])
-            found.append((edge, 5, 0, "overflow",
-                          f"final lower bounds of edges 0 to {edge} sum past the largest float"))
+    i = sum_overflow(lo[graph.est_offsets[1:][lens > 0] - 1])
+    if i is not None:
+        edge = int(np.flatnonzero(lens > 0)[i])
+        found.append((edge, 5, 0, "overflow",
+                      f"final lower bounds of edges 0 to {edge} sum past the largest float"))
     # stable, so bounds stay before time_cost and nesting before time_order
     found.sort(key=lambda v: v[:3])
     return [Violation(edge, kind, detail) for edge, _, _, kind, detail in found]

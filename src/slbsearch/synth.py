@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .generators import WeightedDigraph
-from .graph import EstimatedDigraph, Problem
+from .graph import EstimatedDigraph, Problem, sum_overflow
 
 __all__ = ["DEFAULT_MULTIPLIER_TABLE", "DEFAULT_TIME_COSTS", "synth_estimators"]
 
@@ -40,10 +40,7 @@ def pick_multipliers(cost: int, seed: int):
     return DEFAULT_MULTIPLIER_TABLE[h - 1] if h >= 1 else DEFAULT_MULTIPLIER_TABLE[0]
 
 
-def _bad_edge(weighted: WeightedDigraph, cost: int, what: str) -> ValueError:
-    """The error for the first edge of this cost; costs are checked in order
-    of first use, so that is the first edge with a bad cost."""
-    e = weighted.cost.index(cost)
+def _bad_edge(weighted: WeightedDigraph, e: int, what: str) -> ValueError:
     return ValueError(f"edge ({weighted.tail[e]}, {weighted.head[e]}): {what}")
 
 
@@ -51,23 +48,28 @@ def synth_estimators(weighted: WeightedDigraph, seed: int) -> Problem:
     """Estimated problem over the weighted graph's vertices, start and goals.
 
     The bounds are worked out once per distinct cost, with Python's exact
-    integer products, and looked up per edge. Raises ValueError for a cost
-    below 1 or one whose bounds do not fit a float.
+    integer products, and looked up per edge. Raises ValueError naming the
+    first edge whose cost is below 1 or whose bounds do not fit a float, or
+    where the final lower bounds' running sum passes the largest float.
     """
     m = len(weighted.cost)
     index = {c: row for row, c in enumerate(dict.fromkeys(weighted.cost))}  # in order of first use
     table = []  # the lower bounds of each distinct cost; the last is also its upper bound
+    first = weighted.cost.index  # costs go in order of first use, so this is the first bad edge
     for cost in index:
         if cost < 1:
-            raise _bad_edge(weighted, cost, "cost must be a positive integer")
+            raise _bad_edge(weighted, first(cost), "cost must be a positive integer")
         try:
             table.append([float(cost * f) for f in pick_multipliers(cost, seed)])
         except OverflowError:
-            raise _bad_edge(weighted, cost, "cost too large for a float") from None
+            raise _bad_edge(weighted, first(cost), "cost too large for a float") from None
     k = len(DEFAULT_TIME_COSTS)
     rows = np.fromiter(map(index.get, weighted.cost), np.int64, m)
     lowers = np.array(table, np.float64).reshape(-1, k)[rows]
     top = lowers[:, -1]
+    e = sum_overflow(top)
+    if e is not None:
+        raise _bad_edge(weighted, e, "final lower bounds sum past the largest float here")
     graph = EstimatedDigraph.from_arrays(
         weighted.vertex_count, weighted.tail, weighted.head, np.arange(0, k * m + 1, k),
         lowers.ravel(), np.repeat(top, k), np.tile(DEFAULT_TIME_COSTS, m),

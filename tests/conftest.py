@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from slbsearch import (
-    Edge,
-    EstimatedDigraph,
-    EstimatorSpec,
-    Problem,
-    default_backend_name,
-)
+from slbsearch import Edge, EstimatedDigraph, EstimatorSpec, Problem
 
 # Reference instance used across the suite: five vertices, start 0, goals
 # {3, 4}. Edge indices by declaration order; labels name tail/head.
@@ -121,15 +115,6 @@ def make_closed_bracket_problem():
 @pytest.fixture
 def ref():
     return make_reference_problem()
-
-
-@pytest.fixture(params=[default_backend_name()])
-def kernel(request):
-    """The one search kernel, named as benchmark results are stamped.
-
-    Tests that take it keep the ``[numpy]`` id they have always had.
-    """
-    return request.param
 
 
 def random_problem(rng: np.random.Generator, max_n=8, edge_prob=0.3, max_layers=3):

@@ -33,7 +33,7 @@ from slbsearch import (
 
 
 class TestAnytimeGolden:
-    def test_two_iterations_to_certainty(self, kernel):
+    def test_two_iterations_to_certainty(self):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
         result = a_beauty(problem, max_iterations=10, cache=cache)
@@ -48,7 +48,7 @@ class TestAnytimeGolden:
         assert second.path == Path((E02, E24), 4)
         assert (second.l_under, second.l_over) == (7.0, 7.0)
 
-    def test_iteration_work_split(self, kernel):
+    def test_iteration_work_split(self):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
         result = a_beauty(problem, cache=cache)
@@ -64,21 +64,21 @@ class TestAnytimeGolden:
         assert charged_layers(cache, E23) == (1,)
         assert cache.invocation_count() == 8
 
-    def test_forced_final_iteration_certifies(self, kernel):
+    def test_forced_final_iteration_certifies(self):
         problem = make_reference_problem()
         result = a_beauty(problem, max_iterations=2)
         assert result.iterations == 2
         assert result.l_star == 7.0
         assert result.log[-1].l_under == result.log[-1].l_over == 7.0
 
-    def test_single_iteration_budget_is_exact_search(self, kernel):
+    def test_single_iteration_budget_is_exact_search(self):
         problem = make_reference_problem()
         result = a_beauty(problem, max_iterations=1)
         assert result.iterations == 1
         assert result.l_star == 7.0
         assert result.path == Path((E02, E24), 4)
 
-    def test_forced_final_may_invoke_more_than_minimum(self, kernel):
+    def test_forced_final_may_invoke_more_than_minimum(self):
         # a budget-2 run must certify at iteration 2 even though its
         # thresholds are looser than the converged run's
         problem = make_reference_problem()
@@ -89,7 +89,7 @@ class TestAnytimeGolden:
 
 
 class TestBracketInvariants:
-    def test_lower_bound_rises_upper_never_rises(self, kernel):
+    def test_lower_bound_rises_upper_never_rises(self):
         problem = make_reference_problem()
         result = a_beauty(problem)
         unders = [rec.l_under for rec in result.log]
@@ -98,7 +98,7 @@ class TestBracketInvariants:
         assert all(a >= b for a, b in zip(overs, overs[1:]))
         assert all(u <= o for u, o in zip(unders, overs))
 
-    def test_no_estimator_paid_twice(self, kernel):
+    def test_no_estimator_paid_twice(self):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
         result = a_beauty(problem, cache=cache)
@@ -132,7 +132,7 @@ class TestTiedOptimum:
             (make_closed_tie_problem, Path((2, 4, 5), 4)),
         ],
     )
-    def test_tie_certified_in_the_pass_that_pops_it(self, make, route, kernel):
+    def test_tie_certified_in_the_pass_that_pops_it(self, make, route):
         problem = make()
         cache = EstimationCache(problem.graph)
         result = a_beauty(problem, max_iterations=10, cache=cache)
@@ -143,7 +143,7 @@ class TestTiedOptimum:
         assert result.path == route
         _check_run(problem, result, cache)
 
-    def test_closed_bracket(self, kernel):
+    def test_closed_bracket(self):
         problem = make_closed_bracket_problem()
         cache = EstimationCache(problem.graph)
         result = a_beauty(problem, max_iterations=10, cache=cache)
@@ -178,7 +178,7 @@ class TestTiedOptimum:
 
 
 class TestEpsilonRule:
-    def test_wide_epsilon_forces_early_finish(self, kernel):
+    def test_wide_epsilon_forces_early_finish(self):
         # after pass one the bracket is [5, 8]; 8/5 <= 1.7 triggers the
         # forced pass immediately, same as the converged run here
         problem = make_reference_problem()
@@ -186,7 +186,7 @@ class TestEpsilonRule:
         assert result.iterations == 2
         assert result.l_star == 7.0
 
-    def test_zero_epsilon_behaves_like_plain_loop(self, kernel):
+    def test_zero_epsilon_behaves_like_plain_loop(self):
         problem = make_reference_problem()
         with_eps = a_beauty(problem, epsilon=0.0)
         without = a_beauty(problem)
@@ -205,7 +205,7 @@ class TestEpsilonRule:
 
 
 class TestAnytimeEdgeCases:
-    def test_unreachable_goal(self, kernel):
+    def test_unreachable_goal(self):
         g = EstimatedDigraph(3, [edge(0, 1, [(1, 2, 1.0)])])
         problem = Problem(g, 0, frozenset({2}))
         result = a_beauty(problem)
@@ -214,7 +214,7 @@ class TestAnytimeEdgeCases:
         assert result.iterations == 1
         assert result.log[0].path is None
 
-    def test_start_is_goal(self, kernel):
+    def test_start_is_goal(self):
         problem = make_reference_problem()
         result = a_beauty(Problem(problem.graph, 0, frozenset({0})))
         assert result.path == Path((), 0)

@@ -498,6 +498,9 @@ _COLUMN_CASES = {
                                               cost=[10**400]),
 }
 
+_OVERFLOW_WEIGHTED = _column_weighted_doc(vertex_count=3, goals=[2], tail=[0, 1], head=[1, 2],
+                                          cost=[2 * 10**307] * 2)
+
 _SOLVE_ARGV = ["solve", "--graph", "p.json", "--alg", "beauty"]
 
 _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--out", "out.json",
@@ -521,6 +524,18 @@ _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--ou
                                            "path": "wg.json"}], "algorithms": ["beauty"]}},
             ["bench", "--suite", "suite.json", "--out-dir", "out.json"],
             "instance 'w': edge (0, 1): cost too large for a float",
+        ),
+        # every cost fits a float, but the final lower bounds sum past it
+        ({"wg.json": _OVERFLOW_WEIGHTED}, ["synth", "--weighted-graph", "wg.json",
+         "--seed", "1", "--out", "out.json"],
+         "edge (1, 2): final lower bounds sum past the largest float"),
+        (
+            {"wg.json": _OVERFLOW_WEIGHTED,
+             "suite.json": {"instances": [{"id": "w", "model": "weighted_file",
+                                           "path": "wg.json"}], "seeds": [1],
+                            "algorithms": ["beauty"]}},
+            ["bench", "--suite", "suite.json", "--out-dir", "out.json"],
+            "instance 'w': edge (1, 2): final lower bounds sum past the largest float",
         ),
         ({"p.json": _problem_doc()}, ["solve", "--graph", "p.json", "--alg", "abeauty",
          "--epsilon", "nan"], "epsilon"),
@@ -577,7 +592,8 @@ _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--ou
         *_COLUMN_CASES.values(),
     ],
     ids=["synth-stray-endpoint", "solve-huge-bound", "solve-invalid-graph", "synth-huge-cost",
-         "bench-huge-cost", "solve-nan-epsilon", "solve-deep-nesting", "solve-bool-bound",
+         "bench-huge-cost", "synth-bound-sum-overflow", "bench-bound-sum-overflow",
+         "solve-nan-epsilon", "solve-deep-nesting", "solve-bool-bound",
          "gen-negative-seed", "gen-cost-beyond-int64", "solve-too-large", "bench-too-large",
          "gen-random-with-rows", "gen-grid-with-n", "gen-grid-too-large", "abeauty-nan-l-est", "abeauty-nan-l-prune", "eiucs-nan-epsilon",
          "beauty-negative-epsilon", "eiucs-zero-max-iters", "beauty-negative-max-iters",

@@ -314,6 +314,64 @@ def _eager_model(problem, cache):
     )
 
 
+def _lazy_model(problem, cache, l_est, l_prune):
+    """A lazy pass written out layer by layer on copies of the cache's state,
+    up to its first goal pop: pop in (key, push order), and for each expanded
+    vertex take its out-edges in CSR order. An edge whose source key is not
+    below g[s] is passed by. Any other edge takes a layer (its cached bound,
+    or its first layer if fresh), then further layers one at a time, each
+    charged as it is taken, while its bound beats g[s] and has not passed
+    l_est. A bound that beats g[s] is pushed unless it passes l_prune, which
+    counts as a pruning. Returns the state and the pops."""
+    graph = problem.graph
+    off, est_lower, est_time = graph.est_offsets, graph.est_lower, graph.est_time
+    next_index = cache.next_index.copy()
+    tight = cache.tightest_lower.copy()
+    invoked = cache.invoked.copy()
+    counts = cache.layer_counts.copy()
+    tw = cache._tw
+    expansions, evaluations, prunings = cache._counters
+    g = {problem.start: 0.0}
+    heap, pushes, pops = [(0.0, 0, problem.start)], 1, []
+    while heap:
+        key, _, v = heapq.heappop(heap)
+        if g[v] != key:
+            continue
+        pops.append((v, key))
+        if v in problem.goals:
+            break
+        expansions += 1
+        for eid in np.flatnonzero(graph.tail == v).tolist():
+            evaluations += 1
+            s = int(graph.head[eid])
+            g_s = g.get(s, math.inf)
+            if key >= g_s:
+                continue
+            layer, low = int(next_index[eid]), float(tight[eid])
+            k_e = int(off[eid + 1] - off[eid])
+            while layer == 0 or (layer < k_e and key + low < g_s and not key + low > l_est):
+                flat = int(off[eid]) + layer
+                invoked[flat] = True
+                counts[layer] += 1
+                tw += float(est_time[flat])
+                if est_lower[flat] > low:
+                    low = float(est_lower[flat])
+                layer += 1
+            next_index[eid], tight[eid] = layer, low
+            if key + low < g_s:
+                assert key + low >= key  # the graphs below hold no negative bound
+                if key + low <= l_prune:
+                    g[s] = key + low
+                    heapq.heappush(heap, (key + low, pushes, s))
+                    pushes += 1
+                else:
+                    prunings += 1
+    state = (next_index, tight, invoked, counts)
+    return (
+        [a.tobytes() for a in state], repr(tw), [expansions, evaluations, prunings], tuple(pops)
+    )
+
+
 def _state(cache):
     arrays = (cache.next_index, cache.tightest_lower, cache.invoked, cache.layer_counts)
     return [[a.tobytes() for a in arrays], repr(cache._tw), list(cache._counters)]
@@ -359,6 +417,35 @@ def test_eager_charges_equal_a_layer_by_layer_model():
     assert met == {"fresh", "partly applied", "exhausted"}
     assert order_sensitive > 0
     assert skipped > 0  # so reading full_lower for an exhausted edge fails the model
+
+
+def test_lazy_pass_equals_a_layer_by_layer_model():
+    # per graph, one cache shared by thresholded lazy passes and apply_final,
+    # so a pass meets fresh, partly applied and exhausted edges, and cached
+    # edges whose bound already passes l_est
+    stopped = pruned = 0
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        graph, n = _order_sensitive_graph(rng)
+        cache = EstimationCache(graph)
+        for _ in range(10):
+            if rng.random() < 0.15:
+                left = np.flatnonzero(cache.next_index < np.diff(graph.est_offsets))
+                for eid in rng.choice(left, len(left) // 3, replace=False).tolist():
+                    cache.apply_final(eid)
+                continue
+            problem = Problem(graph, int(rng.integers(0, n)), frozenset({int(rng.integers(0, n))}))
+            l_est = float(rng.integers(0, 8)) + float(rng.choice([0.0, 0.5]))
+            l_prune = l_est + float(rng.integers(-2, 6))
+            *expected, pops = _lazy_model(problem, cache, l_est, l_prune)
+            run = _Pass(problem, cache, l_est, l_prune, False)
+            found = run.run()
+            assert run.pops == pops
+            assert (found is not None) == (pops[-1][0] in problem.goals)
+            assert _state(cache) == expected
+            stopped += found is not None
+        pruned += cache._counters[2]
+    assert stopped > 0 and pruned > 0
 
 
 def test_full_lower_table_folds_like_the_steps_and_is_built_once_by_an_eager_pass():

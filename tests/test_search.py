@@ -37,7 +37,7 @@ from slbsearch.search import _Pass
 class TestBeautyGolden:
     """The reference instance, traced by hand."""
 
-    def test_unbounded_run(self, kernel):
+    def test_unbounded_run(self):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
         res = beauty(problem, cache)
@@ -46,7 +46,7 @@ class TestBeautyGolden:
         assert (res.l_under, res.l_over) == (7.0, 7.0)
         assert res.pops == ((0, 0.0), (2, 3.0), (1, 4.0), (4, 7.0))
 
-    def test_unbounded_run_invokes_nine(self, kernel):
+    def test_unbounded_run_invokes_nine(self):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
         beauty(problem, cache)
@@ -64,7 +64,7 @@ class TestBeautyGolden:
             (E24, 1),
         }
 
-    def test_thresholded_first_pass(self, kernel):
+    def test_thresholded_first_pass(self):
         # with no lower-bound floor established, estimation breaks at the
         # first layer everywhere and the cheap-looking path wins the pop
         problem = make_reference_problem()
@@ -75,7 +75,7 @@ class TestBeautyGolden:
         assert (res.l_under, res.l_over) == (5.0, 8.0)
         assert res.pops == ((0, 0.0), (2, 2.0), (1, 4.0), (4, 5.0))
 
-    def test_thresholded_second_pass_reuses_cache(self, kernel):
+    def test_thresholded_second_pass_reuses_cache(self):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
         beauty(problem, cache, l_est=0.0)
@@ -89,7 +89,7 @@ class TestBeautyGolden:
         assert charged_layers(cache, E02) == (1, 2)
         assert charged_layers(cache, E23) == (1,)
 
-    def test_metrics_counts(self, kernel):
+    def test_metrics_counts(self):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
         res = beauty(problem, cache)
@@ -110,7 +110,7 @@ def _charged_once(cache, result):
 class TestTieCertification:
     """A goal popped at the optimum is certified in the pass that pops it."""
 
-    def test_another_goal_tied_at_k(self, kernel):
+    def test_another_goal_tied_at_k(self):
         problem = make_goal_tie_problem()
         assert validate_graph(problem.graph) == []
         cache = EstimationCache(problem.graph)
@@ -122,7 +122,7 @@ class TestTieCertification:
         assert res.l_under == res.l_over == oracle_lstar(problem) == 4.0
         _charged_once(cache, res)
 
-    def test_unexpanded_vertex_tied_at_k(self, kernel):
+    def test_unexpanded_vertex_tied_at_k(self):
         problem = make_frontier_tie_problem()
         assert validate_graph(problem.graph) == []
         cache = EstimationCache(problem.graph)
@@ -138,7 +138,7 @@ class TestTieCertification:
         assert charged_layers(cache, 3) == (1,)
         _charged_once(cache, res)
 
-    def test_tie_at_closed_interior_vertex(self, kernel):
+    def test_tie_at_closed_interior_vertex(self):
         problem = make_closed_tie_problem()
         assert validate_graph(problem.graph) == []
         cache = EstimationCache(problem.graph)
@@ -152,7 +152,7 @@ class TestTieCertification:
         assert charged_layers(cache, 1) == (1, 2)
         _charged_once(cache, res)
 
-    def test_rising_route_dropped_and_next_route_tried(self, kernel):
+    def test_rising_route_dropped_and_next_route_tried(self):
         # edges 0-1, 0-2 and 0-3 all enter a vertex at 1, and 1-4, 2-4 and
         # 3-4 all reach goal 4 at 2. The popped path (through 1) rises; the
         # backward route search tries 3 before 2, and edge 2 (0-3) rises
@@ -178,7 +178,7 @@ class TestTieCertification:
         assert charged_layers(cache, 2) == (1, 2)
         _charged_once(cache, res)
 
-    def test_no_tied_route_keeps_bracket_and_charges(self, kernel):
+    def test_no_tied_route_keeps_bracket_and_charges(self):
         # pass 1 of the reference anytime run: pops goal 4 at 5, rises to
         # 8, and L* = 7, so no route is tight at 5. The tie check must
         # return the popped bracket and charge nothing beyond post-search.
@@ -198,7 +198,7 @@ class TestTieCertification:
 
 
 class TestEiUcs:
-    def test_same_answer_and_pops_as_unbounded(self, kernel):
+    def test_same_answer_and_pops_as_unbounded(self):
         problem = make_reference_problem()
         lazy = beauty(problem, EstimationCache(problem.graph))
         eager = ei_ucs(problem, EstimationCache(problem.graph))
@@ -207,13 +207,13 @@ class TestEiUcs:
         assert (eager.l_under, eager.l_over) == (7.0, 7.0)
         assert eager.opt is True
 
-    def test_invokes_every_touched_estimator(self, kernel):
+    def test_invokes_every_touched_estimator(self):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
         ei_ucs(problem, cache)
         assert cache.invocation_count() == 10
 
-    def test_certified_even_on_ties(self, kernel):
+    def test_certified_even_on_ties(self):
         res = ei_ucs(make_reference_problem())
         assert res.opt and res.l_under == res.l_over
 
@@ -272,7 +272,7 @@ class TestSearchTree:
 
 
 class TestEdgeCases:
-    def test_unreachable_goal(self, kernel):
+    def test_unreachable_goal(self):
         g = EstimatedDigraph(3, [edge(0, 1, [(1, 2, 1.0)])])
         problem = Problem(g, 0, frozenset({2}))
         res = beauty(problem)
@@ -280,13 +280,13 @@ class TestEdgeCases:
         assert not res.found
         assert (res.l_under, res.l_over) == (math.inf, math.inf)
 
-    def test_unreachable_goal_eager(self, kernel):
+    def test_unreachable_goal_eager(self):
         g = EstimatedDigraph(3, [edge(0, 1, [(1, 2, 1.0)])])
         problem = Problem(g, 0, frozenset({2}))
         res = ei_ucs(problem)
         assert res.path is None
 
-    def test_start_is_goal(self, kernel):
+    def test_start_is_goal(self):
         problem = make_reference_problem()
         at_start = Problem(problem.graph, 0, frozenset({0, 4}))
         res = beauty(at_start)
@@ -317,7 +317,7 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match=named):
             beauty(Problem(EstimatedDigraph(2, [bad]), 0, frozenset({1})))
 
-    def test_self_loops_and_parallel_edges(self, kernel):
+    def test_self_loops_and_parallel_edges(self):
         g = EstimatedDigraph(
             2,
             [
@@ -331,7 +331,7 @@ class TestEdgeCases:
         assert res.path == Path((2,), 1)
         assert (res.l_under, res.l_over) == (3.0, 3.0)
 
-    def test_zero_cost_cycle_terminates(self, kernel):
+    def test_zero_cost_cycle_terminates(self):
         g = EstimatedDigraph(
             3,
             [
@@ -344,7 +344,7 @@ class TestEdgeCases:
         res = beauty(problem)
         assert res.found and res.l_over == 2.0
 
-    def test_negative_input_bounds_clamped_by_vacuous_prior(self, kernel):
+    def test_negative_input_bounds_clamped_by_vacuous_prior(self):
         # invalid per validate_graph, but the bound fold never drops below
         # the fresh-state floor of zero, so the search still terminates
         # with monotone keys instead of looping or corrupting state
@@ -361,7 +361,7 @@ class TestEdgeCases:
         assert beauty(problem).path is None
         assert ei_ucs(problem).path is None
 
-    def test_poisoned_cache_detected_not_corrupted(self, kernel):
+    def test_poisoned_cache_detected_not_corrupted(self):
         # the closed-set guard: cached bounds that no valid estimator
         # could produce make the search raise rather than silently emit a
         # wrong tree

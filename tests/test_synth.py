@@ -98,3 +98,12 @@ class TestSynthEstimators:
         with pytest.raises(ValueError, match=r"^edge \(1, 2\): cost too large for a float$"):
             synth_estimators(wg, seed=0)
 
+    def test_final_bounds_summing_past_float_name_the_edge(self):
+        # each final bound fits a float; seed 1 picks (3, 4, 5), so the two
+        # 10**308 bounds sum past the largest float at edge (1, 2)
+        wg = WeightedDigraph(3, 0, (2,), (0, 1), (1, 2), (2 * 10**307,) * 2)
+        with pytest.raises(ValueError, match=r"^edge \(1, 2\): final lower bounds sum past "):
+            synth_estimators(wg, seed=1)
+        # seed 0 picks (2, 3, 4): 1.6e308 fits, and the problem is valid
+        assert validate_graph(synth_estimators(wg, seed=0).graph) == []
+
