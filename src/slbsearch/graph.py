@@ -61,8 +61,10 @@ class GraphArrays:
     """Flat array form of a graph, read by the search loop and the cache.
 
     - Successors: CSR over the tail vertex, in edge declaration order.
-    - Predecessors: CSR over the head vertex; the edges into v are
+    - Predecessors (``pred_indptr``, ``pred_edge``): CSR over the head
+      vertex; the edges into v are
       ``pred_edge[pred_indptr[v]:pred_indptr[v + 1]]``, by tail, then edge.
+      Only a tie check reads them, so they are built on first read and kept.
     - Edge e's layers: ``est_offsets[e]:est_offsets[e + 1]`` of est_lower,
       est_upper and est_time, the graph's own arrays, not copies.
     - free_pass_lists: (g, parent edges) pairs of n-length lists that
@@ -75,14 +77,23 @@ class GraphArrays:
     indptr: np.ndarray
     succ_vertex: np.ndarray
     succ_edge: np.ndarray
-    pred_indptr: np.ndarray
-    pred_edge: np.ndarray
     est_offsets: np.ndarray
     est_lower: np.ndarray
     est_upper: np.ndarray
     est_time: np.ndarray
     k_max: int
     free_pass_lists: list = field(default_factory=list, repr=False, compare=False)
+
+    @cached_property
+    def pred_indptr(self) -> np.ndarray:
+        out = np.zeros(len(self.indptr), np.int64)
+        out[1:] = np.cumsum(np.bincount(self.succ_vertex, minlength=len(self.indptr) - 1))
+        return out
+
+    @cached_property
+    def pred_edge(self) -> np.ndarray:
+        # the successor order is by tail, then edge; a stable sort by head keeps it
+        return self.succ_edge[np.argsort(self.succ_vertex, kind="stable")]
 
     @cached_property
     def full_lower(self) -> np.ndarray:
@@ -175,13 +186,12 @@ class EstimatedDigraph:
                               (lens == 0, "empty estimator sequence")):
                 if bad.any():
                     raise ValueError(f"edge {int(np.argmax(bad))}: {what}")
-            indptr, pred_indptr = np.zeros((2, n + 1), np.int64)
+            indptr = np.zeros(n + 1, np.int64)
             indptr[1:] = np.cumsum(np.bincount(tail, minlength=n))
-            pred_indptr[1:] = np.cumsum(np.bincount(head, minlength=n))
             order = np.argsort(tail, kind="stable")
             est = (self.est_offsets, self.est_lower, self.est_upper, self.est_time)  # not copied
-            self._arrays = GraphArrays(indptr, head[order], order, pred_indptr,
-                                       np.lexsort((tail, head)), *est, int(lens.max(initial=1)))
+            self._arrays = GraphArrays(indptr, head[order], order, *est,
+                                       int(lens.max(initial=1)))
         return self._arrays
 
 

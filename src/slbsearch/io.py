@@ -5,18 +5,24 @@ A graph file is one JSON object of flat columns, the graph's own arrays:
 problem file, ``est_offsets``, ``est_lower``, ``est_upper``, ``est_time`` and
 ``true_cost`` (``null`` where unknown), laid out as EstimatedDigraph stores
 them, and in a weighted file ``cost``, as WeightedDigraph stores its tail,
-head and cost tuples. The writers stream one column at a time: each column
-is built, encoded by json.dumps and written (or joined) before the next is
-built, and the text is that of one json.dumps of all the columns. A file
-is written to a temporary file beside it, which replaces it only once the
-last column is written. Files in the older per-edge layout (an ``edges``
-list of objects) are still read: their records are reshaped into the same
-columns.
+head and cost tuples. The writers stream one column at a time: each column's
+text is made and written (or joined) before the next is made, and the text
+is that of one json.dumps of all the columns. A float column's text is made
+with each distinct value encoded once, in the bytes json.dumps gives it. A
+file is written to a temporary file beside it, which replaces it only once
+the last column is written. Files in the older per-edge layout (an
+``edges`` list of objects) are still read: their records are reshaped into
+the same columns.
 
 The loaders are where a graph file is checked, by one column checker for
 both layouts: every Problem or WeightedDigraph they return has its start,
-goals and edge endpoints in range and its numbers representable as floats,
-and every loaded Problem passes validate_graph. Anything else raises one
+goals and edge endpoints in range (and in int64) and its numbers
+representable as floats, and every loaded Problem passes validate_graph.
+Each column's entry types are checked on its decoded list; the endpoints'
+range and the order of est_offsets are then checked on int64 arrays. A
+problem file's float columns and est_offsets replace their lists in the
+decoded document by their arrays, and its endpoint lists are dropped, while
+a weighted file keeps its lists of Python ints. Anything else raises one
 ValueError naming the first bad edge (and estimator).
 """
 
@@ -24,10 +30,9 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_right
 from collections.abc import Iterator
-from itertools import accumulate
-from operator import index, lt
+from itertools import accumulate, pairwise
+from operator import index
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -55,6 +60,7 @@ _WEIGHTED_KEYS = (*_GRAPH_KEYS, "cost")
 _INTS = frozenset((int,))
 _NUMBERS = frozenset((int, float))
 _NUMBERS_OR_NULL = frozenset((int, float, type(None)))
+_INT64_END = 2**63
 
 
 def _bad(msg: str) -> ValueError:
@@ -123,18 +129,26 @@ def _column(doc: dict, key: str, length: int | None = None) -> list:
     return col
 
 
-def _check_types(col: list, allowed: frozenset, name) -> None:
-    """Refuse the first entry of col whose type is not allowed; name(k) names entry k."""
-    if not set(map(type, col)) <= allowed:
+def _check_types(col: list, allowed: frozenset, name) -> set:
+    """The types of col's entries; refuse the first entry whose type is not
+    allowed, named by name(k) for entry k."""
+    types = set(map(type, col))
+    if not types <= allowed:
         k = next(k for k, x in enumerate(col) if type(x) not in allowed)
         raise _bad(f"{name(k)} must be {'an integer' if allowed is _INTS else 'a number'}")
+    return types
 
 
-def _floats(col: list, allowed: frozenset, name) -> np.ndarray:
-    """col as float64 (a null as NaN), with its types checked, not coerced."""
-    _check_types(col, allowed, name)
+def _floats(doc: dict, key: str, length: int, allowed: frozenset, name):
+    """(doc[key] as float64, its known mask or None when no entry is null),
+    with its types checked, not coerced. The array replaces the list in doc."""
+    col = _column(doc, key, length)
+    known = None
+    if type(None) in _check_types(col, allowed, name):
+        known = np.array([x is not None for x in col], np.bool_)
     try:
-        return np.array(col, np.float64)
+        doc[key] = (np.fromiter(col, np.float64, length) if known is None
+                    else np.array(col, np.float64))  # np.array reads a null as NaN
     except OverflowError:
         for k, x in enumerate(col):
             try:
@@ -142,11 +156,13 @@ def _floats(col: list, allowed: frozenset, name) -> np.ndarray:
             except OverflowError:
                 raise _bad(f"{name(k)} does not fit a float") from None
         raise
+    return doc[key], known
 
 
 def _graph_columns(text: str, keys: tuple[str, ...], record_keys: tuple[str, ...]):
-    """(columns, vertex_count, start, goals) of a graph file in either layout,
-    with its vertices and its tail and head columns checked."""
+    """(columns, vertex_count, start, goals, tail, head) of a graph file in
+    either layout, with its vertices checked and its tail and head columns
+    checked as int64 arrays; the columns keep their lists."""
     doc = _read_doc(text)
     if "edges" in doc:
         doc = _records_to_columns(doc, record_keys)
@@ -161,40 +177,62 @@ def _graph_columns(text: str, keys: tuple[str, ...], record_keys: tuple[str, ...
         raise _bad("goals must be a non-empty list")
     goals = [_as_vertex(g, "goal", n) for g in doc["goals"]]
     m = len(_column(doc, "tail"))
+    ends = []
     for key, end in (("tail", "'from'"), ("head", "'to'")):
         col = _column(doc, key, m)
         _check_types(col, _INTS, lambda k: f"edge {k}: endpoint {end}")
-        if col and (min(col) < 0 or max(col) >= n):
-            k = next(k for k, x in enumerate(col) if not 0 <= x < n)
-            raise _bad(f"edge {k}: endpoint {end} {col[k]} out of range for {n} vertices")
-    return doc, n, start, goals
+        try:
+            arr = np.fromiter(col, np.int64, m)
+        except OverflowError:  # an endpoint beyond int64
+            arr = None
+        if arr is None or (m and (arr.min() < 0 or arr.max() >= n)):
+            k, x = next((k, x) for k, x in enumerate(col) if not 0 <= x < min(n, _INT64_END))
+            if 0 <= x < n:
+                raise _bad(f"edge {k}: endpoint {end} {x} does not fit int64")
+            raise _bad(f"edge {k}: endpoint {end} {x} out of range for {n} vertices")
+        ends.append(arr)
+    return doc, n, start, goals, *ends
+
+
+def _json(x) -> str:
+    # numpy integer scalars (a start or goal, say) are written as the ints they hold
+    return json.dumps(x, default=index)
+
+
+def _float_text(col: np.ndarray, known: np.ndarray | None = None) -> str:
+    """The text of json.dumps(col.tolist()), with null where known is False,
+    each distinct value encoded once. Values are told apart by their bits,
+    so 0.0 and -0.0, which print differently, stay apart."""
+    bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+    words = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    words = np.array([*words, "null"], object)
+    if known is not None:
+        inverse[~known] = len(words) - 1  # unknown, as distinct from a NaN true cost
+    return f"[{', '.join(words[inverse].tolist())}]"
 
 
 def _json_pieces(columns) -> Iterator[str]:
-    """The text of json.dumps(dict(columns), default=index) + "\n", one key
-    and column at a time. columns yields (key, column) pairs and builds each
-    column only when asked for it, so one column's list and text are alive
-    at a time."""
+    """The text of json.dumps(dict(columns)) + "\n", one key and column at a
+    time. columns yields (key, column text) pairs and makes each text only
+    when asked for it, so one column's text is alive at a time."""
     sep = "{"
-    for key, col in columns:
-        # numpy integer scalars (a start or goal, say) are written as the ints they hold
-        yield f"{sep}{json.dumps(key)}: {json.dumps(col, default=index)}"
-        del col  # free this column before the next one is built
+    for key, text in columns:
+        yield f"{sep}{json.dumps(key)}: {text}"
+        del text  # free this column's text before the next one is made
         sep = ", "
     yield "}\n"
 
 
 def _problem_columns(problem: Problem):
     graph = problem.graph
-    yield "vertex_count", graph.vertex_count
-    yield "start", problem.start
-    yield "goals", sorted(problem.goals)
-    for key in ("tail", "head", "est_offsets", "est_lower", "est_upper", "est_time"):
-        yield key, getattr(graph, key).tolist()
-    true_cost = graph.true_cost.tolist()
-    for e in np.flatnonzero(~graph.true_known).tolist():
-        true_cost[e] = None  # unknown, as distinct from a NaN true cost
-    yield "true_cost", true_cost
+    yield "vertex_count", _json(graph.vertex_count)
+    yield "start", _json(problem.start)
+    yield "goals", _json(sorted(problem.goals))
+    for key in ("tail", "head", "est_offsets"):
+        yield key, json.dumps(getattr(graph, key).tolist())
+    for key in ("est_lower", "est_upper", "est_time"):
+        yield key, _float_text(getattr(graph, key))
+    yield "true_cost", _float_text(graph.true_cost, graph.true_known)
 
 
 def problem_to_json(problem: Problem) -> str:
@@ -202,8 +240,10 @@ def problem_to_json(problem: Problem) -> str:
 
 
 def problem_from_json(text: str) -> Problem:
-    doc, n, start, goals = _graph_columns(text, _PROBLEM_KEYS, ("from", "to", "estimators"))
-    m = len(doc["tail"])
+    doc, n, start, goals, tail, head = _graph_columns(
+        text, _PROBLEM_KEYS, ("from", "to", "estimators"))
+    del doc["tail"], doc["head"]  # their arrays stand in for them
+    m = len(tail)
     offsets = _column(doc, "est_offsets", m + 1)
     _check_types(offsets, _INTS, lambda k: f"est_offsets entry {k}")
     k = len(_column(doc, "est_lower"))
@@ -211,26 +251,30 @@ def problem_from_json(text: str) -> Problem:
         raise _bad("est_offsets must start at 0")
     if offsets[-1] != k:
         raise _bad(f"est_offsets must end at {k}, the length of est_lower")
-    if not all(map(lt, offsets, offsets[1:])):
-        e = next(e for e in range(m) if offsets[e + 1] <= offsets[e])
-        raise _bad(f"edge {e} has no estimators: est_offsets must strictly increase")
+    try:
+        offsets = doc["est_offsets"] = np.fromiter(offsets, np.int64, m + 1)
+        falls = np.diff(offsets) <= 0
+    except OverflowError:  # an offset beyond int64 is outside [0, k], so they do not all rise
+        falls = [b <= a for a, b in pairwise(offsets)]
+    if np.any(falls):
+        raise _bad(f"edge {np.argmax(falls)} has no estimators: est_offsets must strictly increase")
 
     def layer(what: str):
         def name(j: int) -> str:
-            e = bisect_right(offsets, j) - 1
+            e = int(np.searchsorted(offsets, j, "right")) - 1
             return f"edge {e} estimator {j - offsets[e]} {what}"
         return name
 
     lower, upper, time_cost = (
-        _floats(_column(doc, key, k), _NUMBERS, layer(what))
+        _floats(doc, key, k, _NUMBERS, layer(what))[0]
         for key, what in (("est_lower", "lower"), ("est_upper", "upper"),
                           ("est_time", "time_cost"))
     )
-    true_cost = _column(doc, "true_cost", m)
-    known = [x is not None for x in true_cost] if None in true_cost else np.ones(m, np.bool_)
-    true_cost = _floats(true_cost, _NUMBERS_OR_NULL, lambda e: f"edge {e} true_cost")
+    true_cost, known = _floats(doc, "true_cost", m, _NUMBERS_OR_NULL,
+                               lambda e: f"edge {e} true_cost")
     graph = EstimatedDigraph.from_arrays(
-        n, doc["tail"], doc["head"], offsets, lower, upper, time_cost, true_cost, known
+        n, tail, head, offsets, lower, upper, time_cost, true_cost,
+        np.ones(m, np.bool_) if known is None else known,
     )
     violations = validate_graph(graph)
     if violations:
@@ -267,11 +311,11 @@ def dump_problem(problem: Problem, path) -> None:
 
 
 def _weighted_columns(wg: WeightedDigraph):
-    yield "vertex_count", wg.vertex_count
-    yield "start", wg.start
-    yield "goals", sorted(wg.goals)
+    yield "vertex_count", _json(wg.vertex_count)
+    yield "start", _json(wg.start)
+    yield "goals", _json(sorted(wg.goals))
     for key in ("tail", "head", "cost"):
-        yield key, getattr(wg, key)
+        yield key, _json(getattr(wg, key))
 
 
 def weighted_to_json(wg: WeightedDigraph) -> str:
@@ -279,7 +323,7 @@ def weighted_to_json(wg: WeightedDigraph) -> str:
 
 
 def weighted_from_json(text: str) -> WeightedDigraph:
-    doc, n, start, goals = _graph_columns(text, _WEIGHTED_KEYS, ("from", "to", "cost"))
+    doc, n, start, goals, *_ = _graph_columns(text, _WEIGHTED_KEYS, ("from", "to", "cost"))
     tail, head = doc["tail"], doc["head"]
     cost = _column(doc, "cost", len(tail))
     # costs stay Python ints: one beyond int64 is synth's to refuse

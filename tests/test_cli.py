@@ -496,6 +496,14 @@ _COLUMN_CASES = {
                                                    head=[7]),
     "columns-synth-huge-cost": _synth_columns("edge (0, 1): cost too large for a float",
                                               cost=[10**400]),
+    # in range for a vertex count past int64, but not an int64 endpoint
+    "columns-endpoint-beyond-int64": _solve_columns(
+        f"edge 1: endpoint 'from' {2**70} does not fit int64", vertex_count=2**80,
+        tail=[0, 2**70]),
+    "columns-synth-endpoint-beyond-int64": _synth_columns(
+        f"edge 0: endpoint 'from' {2**70} does not fit int64", vertex_count=2**80, tail=[2**70]),
+    "columns-endpoint-below-int64": _solve_columns(
+        f"edge 0: endpoint 'to' {-2**70} out of range for 2 vertices", head=[-2**70, 1]),
 }
 
 _OVERFLOW_WEIGHTED = _column_weighted_doc(vertex_count=3, goals=[2], tail=[0, 1], head=[1, 2],
@@ -536,6 +544,13 @@ _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--ou
                             "algorithms": ["beauty"]}},
             ["bench", "--suite", "suite.json", "--out-dir", "out.json"],
             "instance 'w': edge (1, 2): final lower bounds sum past the largest float",
+        ),
+        (
+            {"wg.json": _column_weighted_doc(vertex_count=2**80, tail=[2**70]),
+             "suite.json": {"instances": [{"id": "w", "model": "weighted_file",
+                                           "path": "wg.json"}], "algorithms": ["beauty"]}},
+            ["bench", "--suite", "suite.json", "--out-dir", "out.json"],
+            f"instance 'w': bad input file: edge 0: endpoint 'from' {2**70} does not fit int64",
         ),
         ({"p.json": _problem_doc()}, ["solve", "--graph", "p.json", "--alg", "abeauty",
          "--epsilon", "nan"], "epsilon"),
@@ -593,6 +608,7 @@ _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--ou
     ],
     ids=["synth-stray-endpoint", "solve-huge-bound", "solve-invalid-graph", "synth-huge-cost",
          "bench-huge-cost", "synth-bound-sum-overflow", "bench-bound-sum-overflow",
+         "bench-endpoint-beyond-int64",
          "solve-nan-epsilon", "solve-deep-nesting", "solve-bool-bound",
          "gen-negative-seed", "gen-cost-beyond-int64", "solve-too-large", "bench-too-large",
          "gen-random-with-rows", "gen-grid-with-n", "gen-grid-too-large", "abeauty-nan-l-est", "abeauty-nan-l-prune", "eiucs-nan-epsilon",

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import edge, make_reference_problem
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_pinned_outputs import HEADER, SOLVE_CASES
 
 from slbsearch import (
@@ -211,6 +213,46 @@ WRITTEN_DIGESTS = {
 }
 
 
+# bit patterns of floats whose text is easy to get wrong: zeros of both
+# signs, NaNs with the default, a non-default and a negative payload, the
+# infinities, the least subnormal, another subnormal and the largest finite
+_FLOAT_BITS = st.one_of(
+    st.sampled_from([
+        0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000, 0x7FF0000000000001,
+        0xFFF8000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 0x0000000000000001,
+        0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF, 0x3FF0000000000000,
+    ]),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@st.composite
+def float_columns(draw, size):
+    """A float64 column of size entries: a few values, each repeated, or
+    all distinct bit patterns."""
+    if draw(st.booleans()):
+        pool = draw(st.lists(_FLOAT_BITS, min_size=1, max_size=4))
+        bits = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    else:
+        bits = draw(st.lists(_FLOAT_BITS, min_size=size, max_size=size, unique=True))
+    return np.array(bits, np.uint64).view(np.float64)
+
+
+@st.composite
+def float_column_problems(draw):
+    """Self-loops on vertex 0 with one to three layers each; every float
+    column drawn by float_columns and any known mask."""
+    lens = draw(st.lists(st.integers(1, 3), max_size=30))
+    m, k = len(lens), sum(lens)
+    known = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), np.bool_)
+    graph = EstimatedDigraph.from_arrays(
+        1, np.zeros(m, np.int64), np.zeros(m, np.int64), np.cumsum([0, *lens]),
+        draw(float_columns(k)), draw(float_columns(k)), draw(float_columns(k)),
+        draw(float_columns(m)), known,
+    )
+    return Problem(graph, 0, frozenset({0}))
+
+
 def traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -237,6 +279,13 @@ class TestStreamedWriters:
             data = path.read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
             assert data.decode() == text
+
+    @given(float_column_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_float_columns_are_the_text_of_json_dumps(self, problem):
+        # each distinct value is encoded once, yet every column's text is
+        # json.dumps of its list, null where the true cost is unknown
+        assert problem_to_json(problem) == reference_problem_json(problem)
 
     def test_dump_problem_holds_one_column_at_a_time(self, tmp_path):
         problem = synth_estimators(gen_random_graph(5000, 0.002, (1, 20), 0), 0)

@@ -482,6 +482,31 @@ def test_full_lower_table_folds_like_the_steps_and_is_built_once_by_an_eager_pas
     assert empty.dtype == np.float64 and empty.shape == (0,)
 
 
+def test_predecessor_index_is_built_once_by_a_tie_check():
+    reference = make_reference_problem()
+    arrays = reference.graph.arrays()
+    ei_ucs(reference)
+    assert beauty(reference).opt  # certified without a tie check
+    assert "pred_indptr" not in vars(arrays) and "pred_edge" not in vars(arrays)
+    tie = make_frontier_tie_problem()
+    arrays = tie.graph.arrays()
+    assert beauty(tie, l_est=1.0).opt  # certified by the tie check
+    indptr, edges = vars(arrays)["pred_indptr"], vars(arrays)["pred_edge"]
+    assert beauty(tie, l_est=1.0).opt
+    assert arrays.pred_indptr is indptr and arrays.pred_edge is edges  # built once
+    # by head, then tail, then edge, on a multigraph with parallel edges and self-loops
+    rng = np.random.default_rng(7)
+    tail, head = rng.integers(0, 6, 80), rng.integers(0, 6, 80)
+    m = len(tail)
+    graph = EstimatedDigraph.from_arrays(
+        7, tail, head, np.arange(m + 1), np.ones(m), np.ones(m), np.ones(m), np.zeros(m),
+        np.zeros(m, bool),
+    )
+    arrays = graph.arrays()
+    assert arrays.pred_edge.tolist() == np.lexsort((tail, head)).tolist()
+    assert arrays.pred_indptr.tolist() == [0, *np.cumsum(np.bincount(head, minlength=7))]
+
+
 def test_eager_pass_charges_the_edges_examined_before_a_corrupt_one():
     # edge 2 (3 -> 1) is poisoned exhausted at -9: expanding 3 at key 2 would
     # push 1 at -7; edges 0 and 1, examined before it, are charged in order,
