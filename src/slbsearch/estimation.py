@@ -95,8 +95,10 @@ class EstimationCache:
       once, without a test, and the applied layers are the invoked ones;
     - ``_tw`` is summed in charge order;
     - an edge with layers left holds the fold of its applied prefix: only
-      a lazy step and apply_next leave one, each adding one layer with the
-      fold that builds ``GraphArrays.full_lower``.
+      a lazy step and apply_next leave one, each adding one layer by the
+      fold (keep a lower bound only when it is strictly greater, from
+      +0.0), whose result over a whole sequence ``GraphArrays.full_lower``
+      computes as one reduction.
 
     Not safe for concurrent mutation; give each worker its own cache.
     """

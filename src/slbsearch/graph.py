@@ -98,18 +98,12 @@ class GraphArrays:
     @cached_property
     def full_lower(self) -> np.ndarray:
         """Each edge's tightest lower bound once its whole sequence is applied
-        to a fresh cache: the search loop's fold, from 0.0 (a fresh cache's
-        bound), keeping a layer's lower bound only when it is strictly
-        greater. So a NaN is never kept and, of 0.0 and -0.0, the first
-        stays. An eager pass gives it to every edge it charges."""
-        starts, lens = self.est_offsets[:-1], np.diff(self.est_offsets)
-        out = np.zeros(len(lens))
-        for depth in range(self.k_max):
-            at = np.flatnonzero(lens > depth)  # edges with a layer at this depth
-            lower = self.est_lower[starts[at] + depth]
-            rises = lower > out[at]
-            out[at[rises]] = lower[rises]
-        return out
+        to a fresh cache: the search loop's fold from 0.0 (a fresh cache's
+        bound), as one reduction over each edge's layers. fmax skips NaNs,
+        and a NaN, negative or zero maximum becomes +0.0. An eager pass gives
+        it to every edge it charges."""
+        top = np.fmax.reduceat(self.est_lower, self.est_offsets[:-1])
+        return np.where(top > 0.0, top, 0.0)
 
 
 @dataclass(frozen=True)

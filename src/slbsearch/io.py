@@ -147,8 +147,7 @@ def _floats(doc: dict, key: str, length: int, allowed: frozenset, name):
     if type(None) in _check_types(col, allowed, name):
         known = np.array([x is not None for x in col], np.bool_)
     try:
-        doc[key] = (np.fromiter(col, np.float64, length) if known is None
-                    else np.array(col, np.float64))  # np.array reads a null as NaN
+        doc[key] = np.array(col, np.float64)  # a null reads as NaN
     except OverflowError:
         for k, x in enumerate(col):
             try:

@@ -221,11 +221,11 @@ class _Pass:
                     else:
                         # stop once the bound no longer beats g[s] or passes l_est
                         eid = succ_edge[ptr]
-                        gt = key
                         layer = applied = next_index[eid]
                         low = tight_lower[eid]
-                        if layer:
-                            gt = key + low  # cached work, consumed as one free step
+                        # cached work, consumed as one free step; a fresh
+                        # edge's bound is +0.0 and no key is -0.0, so gt is key
+                        gt = key + low
                         # a cached edge can take no step once it reaches k_max
                         # (no sequence is longer), passes l_est or no longer
                         # beats g[s]

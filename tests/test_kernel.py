@@ -450,10 +450,12 @@ def test_lazy_pass_equals_a_layer_by_layer_model():
 
 def test_full_lower_table_folds_like_the_steps_and_is_built_once_by_an_eager_pass():
     # built by hand and not validated: a non-nested sequence, a NaN lower
-    # after a finite one and before one, -0.0 alone and after 0.0, and
-    # sequences of one to four layers
+    # after a finite one and before one, -0.0 alone and after 0.0, NaNs
+    # alone, negatives alone, +inf, -inf before and after a finite one, a
+    # repeated maximum, and sequences of one to four layers
     sequences = [[3.0, 1.0, 2.0], [1.0, math.nan], [math.nan, 2.0], [-0.0], [0.0, -0.0],
-                 [5.0], [0.5, 1.5, 1.5, 4.0]]
+                 [5.0], [0.5, 1.5, 1.5, 4.0], [math.nan], [math.nan, math.nan],
+                 [-1.0, -2.0], [math.inf], [-math.inf, 2.0], [2.0, -math.inf], [2.0, 2.0]]
     m = len(sequences)
     lower = np.array([x for seq in sequences for x in seq])
     graph = EstimatedDigraph.from_arrays(
@@ -474,7 +476,8 @@ def test_full_lower_table_folds_like_the_steps_and_is_built_once_by_an_eager_pas
         for _ in seq:
             cache.apply_next(eid)
     assert table.tobytes() == cache.tightest_lower.tobytes()
-    assert table.tolist() == [3.0, 1.0, 2.0, 0.0, 0.0, 5.0, 4.0]
+    assert table.tolist() == [3.0, 1.0, 2.0, 0.0, 0.0, 5.0, 4.0, 0.0, 0.0, 0.0, math.inf,
+                              2.0, 2.0, 2.0]
     assert not np.signbit(table).any()
     ei_ucs(problem, EstimationCache(graph))
     assert vars(arrays)["full_lower"] is table  # a second eager pass reuses it
