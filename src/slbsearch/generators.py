@@ -36,8 +36,9 @@ class WeightedDigraph:
         return tuple(zip(self.tail, self.head, self.cost))
 
 
-# Rows of the n x n pair matrix drawn at a time by gen_random_graph.
-_BLOCK_ROWS = 256
+# Draws of the n x n pair matrix drawn at a time by gen_random_graph, in whole
+# rows: 2 MiB of float64 uniforms or int64 costs, or one row when it is longer.
+_BLOCK_DRAWS = 2**18
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -70,9 +71,10 @@ def gen_random_graph(n: int, edge_prob: float, cost_range, rng_seed: int) -> Wei
     generated, and the generator ends where the dense draw leaves it. The
     costs cannot be skipped that way: integers uses Lemire rejection, so
     the number of outputs one cost takes is not fixed, and all n^2 are
-    drawn. Both phases go in blocks of rows, one block at a time: each
-    block is freed before the next is drawn, so memory is one block of
-    _BLOCK_ROWS * n draws plus the kept edges.
+    drawn. Both phases go in blocks of whole rows, one block at a time: each
+    block is freed before the next is drawn, so memory is one block of at
+    most _BLOCK_DRAWS draws (or one row, when a row is longer) plus the kept
+    edges, whatever n is.
     """
     if n < 2:
         raise ValueError("need at least 2 vertices")
@@ -81,11 +83,12 @@ def gen_random_graph(n: int, edge_prob: float, cost_range, rng_seed: int) -> Wei
     lo, hi = _check_cost_range(cost_range)
     rng = _rng(rng_seed)
     advance = rng.bit_generator.advance
-    starts = range(0, n, _BLOCK_ROWS)
-    forward = np.empty(_BLOCK_ROWS * (n - 1))  # one block's forward uniforms
+    block_rows = max(1, _BLOCK_DRAWS // n)
+    starts = range(0, n, block_rows)
+    forward = np.empty(block_rows * (n - 1))  # one block's forward uniforms
     kept = []  # row-major positions i * n + j of the kept pairs
     for r0 in starts:
-        rows = np.arange(r0, min(r0 + _BLOCK_ROWS, n))
+        rows = np.arange(r0, min(r0 + block_rows, n))
         # row i's forward uniforms (columns i + 1..n - 1) fill forward up to ends[i - r0]
         ends = np.cumsum(n - 1 - rows)
         a = 0
@@ -102,7 +105,7 @@ def gen_random_graph(n: int, edge_prob: float, cost_range, rng_seed: int) -> Wei
     flat = np.concatenate(kept)
     costs = np.empty(len(flat), dtype=np.int64)
     for r0 in starts:
-        first, end = r0 * n, min(r0 + _BLOCK_ROWS, n) * n
+        first, end = r0 * n, min(r0 + block_rows, n) * n
         block = rng.integers(lo, hi + 1, size=end - first)
         a, b = np.searchsorted(flat, (first, end))
         costs[a:b] = block[flat[a:b] - first]

@@ -14,6 +14,17 @@ the last column is written. Files in the older per-edge layout (an
 ``edges`` list of objects) are still read: their records are reshaped into
 the same columns.
 
+A graph file is decoded by orjson, and its document checked. A text orjson
+refuses, or whose document the checks refuse, is decoded again by json and
+checked again, so every refusal carries json's message, and the files only
+json reads (``NaN`` and ``Infinity``, float literals past the float range,
+integers past 64 bits, which orjson reads as floats) load as they do with
+json alone.
+A text with more than _ORJSON_MAX_OPENERS opening brackets goes to json
+directly, as orjson has no nesting limit of its own. The one difference from
+json alone: a file nested past json's recursion limit under a key the loader
+does not read now loads. Suite files and every writer use json.
+
 The loaders are where a graph file is checked, by one column checker for
 both layouts: every Problem or WeightedDigraph they return has its start,
 goals and edge endpoints in range (and in int64) and its numbers
@@ -36,6 +47,7 @@ from operator import index
 from pathlib import Path as FsPath
 
 import numpy as np
+import orjson
 
 from .generators import WeightedDigraph
 from .graph import EstimatedDigraph, Problem, validate_graph
@@ -61,6 +73,10 @@ _INTS = frozenset((int,))
 _NUMBERS = frozenset((int, float))
 _NUMBERS_OR_NULL = frozenset((int, float, type(None)))
 _INT64_END = 2**63
+# orjson 3.8 nests without limit and overflows the C stack (a crash, not an
+# error) past ~10^5 levels; at most this many opening brackets bound the
+# nesting to a few hundred KB of stack
+_ORJSON_MAX_OPENERS = 2**12
 
 
 def _bad(msg: str) -> ValueError:
@@ -75,15 +91,29 @@ def _as_vertex(x, what: str, n: int) -> int:
     return x
 
 
-def _read_doc(text: str) -> dict:
-    """Decode one JSON object."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-        raise _bad(f"not valid JSON ({exc})") from exc
+def _object(doc) -> dict:
     if not isinstance(doc, dict):
         raise _bad("top level must be an object")
     return doc
+
+
+def _read_doc(text: str) -> dict:
+    """Decode one JSON object with json."""
+    try:
+        return _object(json.loads(text))
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise _bad(f"not valid JSON ({exc})") from exc
+
+
+def _decoded(text: str, check):
+    """check(doc) of the JSON object in text: of orjson's document, or, when
+    orjson or check refuses that, of json's."""
+    if text.count("[") + text.count("{") <= _ORJSON_MAX_OPENERS:
+        try:
+            return check(_object(orjson.loads(text)))
+        except ValueError:  # orjson.JSONDecodeError is one
+            pass
+    return check(_read_doc(text))
 
 
 def _records_to_columns(doc: dict, keys: tuple[str, ...]) -> dict:
@@ -158,11 +188,10 @@ def _floats(doc: dict, key: str, length: int, allowed: frozenset, name):
     return doc[key], known
 
 
-def _graph_columns(text: str, keys: tuple[str, ...], record_keys: tuple[str, ...]):
-    """(columns, vertex_count, start, goals, tail, head) of a graph file in
-    either layout, with its vertices checked and its tail and head columns
-    checked as int64 arrays; the columns keep their lists."""
-    doc = _read_doc(text)
+def _graph_columns(doc: dict, keys: tuple[str, ...], record_keys: tuple[str, ...]):
+    """(columns, vertex_count, start, goals, tail, head) of a graph file's
+    document in either layout, with its vertices checked and its tail and
+    head columns checked as int64 arrays; the columns keep their lists."""
     if "edges" in doc:
         doc = _records_to_columns(doc, record_keys)
     for key in keys:
@@ -239,8 +268,12 @@ def problem_to_json(problem: Problem) -> str:
 
 
 def problem_from_json(text: str) -> Problem:
+    return _decoded(text, _problem)
+
+
+def _problem(doc: dict) -> Problem:
     doc, n, start, goals, tail, head = _graph_columns(
-        text, _PROBLEM_KEYS, ("from", "to", "estimators"))
+        doc, _PROBLEM_KEYS, ("from", "to", "estimators"))
     del doc["tail"], doc["head"]  # their arrays stand in for them
     m = len(tail)
     offsets = _column(doc, "est_offsets", m + 1)
@@ -322,7 +355,11 @@ def weighted_to_json(wg: WeightedDigraph) -> str:
 
 
 def weighted_from_json(text: str) -> WeightedDigraph:
-    doc, n, start, goals, *_ = _graph_columns(text, _WEIGHTED_KEYS, ("from", "to", "cost"))
+    return _decoded(text, _weighted)
+
+
+def _weighted(doc: dict) -> WeightedDigraph:
+    doc, n, start, goals, *_ = _graph_columns(doc, _WEIGHTED_KEYS, ("from", "to", "cost"))
     tail, head = doc["tail"], doc["head"]
     cost = _column(doc, "cost", len(tail))
     # costs stay Python ints: one beyond int64 is synth's to refuse

@@ -13,7 +13,8 @@ from slbsearch import (
     oracle_lstar,
     synth_estimators,
 )
-from slbsearch.generators import _BLOCK_ROWS
+from slbsearch import generators
+from slbsearch.generators import _BLOCK_DRAWS
 
 
 def dense_random_graph(n, edge_prob, cost_range, rng_seed):
@@ -61,16 +62,24 @@ def assert_python_int_columns(wg):
 
 
 class TestRandomGraph:
+    # block_draws: _BLOCK_DRAWS for the case, None for the default; 1024 is
+    # 4 rows of n=256, 3 of n=257 and 1 of n=513, so those cases cross many
+    # block edges, and 256 is shorter than a row of n=300
     @pytest.mark.parametrize(
-        "n,edge_prob,cost_range,seed",
-        [(2, 0.5, (1, 9), 4), (600, 0.01, (1, 20), 3), (300, 1.0, (1, 5), 1),
-         (300, 0.05, (1, 2**40), 2), (256, 0.05, (1, 20), 5), (257, 0.05, (1, 20), 6),
-         (513, 0.02, (1, 20), 7), (300, 1e-12, (1, 9), 8), (300, 0.05, (1, 2**31 + 1), 9)],
+        "n,edge_prob,cost_range,seed,block_draws",
+        [(2, 0.5, (1, 9), 4, None), (600, 0.01, (1, 20), 3, None), (300, 1.0, (1, 5), 1, None),
+         (300, 0.05, (1, 2**40), 2, 1024), (256, 0.05, (1, 20), 5, 1024),
+         (257, 0.05, (1, 20), 6, 1024), (513, 0.02, (1, 20), 7, 1024),
+         (300, 1e-12, (1, 9), 8, None), (300, 0.05, (1, 2**31 + 1), 9, 1024),
+         (300, 0.05, (1, 20), 10, 256)],
         ids=["two-vertices", "partial-last-block", "complete", "cost-beyond-32-bits",
              "one-full-block", "one-row-past-a-block", "one-row-past-two-blocks",
-             "no-pair-kept", "cost-with-many-rejections"],
+             "no-pair-kept", "cost-with-many-rejections", "row-longer-than-a-block"],
     )
-    def test_matches_dense_draws(self, n, edge_prob, cost_range, seed):
+    def test_matches_dense_draws(self, monkeypatch, n, edge_prob, cost_range, seed,
+                                 block_draws):
+        if block_draws is not None:
+            monkeypatch.setattr(generators, "_BLOCK_DRAWS", block_draws)
         wg = gen_random_graph(n, edge_prob, cost_range, seed)
         assert wg == dense_random_graph(n, edge_prob, cost_range, seed)
         assert_python_int_columns(wg)
@@ -78,16 +87,18 @@ class TestRandomGraph:
             assert wg.edges == ()
 
     def test_memory_is_not_quadratic_on_sparse_graphs(self):
-        n = 4000
-        tracemalloc.start()
-        try:
-            gen_random_graph(n, 0.002, (1, 20), 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one row block of 8-byte draws is 8 * _BLOCK_ROWS * n bytes; each
-        # block, of uniforms or of costs, must be freed before the next is drawn
-        assert peak < 1.5 * 8 * _BLOCK_ROWS * n
+        gen_random_graph(64, 0.5, (1, 20), 0)  # a first call's one-time allocations come first
+        for n, edge_prob in ((2000, 0.002), (6000, 0.0005)):
+            tracemalloc.start()
+            try:
+                gen_random_graph(n, edge_prob, (1, 20), 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one block of 8-byte draws is at most 8 * _BLOCK_DRAWS bytes, whatever
+            # n is; each block, of uniforms or of costs, must be freed before the
+            # next is drawn
+            assert peak < 1.5 * 8 * _BLOCK_DRAWS, n
 
     @pytest.mark.parametrize(
         "n,edge_prob,seed,digest",

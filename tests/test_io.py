@@ -8,6 +8,7 @@ from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from conftest import edge, make_reference_problem
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from slbsearch import (
     weighted_to_json,
 )
 from slbsearch.cli import main
-from slbsearch.io import dump_problem, dump_weighted, load_suite
+from slbsearch.io import _ORJSON_MAX_OPENERS, dump_problem, dump_weighted, load_suite
 
 # written by the per-edge writer from the instance test_pinned_outputs pins
 PER_EDGE_FILE = Path(__file__).parent / "data" / "pinned-per-edge-problem.json"
@@ -462,6 +463,97 @@ class TestProblemJson:
         doc["est_upper"][4] = 10**400  # edge 2's second estimator
         with pytest.raises(ValueError, match="edge 2 estimator 1 upper does not fit a float"):
             problem_from_json(json.dumps(doc))
+
+
+def _refuse(text):
+    raise orjson.JSONDecodeError("patched out", str(text), 0)
+
+
+def _outcome(text):
+    """("loads", the loaded problem's file text) or ("refused", the message)."""
+    try:
+        return "loads", problem_to_json(problem_from_json(text))
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+_PLACEHOLDER = 123456.5  # a value no reference file holds, replaced by literal text
+
+
+def _edited_reference(key, k, literal):
+    """The reference problem's column file with entry k of key (or key itself,
+    when k is None) spelled literal."""
+    doc = json.loads(problem_to_json(make_reference_problem()))
+    if k is None:
+        doc[key] = _PLACEHOLDER
+    else:
+        doc[key][k] = _PLACEHOLDER
+    return json.dumps(doc).replace(repr(_PLACEHOLDER), literal)
+
+
+def _deep(depth):
+    return "[" * depth + "]" * depth
+
+
+class TestDecodeSplit:
+    """Graph files are decoded by orjson, and by json when orjson or the
+    checks refuse: every outcome is json's alone but for deep nesting under
+    a key the loader does not read."""
+
+    def test_valid_files_take_orjson(self, monkeypatch):
+        problem = make_reference_problem()
+        wg = gen_random_graph(10, 0.4, (1, 9), rng_seed=2)
+        problems = [problem_to_json(problem), per_edge_problem_json(problem)]
+        weighted = [weighted_to_json(wg), per_edge_weighted_json(wg)]
+
+        def no_json(*args, **kwargs):
+            raise AssertionError("json.loads was called")
+
+        monkeypatch.setattr(json, "loads", no_json)
+        for text in problems:
+            loaded = problem_from_json(text)
+            assert (loaded.start, loaded.goals) == (problem.start, problem.goals)
+            assert_same_arrays(loaded.graph, problem.graph)
+        for text in weighted:
+            assert weighted_from_json(text) == wg
+
+    @pytest.mark.parametrize(
+        "key,k,literal,expected",
+        [("est_lower", 0, "NaN", "refused"), ("est_upper", 4, "Infinity", "refused"),
+         ("est_upper", 4, "1e400", "refused"), ("tail", 1, str(2**70), "refused"),
+         ("est_offsets", 1, str(2**64), "refused"), ("true_cost", 0, "NaN", "refused"),
+         ("est_lower", 0, _deep(2000), "refused"), ("est_time", 0, str(2**70), "loads"),
+         ("note", None, '"\\ud800"', "loads")],
+        ids=["nan-bound", "infinity-bound", "1e400", "endpoint-past-64-bits",
+             "offset-past-64-bits", "nan-true-cost", "deep-nesting-in-a-column",
+             "price-past-64-bits", "lone-surrogate-under-an-unknown-key"],
+    )
+    def test_what_orjson_refuses_or_reads_differently_ends_as_with_json(
+            self, monkeypatch, key, k, literal, expected):
+        text = _edited_reference(key, k, literal)
+        outcome = _outcome(text)
+        monkeypatch.setattr(orjson, "loads", _refuse)
+        assert outcome == _outcome(text)
+        assert outcome[0] == expected, outcome
+
+    def test_deep_nesting_under_an_unknown_key_now_loads(self, monkeypatch):
+        # the one accepted difference: json's recursion limit refuses it
+        text = _edited_reference("note", None, _deep(2000))
+        assert _outcome(text) == ("loads", problem_to_json(make_reference_problem()))
+        monkeypatch.setattr(orjson, "loads", _refuse)
+        kind, message = _outcome(text)
+        assert kind == "refused" and "not valid JSON" in message
+
+    def test_many_brackets_go_to_json_alone(self, monkeypatch):
+        # orjson has no nesting limit and would overflow the C stack deep down
+        text = _edited_reference("note", None, _deep(_ORJSON_MAX_OPENERS))
+
+        def no_orjson(text):
+            raise AssertionError("orjson.loads was called")
+
+        monkeypatch.setattr(orjson, "loads", no_orjson)
+        kind, message = _outcome(text)
+        assert kind == "refused" and "not valid JSON" in message
 
 
 class TestWeightedJson:
