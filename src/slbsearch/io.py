@@ -21,9 +21,10 @@ json reads (``NaN`` and ``Infinity``, float literals past the float range,
 integers past 64 bits, which orjson reads as floats) load as they do with
 json alone.
 A text with more than _ORJSON_MAX_OPENERS opening brackets goes to json
-directly, as orjson has no nesting limit of its own. The one difference from
-json alone: a file nested past json's recursion limit under a key the loader
-does not read now loads. Suite files and every writer use json.
+directly. orjson releases before 3.9.15 have no nesting limit, and this bound
+is below json's recursion limit, so no text orjson decodes nests deeper than
+json accepts: every file loads, or is refused, as with json alone. Suite
+files and every writer use json.
 
 The loaders are where a graph file is checked, by one column checker for
 both layouts: every Problem or WeightedDigraph they return has its start,
@@ -73,10 +74,10 @@ _INTS = frozenset((int,))
 _NUMBERS = frozenset((int, float))
 _NUMBERS_OR_NULL = frozenset((int, float, type(None)))
 _INT64_END = 2**63
-# orjson 3.8 nests without limit and overflows the C stack (a crash, not an
-# error) past ~10^5 levels; at most this many opening brackets bound the
-# nesting to a few hundred KB of stack
-_ORJSON_MAX_OPENERS = 2**12
+# orjson before 3.9.15 nests without limit and can overflow the C stack (a
+# crash, not an error); at most this many opening brackets keep orjson's
+# nesting shallow and below json's recursion limit (sys.getrecursionlimit())
+_ORJSON_MAX_OPENERS = 2**9
 
 
 def _bad(msg: str) -> ValueError:

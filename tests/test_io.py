@@ -497,8 +497,7 @@ def _deep(depth):
 
 class TestDecodeSplit:
     """Graph files are decoded by orjson, and by json when orjson or the
-    checks refuse: every outcome is json's alone but for deep nesting under
-    a key the loader does not read."""
+    checks refuse or the text has many brackets: every outcome is json's."""
 
     def test_valid_files_take_orjson(self, monkeypatch):
         problem = make_reference_problem()
@@ -522,11 +521,12 @@ class TestDecodeSplit:
         [("est_lower", 0, "NaN", "refused"), ("est_upper", 4, "Infinity", "refused"),
          ("est_upper", 4, "1e400", "refused"), ("tail", 1, str(2**70), "refused"),
          ("est_offsets", 1, str(2**64), "refused"), ("true_cost", 0, "NaN", "refused"),
-         ("est_lower", 0, _deep(2000), "refused"), ("est_time", 0, str(2**70), "loads"),
-         ("note", None, '"\\ud800"', "loads")],
+         ("est_lower", 0, _deep(2000), "refused"), ("note", None, _deep(2000), "refused"),
+         ("est_time", 0, str(2**70), "loads"), ("note", None, '"\\ud800"', "loads")],
         ids=["nan-bound", "infinity-bound", "1e400", "endpoint-past-64-bits",
              "offset-past-64-bits", "nan-true-cost", "deep-nesting-in-a-column",
-             "price-past-64-bits", "lone-surrogate-under-an-unknown-key"],
+             "deep-nesting-under-an-unknown-key", "price-past-64-bits",
+             "lone-surrogate-under-an-unknown-key"],
     )
     def test_what_orjson_refuses_or_reads_differently_ends_as_with_json(
             self, monkeypatch, key, k, literal, expected):
@@ -536,24 +536,16 @@ class TestDecodeSplit:
         assert outcome == _outcome(text)
         assert outcome[0] == expected, outcome
 
-    def test_deep_nesting_under_an_unknown_key_now_loads(self, monkeypatch):
-        # the one accepted difference: json's recursion limit refuses it
-        text = _edited_reference("note", None, _deep(2000))
-        assert _outcome(text) == ("loads", problem_to_json(make_reference_problem()))
-        monkeypatch.setattr(orjson, "loads", _refuse)
-        kind, message = _outcome(text)
-        assert kind == "refused" and "not valid JSON" in message
-
     def test_many_brackets_go_to_json_alone(self, monkeypatch):
-        # orjson has no nesting limit and would overflow the C stack deep down
+        # orjson before 3.9.15 has no nesting limit and would overflow the C
+        # stack deep down; json reads this nesting, under its recursion limit
         text = _edited_reference("note", None, _deep(_ORJSON_MAX_OPENERS))
 
         def no_orjson(text):
             raise AssertionError("orjson.loads was called")
 
         monkeypatch.setattr(orjson, "loads", no_orjson)
-        kind, message = _outcome(text)
-        assert kind == "refused" and "not valid JSON" in message
+        assert _outcome(text) == ("loads", problem_to_json(make_reference_problem()))
 
 
 class TestWeightedJson:
