@@ -6,12 +6,12 @@ one estimation cache throughout so no estimator is ever paid for twice.
 The bracket [l_under, l_over] tightens monotonically until a pass certifies
 its path or the bracket closes (l_under >= l_over: an earlier pass's path
 already attains the optimum); the final pass forces certification by
-setting both thresholds to l_over. Since a pass that pops a goal at the
-optimum certifies it in that same pass, l_under rises strictly from pass
-to pass. The returned path is the one attaining the folded l_over, which
-may come from an earlier pass than the last. Interrupted early, the best
-path found so far is still a valid answer with suboptimality capped by
-l_over / l_under.
+setting both thresholds to l_over. Where path sums are exact, a pass that
+pops a goal at the optimum certifies it, so l_under rises strictly from
+pass to pass. The returned path is the one attaining the folded l_over,
+which may come from an earlier pass than the last. Interrupted early, the
+best path found so far is still a valid answer with suboptimality capped
+by l_over / l_under.
 """
 
 from __future__ import annotations

@@ -12,12 +12,13 @@ shortest-path cost.
 - ``ei_ucs``, the estimation-indifferent baseline, fully estimates every
   edge it examines.
 - ``beauty_ps`` jumps each edge of a found path to its final estimator,
-  which certifies the path or yields the bracket (l_under, l_over).
+  which certifies the path or yields the bracket (l_under, l_over); l_over
+  is the path's bounds summed from the start, as g and oracle_lstar sum them.
 - A lazy pass whose popped goal is uncertified at key k pops every entry
   tied at k, then runs lazy path evaluation as in LazySP (Dellin &
   Srinivasa, ICAPS 2016) over the tight subgraph of the vertices with
-  g <= k. A goal popped at the optimum is so certified in the pass that
-  pops it, and only edges on tight routes are charged.
+  g <= k. Where path sums are exact, a goal popped at the optimum is so
+  certified in the pass that pops it. Only edges on tight routes are charged.
 
 Each pass is one ``_Pass``, whose ``run`` is the one search loop: plain
 Python over ``memoryview``s of the graph and cache arrays, with a bucket
@@ -330,41 +331,47 @@ class _Pass:
         return Path(tuple(route), vertex)
 
 
+def _finalise(route: Path, cache: EstimationCache) -> float:
+    """Jump each route edge with layers left to its final estimator, in route
+    order, and return the route's bound: the left fold from +0.0 of its
+    tightest lower bounds, the sum g and oracle_lstar compute."""
+    bound = 0.0
+    for eid in route.edges:
+        if cache.has_remaining(eid):
+            cache.apply_final(eid)
+        bound += float(cache.tightest_lower[eid])
+    return bound
+
+
 def beauty_ps(
     path: Path, l_path: float, cache: EstimationCache
 ) -> tuple[bool, float, float]:
     """Post-search tightening of a found path's own bound.
 
-    l_path is the path's bound as popped (every path edge has at least one
-    applied estimator). Each edge that still has unapplied estimators is
-    jumped to its final one and the path bound updated incrementally.
-    Returns (opt, l_under, l_over): l_under is the bound as popped, l_over
-    the fully-estimated bound, and opt says they agree, i.e. tightening
-    changed nothing and the path is certified.
+    l_path is the path's bound as popped. Unless every path edge has an
+    applied estimator, ValueError is raised before any edge is jumped.
+    Returns (opt, l_under, l_over): l_under is l_path, l_over the path's
+    bound once finalised, and opt says it is not above l_path, i.e. the
+    path is certified.
     """
-    l_under = l_path
-    l_cur = l_path
     for eid in path.edges:
         if cache.next_index[eid] < 1:
             raise ValueError(f"path edge {eid} has no applied estimator")
-        if cache.has_remaining(eid):
-            prev = float(cache.tightest_lower[eid])
-            new = cache.apply_final(eid)
-            l_cur += new - prev
-    return (not l_cur > l_under), l_under, l_cur
+    l_over = _finalise(path, cache)
+    return (not l_over > l_path), l_path, l_over
 
 
-def _tight_route(run: _Pass, k: float, dead: set[int]) -> Path | None:
+def _tight_route(run: _Pass, k: float) -> Path | None:
     """A start-to-goal route through tight edges of vertices with g <= k, or None.
 
     An edge (u, h) is tight when g[h] <= k and g[u] plus the edge's tightest
-    lower bound equals g[h], the very float sum the kernel stores. Routes
-    end at a goal with g == k and avoid the dead edges. The route is found
-    backwards from the goals: every edge into a visited vertex is read from
-    the predecessor index and tested, in ascending tail and then edge order.
-    Bounds are never negative, so every vertex reached has g <= k and, once
-    the pass has run up to key k, was popped; all but the goals were
-    expanded. No goal has g < k and those at k seed the seen set, so the
+    lower bound equals g[h], the very float sum the kernel stores, so a
+    route's bounds fold to k, the g of the goal it ends at. The route is
+    found backwards from the goals: every edge into a visited vertex is read
+    from the predecessor index and tested, in ascending tail and then edge
+    order. Bounds are never negative, so every vertex reached has g <= k
+    and, once the pass has run up to key k, was popped; all but the goals
+    were expanded. No goal has g < k and those at k seed the seen set, so the
     tail u needs no closed test and a route never passes through a goal.
     """
     start, g = run.problem.start, run.g
@@ -384,7 +391,7 @@ def _tight_route(run: _Pass, k: float, dead: set[int]) -> Path | None:
             return Path(tuple(edges), v)
         into = pred_edge[pred_indptr[v]:pred_indptr[v + 1]]
         for u, eid, low in zip(tail[into].tolist(), into.tolist(), tight_lower[into].tolist()):
-            if g[u] + low == g[v] and u not in seen and eid not in dead:
+            if g[u] + low == g[v] and u not in seen:
                 seen.add(u)
                 toward_goal[u] = (eid, v)
                 stack.append(u)
@@ -396,22 +403,15 @@ def _certify_tie(run: _Pass, k: float) -> Path | None:
 
     The pass is first run up to key k until it pops no more goals, so every
     entry tied at k is popped and each tied goal recorded unexpanded. Each
-    candidate route has every edge jumped to its final estimator; a
-    route on which no edge rose is certified at k, otherwise the edges that
-    rose are dropped and the next route is tried. Only edges on tight
-    routes are ever charged.
+    tight route is finalised and certified if its bound is still k. If not,
+    an edge of it rose and is no longer tight (a bound changes only when its
+    own edge is jumped), so the next route is sought in a smaller tight
+    subgraph. Only edges on tight routes are ever charged.
     """
     while run.run(k) is not None:
         pass  # a tied goal is recorded as a pop, not expanded
-    cache = run.cache
-    dead: set[int] = set()
-    while (route := _tight_route(run, k, dead)) is not None:
-        for eid in route.edges:
-            if cache.has_remaining(eid):
-                low = float(cache.tightest_lower[eid])
-                if cache.apply_final(eid) > low:
-                    dead.add(eid)
-        if dead.isdisjoint(route.edges):
+    while (route := _tight_route(run, k)) is not None:
+        if _finalise(route, run.cache) == k:
             return route
     return None
 
@@ -464,12 +464,12 @@ def beauty(
     With the default thresholds the returned path attains the tightest
     fully-estimated lower bound and opt is True. With finite thresholds
     from an earlier pass, the guarantees weaken to the bracket documented
-    on SearchResult but estimation effort drops. A goal popped at the
-    optimum is still certified in this pass: when the popped path rises
+    on SearchResult but estimation effort drops. When the popped path rises
     under post-search tightening, the pass resumes to pop every entry tied
-    at its key and a tight route at that key is sought (see the module docstring). Pass a
-    shared cache to reuse estimation work across calls. A NaN threshold
-    raises ValueError: every comparison with it is false.
+    at its key and seeks a tight route at that key, which certifies a goal
+    popped at the optimum where path sums are exact (see the module
+    docstring). Pass a shared cache to reuse estimation work across calls.
+    A NaN threshold raises ValueError: every comparison with it is false.
     """
     check_thresholds(l_est, l_prune)
     return _search(problem, cache, l_est, l_prune, eager=False)

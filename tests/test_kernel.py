@@ -28,6 +28,7 @@ from slbsearch import (
     ei_ucs,
     gen_grid_graph,
     gen_random_graph,
+    oracle_lstar,
     synth_estimators,
 )
 from slbsearch.search import _Pass
@@ -244,11 +245,12 @@ def test_negative_cached_bound_into_an_unexpanded_vertex_raises():
     assert (m.expansions, m.evaluations, m.prunings) == (2, 2, 0)
 
 
-def _order_sensitive_graph(rng):
+def _order_sensitive_graph(rng, nested=False):
     """A graph built from arrays, unvalidated: 1-4 layers per edge, a fifth of
-    the steps lower the bound (non-nested), zero lowers are -0.0 half the
-    time, and layer prices are non-integers over many magnitudes, so the
-    order of their summation shows in T_w."""
+    the steps lower the bound (non-nested) or, if nested, raise it by a
+    fraction, zero lowers are -0.0 half the time, and layer prices are
+    non-integers over many magnitudes, so the order of their summation shows
+    in T_w."""
     n = int(rng.integers(4, 14))
     m = int(rng.integers(2 * n, 4 * n))
     lens = rng.integers(1, 5, m)
@@ -257,7 +259,10 @@ def _order_sensitive_graph(rng):
     for k in lens.tolist():
         low = float(rng.integers(0, 4))
         for _ in range(k):
-            low = low * rng.random() if rng.random() < 0.2 else low + float(rng.integers(0, 3))
+            if rng.random() < 0.2:
+                low = low + rng.random() if nested else low * rng.random()
+            else:
+                low += float(rng.integers(0, 3))
             lower.append(-0.0 if low == 0.0 and rng.random() < 0.5 else low)
             price.append(float(rng.random() * 10.0 ** rng.integers(-3, 8)))
     lower = np.array(lower)
@@ -446,6 +451,38 @@ def test_lazy_pass_equals_a_layer_by_layer_model():
             stopped += found is not None
         pruned += cache._counters[2]
     assert stopped > 0 and pruned > 0
+
+
+def test_lazy_passes_bracket_and_certify_the_oracle_bound():
+    # the whole pass of beauty against oracle_lstar, on the scenarios of the
+    # lazy model with nested sequences, whose fractional steps make the path
+    # sums round: the bracket whenever no pruning could drop the optimum, and
+    # a certified result only at L*
+    certified = uncertified = 0
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        graph, n = _order_sensitive_graph(rng, nested=True)
+        cache = EstimationCache(graph)
+        for _ in range(10):
+            if rng.random() < 0.15:
+                left = np.flatnonzero(cache.next_index < np.diff(graph.est_offsets))
+                for eid in rng.choice(left, len(left) // 3, replace=False).tolist():
+                    cache.apply_final(eid)
+                continue
+            problem = Problem(graph, int(rng.integers(0, n)), frozenset({int(rng.integers(0, n))}))
+            l_est = float(rng.integers(0, 8)) + float(rng.choice([0.0, 0.5]))
+            l_prune = l_est + float(rng.integers(-2, 6))
+            lstar = oracle_lstar(problem)
+            res = beauty(problem, cache, l_est, l_prune)
+            if l_prune >= lstar:
+                assert res.found == math.isfinite(lstar)
+                assert res.l_under <= lstar
+            if res.found:
+                assert lstar <= res.l_over
+                assert not res.opt or res.l_over == lstar
+                certified += res.opt and res.path.edges != ()
+                uncertified += not res.opt
+    assert certified > 0 and uncertified > 0
 
 
 def test_full_lower_table_folds_like_the_steps_and_is_built_once_by_an_eager_pass():

@@ -1,15 +1,16 @@
 """Invariant checks on randomized inputs.
 
-Two layers: hypothesis-driven properties of the estimation primitives, and
+Three layers: hypothesis-driven properties of the estimation primitives,
 seeded sweeps over random problems (cycles allowed) checking the search
-algorithms against the brute-force oracles.
+algorithms against the brute-force oracles, and a hypothesis search over
+graphs whose bounds are decimal or near 2^53, so that their sums round.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import charged_layers, lazy_edge, random_problem
 
@@ -284,3 +285,60 @@ class TestAnytimeProperties:
             out = a_beauty(problem, max_iterations=10, epsilon=epsilon)
             if out.found:
                 assert out.l_star == oracle_lstar(problem)
+
+
+# Bounds whose sums round: decimals, and magnitudes where the spacing of
+# doubles exceeds 1 (2^53 + 1.0 rounds back to 2^53).
+FLOAT_BOUNDS = (0.1, 0.2, 0.3, 0.7, 1.1, 2.3, 0.001, 3.3, 0.1 + 0.2, 1.0, 1e16, 2.0**53)
+
+
+@st.composite
+def float_problem_specs(draw):
+    """(vertex count, edges as (tail, head, nested lower bounds), goals) of a
+    graph with 3-7 vertices, start 0 and 1-3 layers per edge."""
+    n = draw(st.integers(3, 7))
+    vertex = st.integers(0, n - 1)
+    lowers = st.lists(st.sampled_from((0.0, *FLOAT_BOUNDS)), min_size=1, max_size=3)
+    edges = draw(st.lists(st.tuples(vertex, vertex, lowers.map(sorted)), min_size=1, max_size=3 * n))
+    goals = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=2))
+    return n, tuple((t, h, tuple(low)) for t, h, low in edges), tuple(sorted(goals))
+
+
+def float_problem(n, edges, goals):
+    """Each edge's layers have the given lowers, one shared upper bound above
+    them, and prices 1, 10, 100; its true cost is its last lower bound."""
+    built = []
+    for tail, head, lowers in edges:
+        upper = 2.0 * lowers[-1] + 1.0
+        specs = tuple(EstimatorSpec(lo, upper, 10.0**i) for i, lo in enumerate(lowers))
+        built.append(Edge(tail, head, specs, lowers[-1]))
+    return Problem(EstimatedDigraph(n, built), 0, frozenset(goals))
+
+
+class TestFloatBounds:
+    """Every reported bound is the start-to-goal fold that oracle_lstar takes."""
+
+    @given(float_problem_specs())
+    # popped at 0.7999999999999999; adding the rise 0.3 - 0.1 to that gives
+    # 0.9999999999999999, below L* = 0.7 + 0.3 = 1.0
+    @example((3, ((0, 1, (0.0, 0.7)), (1, 2, (0.1, 0.3))), (2,)))
+    # popped at 2^53 + 1.0 = 2^53; adding the rise 1.1 - 1.0 to that leaves
+    # 2^53, but L* = 2^53 + 1.1 = 2^53 + 2
+    @example((3, ((0, 1, (2.0**53,)), (1, 2, (1.0, 1.1))), (2,)))
+    @settings(max_examples=150, deadline=None)
+    def test_bounds_bracket_and_certify_the_oracle_sum(self, spec):
+        problem = float_problem(*spec)
+        lstar = oracle_lstar(problem)
+        assert oracle_enumerate(problem) == lstar  # both fold each path from the start
+        shared = EstimationCache(problem.graph)
+        for l_est in (0.0, lstar / 2, INF):
+            for cache in (EstimationCache(problem.graph), shared):
+                res = beauty(problem, cache, l_est=l_est)
+                assert res.found == math.isfinite(lstar)
+                if res.found:
+                    assert res.l_under <= lstar <= res.l_over
+                    assert not res.opt or res.l_over == lstar
+        eager = ei_ucs(problem)
+        if eager.found:
+            assert eager.opt and eager.l_under == lstar == eager.l_over
+        assert a_beauty(problem).l_star == lstar

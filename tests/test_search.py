@@ -246,8 +246,55 @@ class TestBeautyPs:
     def test_unestimated_path_edge_rejected(self):
         problem = make_reference_problem()
         cache = EstimationCache(problem.graph)
+        cache.apply_next(E02)
         with pytest.raises(ValueError):
-            beauty_ps(Path((E01,), 1), 0.0, cache)
+            beauty_ps(Path((E02, E24), 4), 3.0, cache)
+        assert cache.next_index[E02] == 1  # rejected before any edge is jumped
+
+
+class TestFloatSums:
+    """l_over is the path's bounds summed from the start, ((0.0 + b1) + b2)
+    + ..., as the kernel's g and oracle_lstar sum them."""
+
+    def test_decimal_rise_keeps_the_bracket(self):
+        # 0.7999999999999999 + (0.3 - 0.1) would give 0.9999999999999999 < L*
+        edges = [
+            edge(0, 1, [(0.0, 1.0, 1.0), (0.7, 0.7, 10.0)]),
+            edge(1, 2, [(0.1, 1.0, 1.0), (0.3, 0.3, 10.0)]),
+        ]
+        problem = Problem(EstimatedDigraph(3, edges), 0, frozenset({2}))
+        res = beauty(problem, l_est=0.0)
+        assert (res.opt, res.l_under) == (False, 0.7999999999999999)
+        assert res.l_over == 1.0 == oracle_lstar(problem)
+
+    def test_chain_bound_is_the_fold_from_the_start(self):
+        # popped at 0.05 + 0.1 + 0.1; adding the rises to that gives 0.6
+        finals = (0.1, 0.2, 0.3)
+        edges = [
+            edge(v, v + 1, [(first, 1.0, 1.0), (final, 1.0, 10.0)])
+            for v, (first, final) in enumerate(zip((0.05, 0.1, 0.1), finals))
+        ]
+        problem = Problem(EstimatedDigraph(4, edges), 0, frozenset({3}))
+        res = beauty(problem, l_est=0.0)
+        assert res.l_over == ((0.0 + 0.1) + 0.2) + 0.3 == 0.6000000000000001
+        assert res.l_over == oracle_lstar(problem)
+
+    def test_rise_absorbed_on_a_tie_route_is_certified(self):
+        # goal 2 pops at k = 1e16 over edge 1, which rises by 4; the tie route
+        # 0-1-3 has g[1] = 1e16, so its last edge's rise 0.5 -> 0.9 rounds
+        # away and the route's bound stays k, which is L*
+        big = 1e16
+        edges = [
+            edge(0, 1, [(big, big, 1.0)]),
+            edge(0, 2, [(big, big + 8, 1.0), (big + 4, big + 4, 10.0)]),
+            edge(1, 3, [(0.5, 1.0, 1.0), (0.9, 0.9, 10.0)]),
+        ]
+        problem = Problem(EstimatedDigraph(4, edges), 0, frozenset({2, 3}))
+        cache = EstimationCache(problem.graph)
+        res = beauty(problem, cache, l_est=0.0)
+        assert res.path == Path((0, 2), 3)
+        assert res.opt and res.l_under == res.l_over == big == oracle_lstar(problem)
+        assert charged_layers(cache, 1) == charged_layers(cache, 2) == (1, 2)
 
 
 class TestSearchTree:
