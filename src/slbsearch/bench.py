@@ -13,9 +13,9 @@ A suite config is a dict (usually loaded from JSON) with only these keys:
                    synthesis and form a single cell)
   algorithms       any of "eiucs", "beauty", "abeauty-<k>" (k without leading
                    zeros; "abeauty" means "abeauty-10"), each at most once
-  timeout_seconds  optional non-negative wall-clock budget per run; a cell
-                   with any run over budget is excluded from aggregates and
-                   listed separately (runs are not preempted, only disqualified)
+  timeout_seconds  optional non-negative wall-clock budget per run that fits
+                   a float; a cell with any run over budget is excluded from
+                   aggregates and listed separately (runs are not preempted, only disqualified)
 
 The estimation-indifferent baseline is always run per cell, whether or not
 it is listed, because the headline ratios are relative to it:
@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -166,6 +167,8 @@ def _check_suite(config: dict) -> None:
     timeout = config.get("timeout_seconds", 0)
     if not (_is("a number", timeout) and timeout >= 0):
         raise ValueError("suite key 'timeout_seconds' must be a non-negative number")
+    if timeout != math.inf and timeout > sys.float_info.max:
+        raise ValueError("suite key 'timeout_seconds' does not fit a float")
 
 
 def _materialize(spec: dict):
@@ -250,16 +253,6 @@ def _stats(values, extended=False) -> dict:
             median=float(np.median(arr)), min=float(arr.min()), max=float(arr.max())
         )
     return out
-
-
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
 
 
 def run_suite(config: dict, out_dir=None) -> SuiteReport:
@@ -367,4 +360,4 @@ def _write_outputs(report: SuiteReport, out_dir: FsPath) -> None:
         "excluded": report.excluded,
         "algorithms": report.aggregates.get("algorithms", {}),
     }
-    _write_atomic(out_dir / "summary.json", (json.dumps(_sanitize(summary), indent=2), "\n"))
+    _write_atomic(out_dir / "summary.json", (json.dumps(summary, indent=2, allow_nan=False), "\n"))

@@ -58,7 +58,7 @@ class Edge:
 
 @dataclass
 class GraphArrays:
-    """Flat array form of a graph, read by the search loop and the cache.
+    """Flat array form of a checked graph, read by the search loop and the cache.
 
     - Successors: CSR over the tail vertex, in edge declaration order.
     - Predecessors (``pred_indptr``, ``pred_edge``): CSR over the head
@@ -133,7 +133,8 @@ class EstimatedDigraph:
     and ``est_time``, and ``true_cost``, read only where ``true_known`` (so
     unknown is not NaN). ``EstimatedDigraph(n, edges)`` flattens hand-built
     Edges; ``edges`` is a read-only view that builds them on demand. Treat
-    instances as immutable; the CSR form is built lazily and cached.
+    instances as immutable; the CSR form is built lazily and cached. Both
+    constructors refuse the first stray endpoint, else the first empty sequence.
     """
 
     def __init__(self, vertex_count: int, edges: Sequence[Edge] = ()):
@@ -165,6 +166,12 @@ class EstimatedDigraph:
         self.est_time = np.asarray(est_time, np.float64)
         self.true_cost = np.asarray(true_cost, np.float64)
         self.true_known = np.asarray(true_known, np.bool_)
+        n, tail, head = vertex_count, self.tail, self.head
+        outside = (tail < 0) | (tail >= n) | (head < 0) | (head >= n)
+        for bad, what in ((outside, f"endpoint out of range for {n} vertices"),
+                          (np.diff(self.est_offsets) == 0, "empty estimator sequence")):
+            if bad.any():
+                raise ValueError(f"edge {int(np.argmax(bad))}: {what}")
         self._arrays: GraphArrays | None = None
 
     @property
@@ -173,19 +180,13 @@ class EstimatedDigraph:
 
     def arrays(self) -> GraphArrays:
         if self._arrays is None:
-            n, tail, head = self.vertex_count, self.tail, self.head
-            lens = np.diff(self.est_offsets)
-            outside = (tail < 0) | (tail >= n) | (head < 0) | (head >= n)
-            for bad, what in ((outside, f"endpoint out of range for {n} vertices"),
-                              (lens == 0, "empty estimator sequence")):
-                if bad.any():
-                    raise ValueError(f"edge {int(np.argmax(bad))}: {what}")
+            n, tail = self.vertex_count, self.tail
             indptr = np.zeros(n + 1, np.int64)
             indptr[1:] = np.cumsum(np.bincount(tail, minlength=n))
             order = np.argsort(tail, kind="stable")
             est = (self.est_offsets, self.est_lower, self.est_upper, self.est_time)  # not copied
-            self._arrays = GraphArrays(indptr, head[order], order, *est,
-                                       int(lens.max(initial=1)))
+            self._arrays = GraphArrays(indptr, self.head[order], order, *est,
+                                       int(np.diff(self.est_offsets).max(initial=1)))
         return self._arrays
 
 
@@ -250,7 +251,7 @@ def sum_overflow(values: np.ndarray) -> int | None:
 
 
 def validate_graph(graph: EstimatedDigraph) -> list[Violation]:
-    """Check every edge's estimator sequence; return all defects found.
+    """Check every edge's estimator sequence for bound defects; return all found.
 
     Checks per estimator: 0 <= lower <= upper < inf and finite non-negative
     time_cost. Checks per adjacent pair: interval nesting and strictly
@@ -261,10 +262,9 @@ def validate_graph(graph: EstimatedDigraph) -> list[Violation]:
     named. An empty list means the graph is valid.
 
     Each rule is one array mask. Violations come by edge; within an edge,
-    endpoints, emptiness, each layer's bounds and time_cost, each pair's
-    nesting and time order, the true cost against each layer, then the sum.
+    each layer's bounds and time_cost, each pair's nesting and time order,
+    the true cost against each layer, then the sum.
     """
-    n, tail, head = graph.vertex_count, graph.tail, graph.head
     lens = np.diff(graph.est_offsets)
     owner = np.repeat(np.arange(len(lens)), lens)  # the edge of each estimator
     lo, up, t, tc = graph.est_lower, graph.est_upper, graph.est_time, graph.true_cost[owner]
@@ -272,23 +272,17 @@ def validate_graph(graph: EstimatedDigraph) -> list[Violation]:
     last = np.append(owner[1:] != owner[:-1], True)
     nested = np.append((lo[1:] >= lo[:-1]) & (up[1:] <= up[:-1]), True)
     dearer = np.append(t[1:] > t[:-1], True)
-    outside = (tail < 0) | (tail >= n) | (head < 0) | (head >= n)
-    found = [  # (edge, section, layer, kind, detail)
-        (e, 0, 0, "endpoint", f"({int(tail[e])}, {int(head[e])}) out of range")
-        for e in np.flatnonzero(outside).tolist()
-    ]
-    empty = np.flatnonzero(lens == 0).tolist()
-    found += [(e, 1, 0, "empty_sequence", "no estimators") for e in empty]
+    found = []  # (edge, section, layer, kind, detail)
     rules = (  # (section, kind, failing estimators, detail of estimator k at layer i)
-        (2, "bounds", ~(np.isfinite(lo) & np.isfinite(up) & (0.0 <= lo) & (lo <= up)),
+        (0, "bounds", ~(np.isfinite(lo) & np.isfinite(up) & (0.0 <= lo) & (lo <= up)),
          lambda k, i: f"layer {i + 1}: [{float(lo[k])}, {float(up[k])}]"),
-        (2, "time_cost", ~(np.isfinite(t) & (t >= 0.0)),
+        (0, "time_cost", ~(np.isfinite(t) & (t >= 0.0)),
          lambda k, i: f"layer {i + 1}: {float(t[k])}"),
-        (3, "nesting", ~(last | nested),
+        (1, "nesting", ~(last | nested),
          lambda k, i: f"layer {i + 2} does not tighten layer {i + 1}"),
-        (3, "time_order", ~(last | dearer),
+        (1, "time_order", ~(last | dearer),
          lambda k, i: f"layer {i + 2} not more expensive than layer {i + 1}"),
-        (4, "true_cost", graph.true_known[owner] & ~((lo <= tc) & (tc <= up)),
+        (2, "true_cost", graph.true_known[owner] & ~((lo <= tc) & (tc <= up)),
          lambda k, i: f"{float(tc[k])} outside layer {i + 1} interval"),
     )
     for section, kind, bad, detail in rules:
@@ -296,10 +290,9 @@ def validate_graph(graph: EstimatedDigraph) -> list[Violation]:
             edge = int(owner[k])
             i = k - int(graph.est_offsets[edge])  # the layer, from 0
             found.append((edge, section, i, kind, detail(k, i)))
-    i = sum_overflow(lo[graph.est_offsets[1:][lens > 0] - 1])
-    if i is not None:
-        edge = int(np.flatnonzero(lens > 0)[i])
-        found.append((edge, 5, 0, "overflow",
+    edge = sum_overflow(lo[graph.est_offsets[1:] - 1])
+    if edge is not None:
+        found.append((edge, 3, 0, "overflow",
                       f"final lower bounds of edges 0 to {edge} sum past the largest float"))
     # stable, so bounds stay before time_cost and nesting before time_order
     found.sort(key=lambda v: v[:3])

@@ -1,11 +1,11 @@
 """Reference answers computed by deliberately independent means.
 
-Everything here ignores the search kernels and the estimation cache: edge
-tables are folded directly with numpy, shortest paths use a hand-rolled
-heapq Dijkstra over a flat CSR of out-edges built in this module (not the
-kernel's GraphArrays), and the enumeration oracle walks simple paths
-recursively. Intended for tests and benchmark ground truth, not for
-performance.
+Everything here ignores the search kernels and the estimation cache, and
+builds no GraphArrays: edge tables are folded directly with numpy from the
+graph's own arrays (whose structure its constructor checked), shortest paths
+use a hand-rolled heapq Dijkstra over a flat CSR of out-edges built in this
+module, and the enumeration oracle walks simple paths recursively. Intended
+for tests and benchmark ground truth, not for performance.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ class FullEstimate:
 
 
 def full_estimate(graph: EstimatedDigraph) -> FullEstimate:
-    arr = graph.arrays()  # rejects stray endpoints and empty sequences
-    starts = arr.est_offsets[:-1]
-    lowers = np.maximum.reduceat(arr.est_lower, starts)
-    uppers = np.minimum.reduceat(arr.est_upper, starts)
+    starts = graph.est_offsets[:-1]
+    lowers = np.maximum.reduceat(graph.est_lower, starts)
+    uppers = np.minimum.reduceat(graph.est_upper, starts)
     return FullEstimate(lowers, uppers)
 
 

@@ -552,6 +552,9 @@ _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--ou
             ["bench", "--suite", "suite.json", "--out-dir", "out.json"],
             f"instance 'w': bad input file: edge 0: endpoint 'from' {2**70} does not fit int64",
         ),
+        ({"suite.json": {"instances": [], "timeout_seconds": 10**400}},
+         ["bench", "--suite", "suite.json", "--out-dir", "out.json"],
+         "suite key 'timeout_seconds' does not fit a float"),
         ({"p.json": _problem_doc()}, ["solve", "--graph", "p.json", "--alg", "abeauty",
          "--epsilon", "nan"], "epsilon"),
         ({"p.json": "[" * 100000 + "]" * 100000}, ["solve", "--graph", "p.json",
@@ -608,7 +611,7 @@ _GEN_ARGV = ["gen", "--model", "random", "--n", "5", "--edge-prob", "0.5", "--ou
     ],
     ids=["synth-stray-endpoint", "solve-huge-bound", "solve-invalid-graph", "synth-huge-cost",
          "bench-huge-cost", "synth-bound-sum-overflow", "bench-bound-sum-overflow",
-         "bench-endpoint-beyond-int64",
+         "bench-endpoint-beyond-int64", "bench-timeout-beyond-float",
          "solve-nan-epsilon", "solve-deep-nesting", "solve-bool-bound",
          "gen-negative-seed", "gen-cost-beyond-int64", "solve-too-large", "bench-too-large",
          "gen-random-with-rows", "gen-grid-with-n", "gen-grid-too-large", "abeauty-nan-l-est", "abeauty-nan-l-prune", "eiucs-nan-epsilon",

@@ -18,12 +18,12 @@ from slbsearch import (
 )
 
 
-# validate_graph as first written, one edge at a time: the screened version
-# must return the same violations in the same order.
-def reference_validate_graph(graph):
+# validate_graph as first written, one edge at a time, over a vertex count and
+# Edges: the constructor must refuse exactly the draws it flags as endpoint or
+# empty_sequence, and validate_graph must return its list for every other draw.
+def reference_validate_graph(n, edges):
     out = []
-    n = graph.vertex_count
-    for idx, e in enumerate(graph.edges):
+    for idx, e in enumerate(edges):
         if not (0 <= e.tail < n and 0 <= e.head < n):
             out.append(Violation(idx, "endpoint", f"({e.tail}, {e.head}) out of range"))
         if not e.estimators:
@@ -79,8 +79,9 @@ TRUE_COSTS = (None, math.nan, 0.0, 5.0, 6.0, 20.0)
 
 
 def defective_graph(rng):
-    """Random graph whose edges each carry, by chance, none, one or several
-    of the defects validate_graph looks for."""
+    """Vertex count and Edges of a random graph whose edges each carry, by
+    chance, none, one or several of the defects the constructor and
+    validate_graph look for."""
     n = int(rng.integers(1, 6))
     edges = []
     for _ in range(int(rng.integers(0, 12))):
@@ -103,21 +104,41 @@ def defective_graph(rng):
         tail, head = (int(v) for v in rng.integers(lo, hi, size=2))
         specs = tuple(EstimatorSpec(*layer) for layer in layers)
         edges.append(Edge(tail, head, specs, TRUE_COSTS[int(rng.integers(0, 6))]))
-    return EstimatedDigraph(n, edges)
+    return n, edges
+
+
+def structure_error(n, violations):
+    """The message the constructor raises for the reference's violations:
+    the first stray endpoint, else the first empty sequence, else None."""
+    for kind, what in (("endpoint", f"endpoint out of range for {n} vertices"),
+                       ("empty_sequence", "empty estimator sequence")):
+        for v in violations:
+            if v.kind == kind:
+                return f"edge {v.edge}: {what}"
+    return None
 
 
 class TestValidateGraph:
     def test_matches_the_per_edge_loop(self):
         rng = np.random.default_rng(20261018)
         kinds = set()
+        refused = 0
         for _ in range(600):
-            g = defective_graph(rng)
-            expected = reference_validate_graph(g)
-            got = validate_graph(g)
+            n, edges = defective_graph(rng)
+            expected = reference_validate_graph(n, edges)
+            kinds.update(v.kind for v in expected)
+            message = structure_error(n, expected)
+            if message is not None:
+                with pytest.raises(ValueError) as info:
+                    EstimatedDigraph(n, edges)
+                assert str(info.value) == message
+                refused += 1
+                continue
+            got = validate_graph(EstimatedDigraph(n, edges))
             assert got == expected
             # np.int64 would compare equal but not serialize as a plain int
             assert all(type(v.edge) is int for v in got)
-            kinds.update(v.kind for v in expected)
+        assert 0 < refused < 600
         assert kinds == {
             "endpoint", "empty_sequence", "bounds", "time_cost", "nesting", "time_order",
             "true_cost",
@@ -125,7 +146,7 @@ class TestValidateGraph:
 
     def test_synth_grid_is_clean(self):
         g = synth_estimators(gen_grid_graph(30, 30, (1, 9), 4), 2).graph
-        assert validate_graph(g) == reference_validate_graph(g) == []
+        assert validate_graph(g) == reference_validate_graph(g.vertex_count, g.edges) == []
 
     def test_reference_graph_is_clean(self):
         assert validate_graph(make_reference_graph()) == []
@@ -161,14 +182,6 @@ class TestValidateGraph:
         g = EstimatedDigraph(2, [edge(0, 1, [(2, 6, 1.0), (3, 5, 2.0)], 6)])
         report = validate_graph(g)
         assert [v.kind for v in report] == ["true_cost"]
-
-    def test_empty_sequence(self):
-        g = EstimatedDigraph(2, [edge(0, 1, [])])
-        assert any(v.kind == "empty_sequence" for v in validate_graph(g))
-
-    def test_endpoint_out_of_range(self):
-        g = EstimatedDigraph(2, [edge(0, 5, [(1, 2, 1.0)])])
-        assert any(v.kind == "endpoint" for v in validate_graph(g))
 
     def test_path_sum_overflow(self):
         # each bound is a valid float; their sum along 0 -> 1 -> 2 is inf
@@ -210,6 +223,34 @@ class TestProblem:
 
 
 class TestStorage:
+    @staticmethod
+    def refused_both_ways(n, edges, message):
+        """Both constructors, from Edges and from their columns, raise message."""
+        specs = [s for e in edges for s in e.estimators]
+        ones = np.ones(len(edges))
+        columns = (
+            [e.tail for e in edges], [e.head for e in edges],
+            np.cumsum([0] + [len(e.estimators) for e in edges]),
+            [s.lower for s in specs], [s.upper for s in specs], [s.time_cost for s in specs],
+            ones, ones.astype(bool),
+        )
+        for build, args in ((EstimatedDigraph, (n, edges)),
+                            (EstimatedDigraph.from_arrays, (n, *columns))):
+            with pytest.raises(ValueError) as info:
+                build(*args)
+            assert str(info.value) == message
+
+    def test_empty_sequence(self):
+        edges = [edge(0, 1, [(1, 2, 1.0)]), edge(0, 1, [])]
+        self.refused_both_ways(2, edges, "edge 1: empty estimator sequence")
+
+    def test_endpoint_out_of_range(self):
+        # a stray endpoint is named before an earlier edge's empty sequence
+        edges = [edge(0, 1, []), edge(0, 5, [(1, 2, 1.0)]), edge(-1, 1, [(1, 2, 1.0)])]
+        self.refused_both_ways(2, edges, "edge 1: endpoint out of range for 2 vertices")
+        edges = [edge(-1, 1, [(1, 2, 1.0)])]
+        self.refused_both_ways(2, edges, "edge 0: endpoint out of range for 2 vertices")
+
     def test_edges_round_trip_through_the_arrays(self):
         edges = list(make_reference_graph().edges)
         again = EstimatedDigraph(5, edges)

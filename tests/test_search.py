@@ -360,7 +360,7 @@ class TestEdgeCases:
         ids=["stray-endpoint", "no-estimators"],
     )
     def test_unvalidated_graph_rejected(self, bad, named):
-        # a graph built by hand is checked when its arrays are first built
+        # a graph built by hand is checked by its constructor, before any search
         with pytest.raises(ValueError, match=named):
             beauty(Problem(EstimatedDigraph(2, [bad]), 0, frozenset({1})))
 
