@@ -147,7 +147,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
-        # RuntimeError: the search found bounds no valid estimator yields
+        # the package raises no RuntimeError; catching it keeps any that
+        # escapes a dependency on exit code 3 rather than a traceback
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

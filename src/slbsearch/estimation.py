@@ -17,7 +17,7 @@ from io import StringIO
 
 import numpy as np
 
-from .graph import EstimatedDigraph
+from .graph import EstimatedDigraph, _read_only
 from .io import _write_atomic
 
 __all__ = ["Metrics", "EstimationCache", "write_metrics_csv"]
@@ -85,20 +85,21 @@ class EstimationCache:
 
     Per edge it stores next_index (applied sequence positions) and
     tightest_lower; per estimator, whether it was invoked; per layer, how
-    many invocations were charged. The read-only ``tightest_upper`` is
-    derived from the invoked layers on each read. Layers are charged by a
-    lazy pass's steps, by ``_apply`` (``apply_next``, ``apply_final``) and
-    by ``_charge_rest``, for an eager pass. Invariants:
+    many invocations were charged. Each is kept privately and read
+    through a read-only view of its name; ``tightest_upper`` is derived
+    from the invoked layers on each read. Only the estimation steps write
+    them: a lazy pass's steps, ``_apply`` (``apply_next``, ``apply_final``)
+    and ``_charge_rest``, for an eager pass. Invariants:
 
     - next_index only grows and apply_final exhausts the edge it jumps, so
       no layer at or past next_index is invoked: each is charged at most
       once, without a test, and the applied layers are the invoked ones;
     - ``_tw`` is summed in charge order;
-    - an edge with layers left holds the fold of its applied prefix: only
-      a lazy step and apply_next leave one, each adding one layer by the
-      fold (keep a lower bound only when it is strictly greater, from
-      +0.0), whose result over a whole sequence ``GraphArrays.full_lower``
-      computes as one reduction.
+    - tightest_lower folds an edge's applied layers from +0.0, keeping a
+      lower bound only when it is strictly greater, so it is never
+      negative or NaN; only a lazy step and apply_next leave an edge with
+      layers left, and the fold over a whole sequence
+      ``GraphArrays.full_lower`` computes as one reduction.
 
     Not safe for concurrent mutation; give each worker its own cache.
     """
@@ -108,10 +109,14 @@ class EstimationCache:
         self.graph = graph
         self._arr = arr
         m = len(graph.tail)
-        self.next_index = np.zeros(m, np.int64)
-        self.tightest_lower = np.zeros(m)
-        self.invoked = np.zeros(int(arr.est_offsets[-1]), np.bool_)
-        self.layer_counts = np.zeros(arr.k_max, np.int64)
+        self._next_index = np.zeros(m, np.int64)
+        self._tightest_lower = np.zeros(m)
+        self._invoked = np.zeros(int(arr.est_offsets[-1]), np.bool_)
+        self._layer_counts = np.zeros(arr.k_max, np.int64)
+        self.next_index = _read_only(self._next_index.view())
+        self.tightest_lower = _read_only(self._tightest_lower.view())
+        self.invoked = _read_only(self._invoked.view())
+        self.layer_counts = _read_only(self._layer_counts.view())
         self._tw = 0.0  # simulated estimation time, summed in charge order
         self._counters = [0, 0, 0]  # expansions, evaluations, prunings
 
@@ -121,19 +126,19 @@ class EstimationCache:
         return int(self._arr.est_offsets[eid + 1] - self._arr.est_offsets[eid])
 
     def has_remaining(self, eid: int) -> bool:
-        return int(self.next_index[eid]) < self.sequence_length(eid)
+        return int(self._next_index[eid]) < self.sequence_length(eid)
 
     def _apply(self, eid: int, layer: int) -> float:
         """Apply sequence position layer (0-based), at or past next_index, and
         mark the edge consumed up to it; charge its time_cost. No layer at or
         past next_index was invoked, so the charge needs no test."""
         flat = int(self._arr.est_offsets[eid]) + layer
-        self.invoked[flat] = True
-        self.layer_counts[layer] += 1
+        self._invoked[flat] = True
+        self._layer_counts[layer] += 1
         self._tw += float(self._arr.est_time[flat])
-        low = max(float(self.tightest_lower[eid]), float(self._arr.est_lower[flat]))
-        self.tightest_lower[eid] = low
-        self.next_index[eid] = layer + 1
+        low = max(float(self._tightest_lower[eid]), float(self._arr.est_lower[flat]))
+        self._tightest_lower[eid] = low
+        self._next_index[eid] = layer + 1
         return low
 
     def _charge_rest(self, edges) -> None:
@@ -154,24 +159,24 @@ class EstimationCache:
             eids = edges[at:at + _CHARGE_CHUNK]
             base, end = offsets[eids], ends[eids]
             k_e = end - base
-            counts = k_e - self.next_index[eids]  # layers left
+            counts = k_e - self._next_index[eids]  # layers left
             upto = counts.cumsum()
             # the flat indices of the charged layers, edge by edge, in order
             flat = np.arange(upto[-1]) + np.repeat(end - upto, counts)
-            self.invoked[flat] = True
-            self.layer_counts += np.bincount(flat - np.repeat(base, counts), minlength=arr.k_max)
+            self._invoked[flat] = True
+            self._layer_counts += np.bincount(flat - np.repeat(base, counts), minlength=arr.k_max)
             times = est_time[flat]
             times[0] += tw  # so the cumsum's first sum is tw + the first charge
             tw = float(times.cumsum()[-1])
-            self.next_index[eids] = k_e
-            self.tightest_lower[eids] = arr.full_lower[eids]
+            self._next_index[eids] = k_e
+            self._tightest_lower[eids] = arr.full_lower[eids]
         self._tw = tw
 
     def apply_next(self, eid: int) -> tuple[float, int]:
         """Apply the next unapplied estimator; return (tightest lower, layer)."""
         if not self.has_remaining(eid):
             raise ValueError(f"edge {eid}: estimator sequence exhausted")
-        layer = int(self.next_index[eid])
+        layer = int(self._next_index[eid])
         return self._apply(eid, layer), layer + 1
 
     def apply_final(self, eid: int) -> float:
@@ -195,9 +200,7 @@ class EstimationCache:
         0.0 and -0.0 meet may it hold the other signed zero."""
         hits = np.where(self.invoked, self._arr.est_upper, math.inf)
         starts = self._arr.est_offsets[:-1]
-        out = np.minimum.reduceat(hits, starts) if len(starts) else np.empty(0)
-        out.flags.writeable = False
-        return out
+        return _read_only(np.minimum.reduceat(hits, starts) if len(starts) else np.empty(0))
 
     def invocation_count(self) -> int:
         return int(self.invoked.sum())

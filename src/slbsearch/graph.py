@@ -56,6 +56,12 @@ class Edge:
     true_cost: float | None = None
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, locked: a write to it raises ValueError, as to any view of it."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass
 class GraphArrays:
     """Flat array form of a checked graph, read by the search loop and the cache.
@@ -103,7 +109,7 @@ class GraphArrays:
         and a NaN, negative or zero maximum becomes +0.0. An eager pass gives
         it to every edge it charges."""
         top = np.fmax.reduceat(self.est_lower, self.est_offsets[:-1])
-        return np.where(top > 0.0, top, 0.0)
+        return _read_only(np.where(top > 0.0, top, 0.0))
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,9 @@ class EstimatedDigraph:
     unknown is not NaN). ``EstimatedDigraph(n, edges)`` flattens hand-built
     Edges; ``edges`` is a read-only view that builds them on demand. Treat
     instances as immutable; the CSR form is built lazily and cached. Both
-    constructors refuse the first stray endpoint, else the first empty sequence.
+    constructors refuse a column of the wrong length or ``est_offsets`` not
+    running from 0 to ``len(est_lower)``, then the first stray endpoint,
+    else the first empty sequence, else the first decreasing offset.
     """
 
     def __init__(self, vertex_count: int, edges: Sequence[Edge] = ()):
@@ -166,10 +174,20 @@ class EstimatedDigraph:
         self.est_time = np.asarray(est_time, np.float64)
         self.true_cost = np.asarray(true_cost, np.float64)
         self.true_known = np.asarray(true_known, np.bool_)
-        n, tail, head = vertex_count, self.tail, self.head
+        n, tail, head, offsets = vertex_count, self.tail, self.head, self.est_offsets
+        m, layers = len(tail), len(self.est_lower)
+        for name in ("head", "true_cost", "true_known"):
+            if len(getattr(self, name)) != m:
+                raise ValueError(f"{name} must have one entry per edge ({m})")
+        if len(self.est_upper) != layers or len(self.est_time) != layers:
+            raise ValueError("est_lower, est_upper and est_time differ in length")
+        if len(offsets) != m + 1 or offsets[0] != 0 or offsets[-1] != layers:
+            raise ValueError(f"est_offsets must be {m + 1} entries from 0 to {layers}")
         outside = (tail < 0) | (tail >= n) | (head < 0) | (head >= n)
+        steps = np.diff(offsets)
         for bad, what in ((outside, f"endpoint out of range for {n} vertices"),
-                          (np.diff(self.est_offsets) == 0, "empty estimator sequence")):
+                          (steps == 0, "empty estimator sequence"),
+                          (steps < 0, "est_offsets decrease")):
             if bad.any():
                 raise ValueError(f"edge {int(np.argmax(bad))}: {what}")
         self._arrays: GraphArrays | None = None

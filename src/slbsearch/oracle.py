@@ -69,8 +69,7 @@ def _dijkstra_to_goals(problem: Problem, weights) -> float:
 
 def oracle_lstar(problem: Problem) -> float:
     """Tightest fully-estimated path lower bound to any goal (inf if none)."""
-    full = full_estimate(problem.graph)
-    return _dijkstra_to_goals(problem, full.lowers)
+    return _dijkstra_to_goals(problem, full_estimate(problem.graph).lowers.tolist())
 
 
 def oracle_cstar(problem: Problem) -> float:
@@ -86,7 +85,7 @@ def oracle_enumerate(problem: Problem) -> float:
     Exponential; meant as an independent cross-check on tiny graphs.
     """
     graph = problem.graph
-    full = full_estimate(graph)
+    lowers = full_estimate(graph).lowers.tolist()
     first, order, heads = _adjacency(graph)
     goals = problem.goals
     best = math.inf
@@ -103,7 +102,7 @@ def oracle_enumerate(problem: Problem) -> float:
         for k in range(first[v], first[v + 1]):
             h = heads[k]
             if not on_path[h]:
-                visit(h, cost + float(full.lowers[order[k]]))
+                visit(h, cost + lowers[order[k]])
         on_path[v] = 0
 
     visit(problem.start, 0.0)

@@ -25,9 +25,11 @@ Python over ``memoryview``s of the graph and cache arrays, with a bucket
 queue (Dial, CACM 1969) as its frontier. Invariants:
 
 - entries pop in (key, push order), across calls to ``run`` too;
-- nothing is pushed below the key being expanded (an edge that would
-  raises), so there is no closed set and a popped vertex's g is final;
-- each layer is charged at most once per cache;
+- every bound the loop reads is a fold from +0.0 that keeps a bound only
+  when it is greater, so no key falls below the key being expanded: there
+  is no closed set and a popped vertex's g is final;
+- only the estimation steps write the cache, whose public arrays are
+  read-only views, so each layer is charged at most once per cache;
 - ``T_w`` is summed in charge order;
 - an eager pass writes nothing to the cache until it returns;
 - an edge with layers left holds the fold of its applied prefix, so its
@@ -139,21 +141,21 @@ class _Pass:
         frontier runs out.
 
         Every pop is appended to popped; every other pop is expanded, and
-        its edges counted as evaluations, less those after an edge that
-        raises. A lazy pass steps an edge's estimators while the successor's
-        tentative bound beats g[s] and does not pass l_est; cached work is
-        one free step. An eager pass fully estimates every examined edge: one
-        with layers left takes its full_lower bound and is charged by
-        EstimationCache._charge_rest as run returns or just before it raises;
-        an exhausted one keeps its cached bound, which apply_final may have
-        left below the table's. An improving successor above l_prune counts
-        as a pruning. Invariants:
+        its edges counted as evaluations. A lazy pass steps an edge's
+        estimators while the successor's tentative bound beats g[s] and does
+        not pass l_est; cached work is one free step. An eager pass fully
+        estimates every examined edge: one with layers left takes its
+        full_lower bound and is charged by EstimationCache._charge_rest as
+        run returns; an exhausted one keeps its cached bound, which
+        apply_final may have left below the table's. An improving successor
+        above l_prune counts as a pruning. Invariants:
 
         - entries pop in (key, push order); a call that stops inside a key's
           list requeues the rest at that key;
-        - a push below the key being expanded raises RuntimeError, once the
-          counters are written back, so an entry is current exactly when its
-          key equals g[v];
+        - every bound read here, cached, stepped or from full_lower, is a
+          fold from +0.0 that keeps a bound only when it is greater, so no
+          push falls below the key being expanded and an entry is current
+          exactly when its key equals g[v];
         - no layer at or past next_index is invoked, so a step charges its
           layer without testing invoked;
         - an eager pass examines each edge at most once (each vertex is
@@ -166,9 +168,9 @@ class _Pass:
         est_offsets = memoryview(arr.est_offsets)
         est_lower = memoryview(arr.est_lower)
         est_time = memoryview(arr.est_time)
-        next_index = memoryview(cache.next_index)
-        tight_lower = memoryview(cache.tightest_lower)
-        invoked = memoryview(cache.invoked)
+        next_index = memoryview(cache._next_index)
+        tight_lower = memoryview(cache._tightest_lower)
+        invoked = memoryview(cache._invoked)
         k_max = arr.k_max
         counters = cache._counters
         expansions, evaluations, prunings = counters
@@ -185,7 +187,6 @@ class _Pass:
         bucket_at = buckets.get
         record_pop = self.popped.append
         found = None
-        corrupt = -1
         while keys:
             key = keys[0]
             if key > limit:
@@ -203,7 +204,7 @@ class _Pass:
                     break
                 expansions += 1
                 lo, hi = indptr[v], indptr[v + 1]
-                evaluations += hi - lo  # less the edges after a corrupt one
+                evaluations += hi - lo
                 for ptr in range(lo, hi):
                     s = succ_vertex[ptr]
                     g_s = g[s]
@@ -250,10 +251,6 @@ class _Pass:
                                 next_index[eid] = layer
                                 tight_lower[eid] = low
                     if gt < g_s:
-                        if gt < key:
-                            corrupt = eid
-                            evaluations -= hi - 1 - ptr  # never examined
-                            break
                         if gt <= l_prune:
                             g[s] = gt
                             parent_edge[s] = eid
@@ -265,8 +262,6 @@ class _Pass:
                                 bucket.append(s)
                         else:
                             prunings += 1
-                if corrupt >= 0:
-                    break
             else:
                 del buckets[key]
                 continue
@@ -279,12 +274,7 @@ class _Pass:
                 cache._charge_rest(charged_edges)
         elif any(layer_counts):
             cache._tw = tw
-            cache.layer_counts += layer_counts
-        if corrupt >= 0:
-            raise RuntimeError(
-                f"edge {corrupt} lowers vertex {s} to key {gt}, below the key {key} being "
-                "expanded; edge bounds are inconsistent (negative or non-nested?)"
-            )
+            cache._layer_counts += layer_counts
         return found
 
     def release(self) -> None:

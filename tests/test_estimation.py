@@ -114,6 +114,24 @@ class TestInvocationAccounting:
         assert cache.final_layer_invocations() == 5
 
 
+class TestReadOnlyState:
+    def test_outside_writes_fail_and_reads_are_live(self):
+        problem = make_reference_problem()
+        cache = EstimationCache(problem.graph)
+        arrays = problem.graph.arrays()
+        locked = (cache.next_index, cache.tightest_lower, cache.invoked, cache.layer_counts,
+                  arrays.full_lower)
+        for array in locked:
+            with pytest.raises(ValueError, match="assignment destination is read-only"):
+                array[0] = 1
+        # the views taken before the search show what it wrote
+        next_index, tightest_lower, invoked, layer_counts = locked[:4]
+        ei_ucs(problem, cache)
+        assert next_index.tolist() == [1, 2, 2, 2, 2, 1]
+        assert tightest_lower.tolist() == arrays.full_lower.tolist()
+        assert invoked.sum() == layer_counts.sum() == 10
+
+
 class TestMetrics:
     def test_search_time_scales_with_tau(self):
         m = Metrics((1, 2), expansions=5, evaluations=9, prunings=1,

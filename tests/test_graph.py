@@ -251,6 +251,42 @@ class TestStorage:
         edges = [edge(-1, 1, [(1, 2, 1.0)])]
         self.refused_both_ways(2, edges, "edge 0: endpoint out of range for 2 vertices")
 
+    @staticmethod
+    def from_columns(est_offsets, layers=3, **columns):
+        """from_arrays over 3 vertices and 2 edges, with columns replaced."""
+        args = dict(
+            vertex_count=3, tail=[0, 1], head=[1, 2], est_offsets=est_offsets,
+            est_lower=np.ones(layers), est_upper=np.ones(layers), est_time=np.ones(layers),
+            true_cost=np.zeros(2), true_known=np.zeros(2, bool),
+        )
+        return EstimatedDigraph.from_arrays(**{**args, **columns})
+
+    @pytest.mark.parametrize("offsets,layers,message", [
+        ([0, 2, 1], 3, "est_offsets must be 3 entries from 0 to 3"),  # ends short
+        ([1, 2, 3], 3, "est_offsets must be 3 entries from 0 to 3"),  # layer 0 unowned
+        ([0, 1, 5], 3, "est_offsets must be 3 entries from 0 to 3"),  # past the layers
+        ([0, 1, 2, 3], 3, "est_offsets must be 3 entries from 0 to 3"),  # a third edge
+        ([], 0, "est_offsets must be 3 entries from 0 to 0"),
+        ([0, 2, 1], 1, "edge 1: est_offsets decrease"),
+        ([0, 0, 0], 0, "edge 0: empty estimator sequence"),
+    ])
+    def test_broken_layer_layout(self, offsets, layers, message):
+        with pytest.raises(ValueError) as info:
+            self.from_columns(offsets, layers)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("column", ["head", "true_cost", "true_known"])
+    def test_edge_column_of_the_wrong_length(self, column):
+        with pytest.raises(ValueError) as info:
+            self.from_columns([0, 1, 3], **{column: [0]})
+        assert str(info.value) == f"{column} must have one entry per edge (2)"
+
+    @pytest.mark.parametrize("column", ["est_lower", "est_upper", "est_time"])
+    def test_layer_columns_of_different_lengths(self, column):
+        with pytest.raises(ValueError) as info:
+            self.from_columns([0, 1, 3], **{column: np.ones(2)})
+        assert str(info.value) == "est_lower, est_upper and est_time differ in length"
+
     def test_edges_round_trip_through_the_arrays(self):
         edges = list(make_reference_graph().edges)
         again = EstimatedDigraph(5, edges)

@@ -181,70 +181,6 @@ def test_pops_and_tree_hold_native_values():
     assert all(type(e) is int for e in res.path.edges)
 
 
-def test_poisoned_cache_raises_and_keeps_counts():
-    graph = EstimatedDigraph(
-        5,
-        [
-            edge(0, 1, [(10, 10, 1.0)]),
-            edge(0, 3, [(2, 2, 1.0)]),
-            edge(3, 1, [(0, 0, 1.0)]),
-            edge(1, 3, [(1, 1, 1.0)]),
-        ],
-    )
-    cache = EstimationCache(graph)
-    cache.next_index[2] = 1
-    cache.tightest_lower[2] = -9.0
-    with pytest.raises(
-        RuntimeError, match=r"edge 2 lowers vertex 1 to key -7\.0, below the key 2\.0 being"
-    ):
-        beauty(Problem(graph, 0, frozenset({4})), cache)
-    # 0 and 3 were expanded; the last edge examined, 3 -> 1, took vertex 1
-    # from key 10 to -7, below the key 2 of vertex 3
-    m = cache.snapshot_metrics()
-    assert (m.expansions, m.evaluations, m.prunings) == (2, 3, 0)
-
-
-def test_corrupt_edge_mid_expansion_counts_only_the_edges_examined():
-    graph = EstimatedDigraph(
-        5,
-        [
-            edge(0, 1, [(10, 10, 1.0)]),
-            edge(0, 3, [(2, 2, 1.0)]),
-            edge(3, 1, [(0, 0, 1.0)]),
-            edge(3, 4, [(5, 5, 1.0)]),
-        ],
-    )
-    cache = EstimationCache(graph)
-    cache.next_index[2] = 1
-    cache.tightest_lower[2] = -9.0
-    with pytest.raises(
-        RuntimeError, match=r"edge 2 lowers vertex 1 to key -7\.0, below the key 2\.0 being"
-    ):
-        beauty(Problem(graph, 0, frozenset({4})), cache)
-    # 3 -> 1 raises before 3 -> 4, the last edge of the expansion, is examined
-    m = cache.snapshot_metrics()
-    assert (m.expansions, m.evaluations, m.prunings) == (2, 3, 0)
-    assert cache.next_index[3] == 0
-
-
-def test_negative_cached_bound_into_an_unexpanded_vertex_raises():
-    # edge 1 -> 2 is poisoned to a bound of -5, so expanding 1 at key 2
-    # would push the goal 2 at key -3; no vertex it reaches was expanded,
-    # so nothing but the key itself shows that the bounds are inconsistent
-    graph = EstimatedDigraph(3, [edge(0, 1, [(2, 2, 1.0)]), edge(1, 2, [(5, 5, 1.0)])])
-    cache = EstimationCache(graph)
-    cache.next_index[1] = 1
-    cache.tightest_lower[1] = -5.0
-    with pytest.raises(
-        RuntimeError,
-        match=r"edge 1 lowers vertex 2 to key -3\.0, below the key 2\.0 being expanded; "
-        "edge bounds are inconsistent",
-    ):
-        beauty(Problem(graph, 0, frozenset({2})), cache)
-    m = cache.snapshot_metrics()
-    assert (m.expansions, m.evaluations, m.prunings) == (2, 2, 0)
-
-
 def _order_sensitive_graph(rng, nested=False):
     """A graph built from arrays, unvalidated: 1-4 layers per edge, a fifth of
     the steps lower the bound (non-nested) or, if nested, raise it by a
@@ -546,31 +482,3 @@ def test_predecessor_index_is_built_once_by_a_tie_check():
     assert arrays.pred_edge.tolist() == np.lexsort((tail, head)).tolist()
     assert arrays.pred_indptr.tolist() == [0, *np.cumsum(np.bincount(head, minlength=7))]
 
-
-def test_eager_pass_charges_the_edges_examined_before_a_corrupt_one():
-    # edge 2 (3 -> 1) is poisoned exhausted at -9: expanding 3 at key 2 would
-    # push 1 at -7; edges 0 and 1, examined before it, are charged in order,
-    # and edge 3 (3 -> 4), after it, is not
-    graph = EstimatedDigraph(
-        5,
-        [
-            edge(0, 1, [(4, 12, 0.1), (10, 10, 0.7)]),
-            edge(0, 3, [(1, 3, 0.2), (2, 2, 0.3)]),
-            edge(3, 1, [(0, 0, 1.0)]),
-            edge(3, 4, [(5, 5, 1.0)]),
-        ],
-    )
-    cache = EstimationCache(graph)
-    cache.next_index[2] = 1
-    cache.tightest_lower[2] = -9.0
-    with pytest.raises(
-        RuntimeError, match=r"edge 2 lowers vertex 1 to key -7\.0, below the key 2\.0 being"
-    ):
-        ei_ucs(Problem(graph, 0, frozenset({4})), cache)
-    m = cache.snapshot_metrics()
-    assert (m.expansions, m.evaluations, m.prunings) == (2, 3, 0)
-    assert cache.invoked.tolist() == [True, True, True, True, False, False]
-    assert cache.layer_counts.tolist() == [2, 2]
-    assert repr(cache._tw) == repr(((0.0 + 0.1) + 0.7) + 0.2 + 0.3)
-    assert cache.next_index.tolist() == [2, 2, 1, 0]
-    assert cache.tightest_lower.tolist() == [10.0, 2.0, -9.0, 0.0]

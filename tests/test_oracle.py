@@ -47,6 +47,11 @@ class TestOracleLstar:
     def test_reference_value(self):
         assert oracle_lstar(make_reference_problem()) == 7.0
 
+    def test_returns_a_python_float(self):
+        problem = make_reference_problem()
+        assert type(oracle_lstar(problem)) is type(oracle_cstar(problem)) is float
+        assert type(oracle_enumerate(problem)) is float
+
     def test_single_goal_forces_worse_route(self):
         problem = make_reference_problem()
         assert oracle_lstar(Problem(problem.graph, 0, frozenset({3}))) == 10.0

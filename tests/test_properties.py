@@ -1,9 +1,10 @@
 """Invariant checks on randomized inputs.
 
-Three layers: hypothesis-driven properties of the estimation primitives,
+Four layers: hypothesis-driven properties of the estimation primitives,
 seeded sweeps over random problems (cycles allowed) checking the search
-algorithms against the brute-force oracles, and a hypothesis search over
-graphs whose bounds are decimal or near 2^53, so that their sums round.
+algorithms against the brute-force oracles, a hypothesis search over
+graphs whose bounds are decimal or near 2^53, so that their sums round,
+and one over unvalidated graphs whose bounds no valid estimator yields.
 """
 
 import math
@@ -27,6 +28,7 @@ from slbsearch import (
     oracle_enumerate,
     oracle_lstar,
 )
+from slbsearch import anytime
 
 INF = math.inf
 
@@ -342,3 +344,53 @@ class TestFloatBounds:
         if eager.found:
             assert eager.opt and eager.l_under == lstar == eager.l_over
         assert a_beauty(problem).l_star == lstar
+
+
+# Bounds no valid estimator yields: negative, signed zeros, NaN and both
+# infinities; a sequence of them is nested or ordered only by chance.
+WILD_BOUNDS = (-5.0, -1.0, -0.0, 0.0, 1.0, 2.5, 7.0, math.nan, INF, -INF)
+
+
+@st.composite
+def wild_problems(draw):
+    """A problem over a hand-built graph, never validated: 2-6 vertices,
+    start 0, and 1-3 layers per edge drawn from WILD_BOUNDS."""
+    n = draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    bound = st.sampled_from(WILD_BOUNDS)
+    layers = st.lists(st.tuples(bound, bound), min_size=1, max_size=3)
+    edges = draw(st.lists(st.tuples(vertex, vertex, layers), min_size=1, max_size=3 * n))
+    built = [Edge(t, h, tuple(EstimatorSpec(lo, up, 2.0**i) for i, (lo, up) in enumerate(specs)))
+             for t, h, specs in edges]
+    goals = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=2))
+    return Problem(EstimatedDigraph(n, built), 0, frozenset(goals))
+
+
+class TestWildBounds:
+    """Every bound the search loop reads is a fold from +0.0 that keeps a
+    bound only when it is greater, so whatever the layers hold, every run
+    ends and no pop key falls below an earlier one."""
+
+    @given(wild_problems())
+    @example(Problem(EstimatedDigraph(3, [
+        Edge(0, 1, (EstimatorSpec(2.0, 2.0, 1.0),)),
+        Edge(1, 2, (EstimatorSpec(-5.0, -5.0, 1.0), EstimatorSpec(math.nan, 1.0, 2.0))),
+    ]), 0, frozenset({2})))
+    @settings(max_examples=150, deadline=None)
+    def test_runs_end_with_keys_that_never_fall(self, problem):
+        def check(res):
+            keys = res.pop_keys
+            assert keys[0] == 0.0
+            assert all(a <= b for a, b in zip(keys, keys[1:]))
+            return res
+
+        shared = EstimationCache(problem.graph)
+        for l_est in (0.0, INF):
+            for cache in (EstimationCache(problem.graph), shared):
+                check(beauty(problem, cache, l_est=l_est))
+        check(ei_ucs(problem, shared))
+        check(ei_ucs(problem))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(anytime, "beauty", lambda *args, **kw: check(beauty(*args, **kw)))
+            assert a_beauty(problem, max_iterations=3).iterations <= 3
+        assert shared.invoked.sum() == shared.layer_counts.sum()  # each charged once

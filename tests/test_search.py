@@ -408,26 +408,6 @@ class TestEdgeCases:
         assert beauty(problem).path is None
         assert ei_ucs(problem).path is None
 
-    def test_poisoned_cache_detected_not_corrupted(self):
-        # the closed-set guard: cached bounds that no valid estimator
-        # could produce make the search raise rather than silently emit a
-        # wrong tree
-        g = EstimatedDigraph(
-            5,
-            [
-                edge(0, 1, [(10, 10, 1.0)]),
-                edge(0, 3, [(2, 2, 1.0)]),
-                edge(3, 1, [(0, 0, 1.0)]),
-                edge(1, 3, [(1, 1, 1.0)]),
-            ],
-        )
-        problem = Problem(g, 0, frozenset({4}))
-        cache = EstimationCache(g)
-        cache.next_index[2] = 1
-        cache.tightest_lower[2] = -9.0
-        with pytest.raises(RuntimeError):
-            beauty(problem, cache)
-
 
 class TestForeignCache:
     """A cache holds per-edge state of one graph; another graph must not read it."""
