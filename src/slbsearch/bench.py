@@ -25,6 +25,7 @@ the baseline's.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
@@ -32,12 +33,13 @@ import sys
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from io import StringIO
 from pathlib import Path as FsPath
 
 import numpy as np
 
 from .anytime import a_beauty, check_epsilon, check_max_iterations
-from .estimation import EstimationCache, Metrics, write_metrics_csv
+from .estimation import EstimationCache, Metrics
 from .generators import gen_grid_graph, gen_random_graph
 from .graph import Path, Problem
 from .io import _write_atomic, load_problem, load_weighted
@@ -45,7 +47,7 @@ from .oracle import oracle_lstar
 from .search import beauty, check_thresholds, ei_ucs
 from .synth import synth_estimators
 
-__all__ = ["RunRecord", "SuiteReport", "run_suite"]
+__all__ = ["RunRecord", "SuiteReport", "run_suite", "write_metrics_csv"]
 
 
 @dataclass(frozen=True)
@@ -228,6 +230,28 @@ def run_algorithm(
         iterations=1 if log is None else len(log), metrics=cache.snapshot_metrics(),
         log=log, wall_time=wall, final_layer_invocations=cache.final_layer_invocations(),
     )
+
+
+def write_metrics_csv(path, head, tail, rows) -> None:
+    """Write metrics rows as CSV, one schema for every file the package writes.
+
+    Each row is (head values, Metrics, tail values). The columns are the
+    head names, w_1..w_K (invocations per estimator layer, K the deepest
+    sequence among the rows and at least 3), expansions, evaluations,
+    prunings, T_w, T_v, then the tail names. The file is written
+    atomically, as the graph files are: a failed write leaves path as it was.
+    """
+    rows = list(rows)  # read once: a generator cannot be walked twice
+    k = max([3] + [len(m.layer_invocations) for _, m, _ in rows])
+    layers = [f"w_{i}" for i in range(1, k + 1)]
+    buf = StringIO()
+    out = csv.writer(buf)
+    out.writerow([*head, *layers, "expansions", "evaluations", "prunings", "T_w", "T_v", *tail])
+    for lead, m, trail in rows:
+        w = m.layer_invocations + (0,) * (k - len(m.layer_invocations))
+        counts = (m.expansions, m.evaluations, m.prunings)
+        out.writerow([*lead, *w, *counts, m.estimation_time, m.search_time, *trail])
+    _write_atomic(path, (buf.getvalue(),))
 
 
 def write_runs_csv(path, runs) -> None:

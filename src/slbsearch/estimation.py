@@ -10,17 +10,14 @@ consume the saved result for free. Metrics values are immutable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from io import StringIO
 
 import numpy as np
 
 from .graph import EstimatedDigraph, _read_only
-from .io import _write_atomic
 
-__all__ = ["Metrics", "EstimationCache", "write_metrics_csv"]
+__all__ = ["Metrics", "EstimationCache"]
 
 # edges per step of EstimationCache._charge_rest, whose temporaries are a
 # few arrays of one entry per charged layer: charging an eager pass over a
@@ -58,28 +55,6 @@ class Metrics:
         return self.estimation_time + self.search_time
 
 
-def write_metrics_csv(path, head, tail, rows) -> None:
-    """Write metrics rows as CSV, one schema for every file the package writes.
-
-    Each row is (head values, Metrics, tail values). The columns are the
-    head names, w_1..w_K (invocations per estimator layer, K the deepest
-    sequence among the rows and at least 3), expansions, evaluations,
-    prunings, T_w, T_v, then the tail names. The file is written
-    atomically, as the graph files are: a failed write leaves path as it was.
-    """
-    rows = list(rows)  # read once: a generator cannot be walked twice
-    k = max([3] + [len(m.layer_invocations) for _, m, _ in rows])
-    layers = [f"w_{i}" for i in range(1, k + 1)]
-    buf = StringIO()
-    out = csv.writer(buf)
-    out.writerow([*head, *layers, "expansions", "evaluations", "prunings", "T_w", "T_v", *tail])
-    for lead, m, trail in rows:
-        w = m.layer_invocations + (0,) * (k - len(m.layer_invocations))
-        counts = (m.expansions, m.evaluations, m.prunings)
-        out.writerow([*lead, *w, *counts, m.estimation_time, m.search_time, *trail])
-    _write_atomic(path, (buf.getvalue(),))
-
-
 class EstimationCache:
     """Mutable estimation state plus metric counters for one graph.
 
@@ -98,21 +73,19 @@ class EstimationCache:
     - tightest_lower folds an edge's applied layers from +0.0, keeping a
       lower bound only when it is strictly greater, so it is never
       negative or NaN; only a lazy step and apply_next leave an edge with
-      layers left, and the fold over a whole sequence
-      ``GraphArrays.full_lower`` computes as one reduction.
+      layers left, and the fold over a whole sequence is what the graph's
+      ``full_lower`` computes as one reduction.
 
     Not safe for concurrent mutation; give each worker its own cache.
     """
 
     def __init__(self, graph: EstimatedDigraph):
-        arr = graph.arrays()
-        self.graph = graph
-        self._arr = arr
+        self.graph = graph.arrays()
         m = len(graph.tail)
         self._next_index = np.zeros(m, np.int64)
         self._tightest_lower = np.zeros(m)
-        self._invoked = np.zeros(int(arr.est_offsets[-1]), np.bool_)
-        self._layer_counts = np.zeros(arr.k_max, np.int64)
+        self._invoked = np.zeros(len(graph.est_lower), np.bool_)
+        self._layer_counts = np.zeros(graph.k_max, np.int64)
         self.next_index = _read_only(self._next_index.view())
         self.tightest_lower = _read_only(self._tightest_lower.view())
         self.invoked = _read_only(self._invoked.view())
@@ -123,7 +96,8 @@ class EstimationCache:
     # -- estimation steps ---------------------------------------------------
 
     def sequence_length(self, eid: int) -> int:
-        return int(self._arr.est_offsets[eid + 1] - self._arr.est_offsets[eid])
+        offsets = self.graph.est_offsets
+        return int(offsets[eid + 1] - offsets[eid])
 
     def has_remaining(self, eid: int) -> bool:
         return int(self._next_index[eid]) < self.sequence_length(eid)
@@ -132,11 +106,12 @@ class EstimationCache:
         """Apply sequence position layer (0-based), at or past next_index, and
         mark the edge consumed up to it; charge its time_cost. No layer at or
         past next_index was invoked, so the charge needs no test."""
-        flat = int(self._arr.est_offsets[eid]) + layer
+        graph = self.graph
+        flat = int(graph.est_offsets[eid]) + layer
         self._invoked[flat] = True
         self._layer_counts[layer] += 1
-        self._tw += float(self._arr.est_time[flat])
-        low = max(float(self._tightest_lower[eid]), float(self._arr.est_lower[flat]))
+        self._tw += float(graph.est_time[flat])
+        low = max(float(self._tightest_lower[eid]), float(graph.est_lower[flat]))
         self._tightest_lower[eid] = low
         self._next_index[eid] = layer + 1
         return low
@@ -151,8 +126,8 @@ class EstimationCache:
         class invariant. Chunks of _CHARGE_CHUNK edges keep the temporaries
         small.
         """
-        arr = self._arr
-        offsets, ends, est_time = arr.est_offsets, arr.est_offsets[1:], arr.est_time
+        graph = self.graph
+        offsets, ends, est_time = graph.est_offsets, graph.est_offsets[1:], graph.est_time
         edges = np.frombuffer(edges, np.int64)
         tw = self._tw
         for at in range(0, len(edges), _CHARGE_CHUNK):
@@ -164,12 +139,12 @@ class EstimationCache:
             # the flat indices of the charged layers, edge by edge, in order
             flat = np.arange(upto[-1]) + np.repeat(end - upto, counts)
             self._invoked[flat] = True
-            self._layer_counts += np.bincount(flat - np.repeat(base, counts), minlength=arr.k_max)
+            self._layer_counts += np.bincount(flat - np.repeat(base, counts), minlength=graph.k_max)
             times = est_time[flat]
             times[0] += tw  # so the cumsum's first sum is tw + the first charge
             tw = float(times.cumsum()[-1])
             self._next_index[eids] = k_e
-            self._tightest_lower[eids] = arr.full_lower[eids]
+            self._tightest_lower[eids] = graph.full_lower[eids]
         self._tw = tw
 
     def apply_next(self, eid: int) -> tuple[float, int]:
@@ -198,8 +173,8 @@ class EstimationCache:
         invoked layers; writing to it changes nothing, so it is locked. It
         equals a fold in layer order under ==; only where invoked bounds of
         0.0 and -0.0 meet may it hold the other signed zero."""
-        hits = np.where(self.invoked, self._arr.est_upper, math.inf)
-        starts = self._arr.est_offsets[:-1]
+        hits = np.where(self.invoked, self.graph.est_upper, math.inf)
+        starts = self.graph.est_offsets[:-1]
         return _read_only(np.minimum.reduceat(hits, starts) if len(starts) else np.empty(0))
 
     def invocation_count(self) -> int:
@@ -207,7 +182,7 @@ class EstimationCache:
 
     def final_layer_invocations(self) -> int:
         """How many edges have had their last (tightest) estimator invoked."""
-        return int(self.invoked[self._arr.est_offsets[1:] - 1].sum())
+        return int(self.invoked[self.graph.est_offsets[1:] - 1].sum())
 
     # -- metrics ------------------------------------------------------------
 

@@ -15,7 +15,7 @@ applied upper bounds. Bounds are additive along paths.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -62,56 +62,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass
-class GraphArrays:
-    """Flat array form of a checked graph, read by the search loop and the cache.
-
-    - Successors: CSR over the tail vertex, in edge declaration order.
-    - Predecessors (``pred_indptr``, ``pred_edge``): CSR over the head
-      vertex; the edges into v are
-      ``pred_edge[pred_indptr[v]:pred_indptr[v + 1]]``, by tail, then edge.
-      Only a tie check reads them, so they are built on first read and kept.
-    - Edge e's layers: ``est_offsets[e]:est_offsets[e + 1]`` of est_lower,
-      est_upper and est_time, the graph's own arrays, not copies.
-    - free_pass_lists: (g, parent edges) pairs of n-length lists that
-      finished passes handed back reset to inf and -1, each taken by one
-      new pass.
-    - ``full_lower``: every edge's fully-estimated lower bound, built on
-      its first read and kept.
-    """
-
-    indptr: np.ndarray
-    succ_vertex: np.ndarray
-    succ_edge: np.ndarray
-    est_offsets: np.ndarray
-    est_lower: np.ndarray
-    est_upper: np.ndarray
-    est_time: np.ndarray
-    k_max: int
-    free_pass_lists: list = field(default_factory=list, repr=False, compare=False)
-
-    @cached_property
-    def pred_indptr(self) -> np.ndarray:
-        out = np.zeros(len(self.indptr), np.int64)
-        out[1:] = np.cumsum(np.bincount(self.succ_vertex, minlength=len(self.indptr) - 1))
-        return out
-
-    @cached_property
-    def pred_edge(self) -> np.ndarray:
-        # the successor order is by tail, then edge; a stable sort by head keeps it
-        return self.succ_edge[np.argsort(self.succ_vertex, kind="stable")]
-
-    @cached_property
-    def full_lower(self) -> np.ndarray:
-        """Each edge's tightest lower bound once its whole sequence is applied
-        to a fresh cache: the search loop's fold from 0.0 (a fresh cache's
-        bound), as one reduction over each edge's layers. fmax skips NaNs,
-        and a NaN, negative or zero maximum becomes +0.0. An eager pass gives
-        it to every edge it charges."""
-        top = np.fmax.reduceat(self.est_lower, self.est_offsets[:-1])
-        return _read_only(np.where(top > 0.0, top, 0.0))
-
-
 @dataclass(frozen=True)
 class _EdgeView(Sequence):
     """Read-only sequence of a graph's edges, each built as an Edge on demand."""
@@ -139,10 +89,20 @@ class EstimatedDigraph:
     and ``est_time``, and ``true_cost``, read only where ``true_known`` (so
     unknown is not NaN). ``EstimatedDigraph(n, edges)`` flattens hand-built
     Edges; ``edges`` is a read-only view that builds them on demand. Treat
-    instances as immutable; the CSR form is built lazily and cached. Both
-    constructors refuse a column of the wrong length or ``est_offsets`` not
-    running from 0 to ``len(est_lower)``, then the first stray endpoint,
-    else the first empty sequence, else the first decreasing offset.
+    instances as immutable. Both constructors refuse a column of the wrong
+    length or ``est_offsets`` not running from 0 to ``len(est_lower)``, then
+    the first stray endpoint, else the first empty sequence, else the first
+    decreasing offset.
+
+    The search reads indexes built on first use and kept: ``arrays()``
+    builds the successor CSR over the tail vertex (``indptr``,
+    ``succ_vertex``, ``succ_edge``, in edge declaration order) and
+    ``k_max``, the longest sequence; a tie check reads the predecessor CSR
+    over the head vertex, whose edges into v are
+    ``pred_edge[pred_indptr[v]:pred_indptr[v + 1]]``, by tail, then edge;
+    an eager pass reads ``full_lower``. ``free_pass_lists`` holds the
+    (g, parent edges) pairs of n-length lists that finished passes handed
+    back reset to inf and -1, each taken by one new pass.
     """
 
     def __init__(self, vertex_count: int, edges: Sequence[Edge] = ()):
@@ -190,22 +150,47 @@ class EstimatedDigraph:
                           (steps < 0, "est_offsets decrease")):
             if bad.any():
                 raise ValueError(f"edge {int(np.argmax(bad))}: {what}")
-        self._arrays: GraphArrays | None = None
+        self.indptr = self.succ_vertex = self.succ_edge = None  # built by arrays()
+        self.free_pass_lists: list = []
 
     @property
     def edges(self) -> _EdgeView:
         return _EdgeView(self)
 
-    def arrays(self) -> GraphArrays:
-        if self._arrays is None:
+    def arrays(self) -> EstimatedDigraph:
+        """Build the successor index on the first call; return the graph."""
+        if self.indptr is None:
             n, tail = self.vertex_count, self.tail
             indptr = np.zeros(n + 1, np.int64)
             indptr[1:] = np.cumsum(np.bincount(tail, minlength=n))
-            order = np.argsort(tail, kind="stable")
-            est = (self.est_offsets, self.est_lower, self.est_upper, self.est_time)  # not copied
-            self._arrays = GraphArrays(indptr, self.head[order], order, *est,
-                                       int(np.diff(self.est_offsets).max(initial=1)))
-        return self._arrays
+            self.succ_edge = np.argsort(tail, kind="stable")
+            self.succ_vertex = self.head[self.succ_edge]
+            self.k_max = int(np.diff(self.est_offsets).max(initial=1))
+            self.indptr = indptr
+        return self
+
+    @cached_property
+    def pred_indptr(self) -> np.ndarray:
+        n = self.vertex_count
+        out = np.zeros(n + 1, np.int64)
+        out[1:] = np.cumsum(np.bincount(self.head, minlength=n))
+        return out
+
+    @cached_property
+    def pred_edge(self) -> np.ndarray:
+        # the successor order is by tail, then edge; a stable sort by head keeps it
+        self.arrays()
+        return self.succ_edge[np.argsort(self.succ_vertex, kind="stable")]
+
+    @cached_property
+    def full_lower(self) -> np.ndarray:
+        """Each edge's tightest lower bound once its whole sequence is applied
+        to a fresh cache: the search loop's fold from 0.0 (a fresh cache's
+        bound), as one reduction over each edge's layers. fmax skips NaNs,
+        and a NaN, negative or zero maximum becomes +0.0. An eager pass gives
+        it to every edge it charges."""
+        top = np.fmax.reduceat(self.est_lower, self.est_offsets[:-1])
+        return _read_only(np.where(top > 0.0, top, 0.0))
 
 
 @dataclass(frozen=True)

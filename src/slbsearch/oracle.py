@@ -1,11 +1,12 @@
 """Reference answers computed by deliberately independent means.
 
 Everything here ignores the search kernels and the estimation cache, and
-builds no GraphArrays: edge tables are folded directly with numpy from the
-graph's own arrays (whose structure its constructor checked), shortest paths
-use a hand-rolled heapq Dijkstra over a flat CSR of out-edges built in this
-module, and the enumeration oracle walks simple paths recursively. Intended
-for tests and benchmark ground truth, not for performance.
+reads none of the graph's search indexes: edge tables are folded directly
+with numpy from the graph's own arrays (whose structure its constructor
+checked), shortest paths use a hand-rolled heapq Dijkstra over a flat CSR
+of out-edges built in this module, and the enumeration oracle walks simple
+paths recursively. Intended for tests and benchmark ground truth, not for
+performance.
 """
 
 from __future__ import annotations

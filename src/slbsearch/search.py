@@ -33,7 +33,7 @@ queue (Dial, CACM 1969) as its frontier. Invariants:
 - ``T_w`` is summed in charge order;
 - an eager pass writes nothing to the cache until it returns;
 - an edge with layers left holds the fold of its applied prefix, so its
-  fully-estimated bound is ``GraphArrays.full_lower``.
+  fully-estimated bound is the graph's ``full_lower``.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class _Pass:
     """One best-first pass and the search state it owns as plain lists.
 
     g (inf) and the parent edges (-1) are n-length lists taken from the
-    free list on the graph's GraphArrays, or allocated when it is empty;
+    graph's free list, or allocated when it is empty;
     ``release`` gives them back reset. Each pass takes its own lists, so
     concurrent searches on one graph never share them. The frontier is
     ``keys``, a heap of the distinct queued keys, and ``buckets``, which
@@ -119,14 +119,14 @@ class _Pass:
     def __init__(self, problem, cache, l_est, l_prune, eager):
         self.problem = problem
         self.cache = cache
-        self.arrays = problem.graph.arrays()
+        self.graph = problem.graph.arrays()
         self.eager = bool(eager)
         self.l_est = float(l_est)  # an eager pass does not read it
         self.l_prune = float(l_prune)
         try:
-            self.g, self.parent_edge = self.arrays.free_pass_lists.pop()
+            self.g, self.parent_edge = self.graph.free_pass_lists.pop()
         except IndexError:
-            n = problem.graph.vertex_count
+            n = self.graph.vertex_count
             self.g = [math.inf] * n
             self.parent_edge = [-1] * n
         start = problem.start
@@ -161,22 +161,22 @@ class _Pass:
         - an eager pass examines each edge at most once (each vertex is
           expanded once), so reading the cache as it was is exact.
         """
-        arr, cache = self.arrays, self.cache
-        indptr = memoryview(arr.indptr)
-        succ_vertex = memoryview(arr.succ_vertex)
-        succ_edge = memoryview(arr.succ_edge)
-        est_offsets = memoryview(arr.est_offsets)
-        est_lower = memoryview(arr.est_lower)
-        est_time = memoryview(arr.est_time)
+        graph, cache = self.graph, self.cache
+        indptr = memoryview(graph.indptr)
+        succ_vertex = memoryview(graph.succ_vertex)
+        succ_edge = memoryview(graph.succ_edge)
+        est_offsets = memoryview(graph.est_offsets)
+        est_lower = memoryview(graph.est_lower)
+        est_time = memoryview(graph.est_time)
         next_index = memoryview(cache._next_index)
         tight_lower = memoryview(cache._tightest_lower)
         invoked = memoryview(cache._invoked)
-        k_max = arr.k_max
+        k_max = graph.k_max
         counters = cache._counters
         expansions, evaluations, prunings = counters
         l_est, l_prune, eager = self.l_est, self.l_prune, self.eager
         if eager:  # nothing is written to the cache until run returns
-            full_lower = memoryview(arr.full_lower)
+            full_lower = memoryview(graph.full_lower)
             charged_edges = array("q")
             charge_edge = charged_edges.append
         else:
@@ -299,7 +299,7 @@ class _Pass:
             for v in bucket:
                 g[v] = inf
                 parent_edge[v] = -1
-        self.arrays.free_pass_lists.append((g, parent_edge))
+        self.graph.free_pass_lists.append((g, parent_edge))
 
     @property
     def pops(self) -> tuple[tuple[int, float], ...]:
@@ -309,7 +309,7 @@ class _Pass:
 
     def trace(self, vertex: int) -> Path:
         """Walk the parent edges back to the start; empty path at the start."""
-        tail = self.problem.graph.tail
+        tail = self.graph.tail
         route = []
         v = vertex
         while (eid := self.parent_edge[v]) >= 0:
@@ -365,8 +365,8 @@ def _tight_route(run: _Pass, k: float) -> Path | None:
     tail u needs no closed test and a route never passes through a goal.
     """
     start, g = run.problem.start, run.g
-    tail = run.problem.graph.tail
-    pred_indptr, pred_edge = run.arrays.pred_indptr, run.arrays.pred_edge
+    graph = run.graph
+    tail, pred_indptr, pred_edge = graph.tail, graph.pred_indptr, graph.pred_edge
     tight_lower = run.cache.tightest_lower
     toward_goal: dict[int, tuple[int, int]] = {}  # vertex -> (edge, next vertex)
     stack = [v for v in sorted(run.problem.goals) if g[v] == k]

@@ -12,6 +12,7 @@ from slbsearch import (
     Violation,
     Path,
     Problem,
+    dump_problem,
     gen_grid_graph,
     synth_estimators,
     validate_graph,
@@ -347,6 +348,28 @@ class TestStorage:
             kinds["parallel"] += len(set(pairs)) < len(pairs)
             kinds["self-loop"] += any(u == h for u, h in pairs)
         assert min(kinds.values()) > 0, kinds
+
+    def test_the_graph_is_its_own_search_view(self, tmp_path):
+        # synthesis, writing and checking a graph build no search index;
+        # arrays() builds the successor index once, on the graph itself
+        problem = synth_estimators(gen_grid_graph(3, 3, (1, 9), 1), 0)
+        graph = problem.graph
+        dump_problem(problem, tmp_path / "problem.json")
+        assert validate_graph(graph) == []
+        assert graph.indptr is graph.succ_vertex is graph.succ_edge is None
+        layers = [graph.est_offsets, graph.est_lower, graph.est_upper, graph.est_time]
+        assert graph.arrays() is graph
+        succ_edge, indptr = graph.succ_edge, graph.indptr
+        assert graph.arrays() is graph
+        assert graph.succ_edge is succ_edge and graph.indptr is indptr
+        # the seven arrays perfbench's graph.array_bytes sums: the graph's
+        # layer columns themselves, and the successor index
+        seven = [getattr(graph, name) for name in (
+            "indptr", "succ_vertex", "succ_edge", "est_offsets", "est_lower", "est_upper",
+            "est_time")]
+        assert all(isinstance(a, np.ndarray) for a in seven)
+        assert all(a is b for a, b in zip(seven[3:], layers))
+        assert graph.succ_vertex.tolist() == graph.head[graph.succ_edge].tolist()
 
 
 class TestPath:

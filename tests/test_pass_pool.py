@@ -1,9 +1,9 @@
 """Pass state reused per graph: pooled lists never change an answer.
 
-A search pass takes its g and parent-edge lists from the free list on its
-graph's GraphArrays and, when it touched few enough vertices, hands them
-back reset. Every query here is checked against the same query on a
-freshly built copy of the graph, whose free list starts empty.
+A search pass takes its g and parent-edge lists from its graph's free
+list and, when it touched few enough vertices, hands them back reset.
+Every query here is checked against the same query on a freshly built
+copy of the graph, whose free list starts empty.
 """
 
 import math
@@ -63,7 +63,7 @@ def solve(algorithm, problem, cache, l_est, l_prune):
 
 def assert_clean(graph):
     """Every pooled pair is all inf / -1, and no list is pooled twice."""
-    pool = graph.arrays().free_pass_lists
+    pool = graph.free_pass_lists
     for g, parent_edge in pool:
         assert g == [math.inf] * graph.vertex_count
         assert parent_edge == [-1] * graph.vertex_count
@@ -74,7 +74,7 @@ def assert_clean(graph):
 def test_mixed_queries_match_a_fresh_graph():
     problem = synth_estimators(gen_random_graph(400, 0.02, (1, 6), 4), 1)
     graph, n = problem.graph, problem.graph.vertex_count
-    pool = graph.arrays().free_pass_lists
+    pool = graph.free_pass_lists
     rng = np.random.default_rng(5)
     shared = EstimationCache(graph)
     took_pooled = no_path = drained = 0
@@ -107,7 +107,7 @@ def test_mixed_queries_match_a_fresh_graph():
 def test_pass_stopped_inside_a_list_hands_back_clean():
     # the goal 2 pops at key 1 while 3, 4 and 5 are still queued there
     certified = make_queued_behind_goal_problem(200)
-    pool = certified.graph.arrays().free_pass_lists
+    pool = certified.graph.free_pass_lists
     res = beauty(certified)
     assert res.opt and res.pops == ((0, 0.0), (1, 1.0), (2, 1.0))
     assert len(pool) == 1
@@ -115,7 +115,7 @@ def test_pass_stopped_inside_a_list_hands_back_clean():
     # the goal edge rises to 2 under post-search tightening, so the pass
     # drains key 1 in push order before it hands its lists back
     rising = make_queued_behind_goal_problem(200, goal_lowers=(1, 2))
-    pool = rising.graph.arrays().free_pass_lists
+    pool = rising.graph.free_pass_lists
     res = beauty(rising, l_est=0.5)
     assert not res.opt and (res.l_under, res.l_over) == (1.0, 2.0)
     assert [v for v, _ in res.pops] == [0, 1, 2, 3, 4, 5, 6]
@@ -125,7 +125,7 @@ def test_pass_stopped_inside_a_list_hands_back_clean():
 
 def test_result_pops_outlive_the_pooled_lists():
     problem = make_queued_behind_goal_problem(200)
-    pool = problem.graph.arrays().free_pass_lists
+    pool = problem.graph.free_pass_lists
     res = beauty(problem)
     assert len(pool) == 1
     lists = pool[0]
@@ -140,7 +140,7 @@ def test_result_pops_outlive_the_pooled_lists():
 
 def test_grid_pass_too_large_to_pool():
     problem = synth_estimators(gen_grid_graph(20, 20, (1, 9), 2), 3)
-    pool = problem.graph.arrays().free_pass_lists
+    pool = problem.graph.free_pass_lists
     l_star = oracle_lstar(problem)
     for _ in range(2):
         for search in (beauty, ei_ucs):
@@ -153,7 +153,7 @@ def test_grid_pass_too_large_to_pool():
 def test_interleaved_passes_never_share_a_list():
     graph = synth_estimators(gen_random_graph(300, 0.01, (1, 9), 7), 2).graph
     problem = Problem(graph, 19, frozenset({299}))  # a path, 11 pops: pooled
-    pool = graph.arrays().free_pass_lists
+    pool = graph.free_pass_lists
     beauty(problem)
     assert len(pool) == 1
     first = _Pass(problem, EstimationCache(graph), math.inf, math.inf, False)

@@ -260,7 +260,7 @@ class TestAnytimeProperties:
             # per-pass deltas sum to the cache totals: nothing charged twice
             total = sum(r.metrics_delta.invocations for r in out.log)
             assert total == cache.invocation_count()
-            assert np.all(cache.next_index <= cache._arr.est_offsets[1:] - cache._arr.est_offsets[:-1])
+            assert np.all(cache.next_index <= np.diff(cache.graph.est_offsets))
 
     def test_two_pass_budget_still_certifies(self):
         rng = np.random.default_rng(113)
