@@ -9,9 +9,11 @@ already attains the optimum); the final pass forces certification by
 setting both thresholds to l_over. Where path sums are exact, a pass that
 pops a goal at the optimum certifies it, so l_under rises strictly from
 pass to pass. The returned path is the one attaining the folded l_over,
-which may come from an earlier pass than the last. Interrupted early, the
-best path found so far is still a valid answer with suboptimality capped
-by l_over / l_under.
+which may come from an earlier pass than the last. After each logged
+pass, the path attaining that record's l_over is a valid answer within
+l_over / l_under of the optimum. Nothing interrupts a running loop:
+``max_iterations`` and ``epsilon`` are the only ways to stop it early,
+and the last allowed pass is forced to certify.
 """
 
 from __future__ import annotations

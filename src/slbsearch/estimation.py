@@ -19,12 +19,6 @@ from .graph import EstimatedDigraph, _read_only
 
 __all__ = ["Metrics", "EstimationCache"]
 
-# edges per step of EstimationCache._charge_rest, whose temporaries are a
-# few arrays of one entry per charged layer: charging an eager pass over a
-# 150x150 grid (~134k layers) in one step raised the peak RSS by ~2.6 MB
-_CHARGE_CHUNK = 4096
-
-
 @dataclass(frozen=True)
 class Metrics:
     """Simulated-cost accounting for a run or a cache's lifetime so far.
@@ -62,25 +56,22 @@ class EstimationCache:
     tightest_lower; per estimator, whether it was invoked; per layer, how
     many invocations were charged. Each is kept privately and read
     through a read-only view of its name; ``tightest_upper`` is derived
-    from the invoked layers on each read. Only the estimation steps write
-    them: a lazy pass's steps, ``_apply`` (``apply_next``, ``apply_final``)
-    and ``_charge_rest``, for an eager pass. Invariants:
+    from the invoked layers on each read. The cache reads only the graph's
+    layout. Its writers are ``_apply`` (``apply_next``, ``apply_final``)
+    and the search pass in ``search.py``. Invariants:
 
     - next_index only grows and apply_final exhausts the edge it jumps, so
       no layer at or past next_index is invoked: each is charged at most
-      once, without a test, and the applied layers are the invoked ones;
-    - ``_tw`` is summed in charge order;
+      once, and the applied layers are the invoked ones;
     - tightest_lower folds an edge's applied layers from +0.0, keeping a
       lower bound only when it is strictly greater, so it is never
-      negative or NaN; only a lazy step and apply_next leave an edge with
-      layers left, and the fold over a whole sequence is what the graph's
-      ``full_lower`` computes as one reduction.
+      negative or NaN.
 
     Not safe for concurrent mutation; give each worker its own cache.
     """
 
     def __init__(self, graph: EstimatedDigraph):
-        self.graph = graph.arrays()
+        self.graph = graph
         m = len(graph.tail)
         self._next_index = np.zeros(m, np.int64)
         self._tightest_lower = np.zeros(m)
@@ -115,37 +106,6 @@ class EstimationCache:
         self._tightest_lower[eid] = low
         self._next_index[eid] = layer + 1
         return low
-
-    def _charge_rest(self, edges) -> None:
-        """Exhaust each edge in edges, the int64 buffer an eager pass filled
-        in examination order with every edge it examined with layers left.
-
-        Every layer from next_index on is charged, edge by edge, and T_w
-        summed in that order by np.cumsum, which adds sequentially from the
-        running total. Each edge takes its full_lower bound, exact by the
-        class invariant. Chunks of _CHARGE_CHUNK edges keep the temporaries
-        small.
-        """
-        graph = self.graph
-        offsets, ends, est_time = graph.est_offsets, graph.est_offsets[1:], graph.est_time
-        edges = np.frombuffer(edges, np.int64)
-        tw = self._tw
-        for at in range(0, len(edges), _CHARGE_CHUNK):
-            eids = edges[at:at + _CHARGE_CHUNK]
-            base, end = offsets[eids], ends[eids]
-            k_e = end - base
-            counts = k_e - self._next_index[eids]  # layers left
-            upto = counts.cumsum()
-            # the flat indices of the charged layers, edge by edge, in order
-            flat = np.arange(upto[-1]) + np.repeat(end - upto, counts)
-            self._invoked[flat] = True
-            self._layer_counts += np.bincount(flat - np.repeat(base, counts), minlength=graph.k_max)
-            times = est_time[flat]
-            times[0] += tw  # so the cumsum's first sum is tw + the first charge
-            tw = float(times.cumsum()[-1])
-            self._next_index[eids] = k_e
-            self._tightest_lower[eids] = graph.full_lower[eids]
-        self._tw = tw
 
     def apply_next(self, eid: int) -> tuple[float, int]:
         """Apply the next unapplied estimator; return (tightest lower, layer)."""

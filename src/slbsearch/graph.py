@@ -92,13 +92,13 @@ class EstimatedDigraph:
     instances as immutable. Both constructors refuse a column of the wrong
     length or ``est_offsets`` not running from 0 to ``len(est_lower)``, then
     the first stray endpoint, else the first empty sequence, else the first
-    decreasing offset.
+    decreasing offset; ``k_max``, the longest sequence, is set as the graph
+    is built.
 
     The search reads indexes built on first use and kept: ``arrays()``
     builds the successor CSR over the tail vertex (``indptr``,
-    ``succ_vertex``, ``succ_edge``, in edge declaration order) and
-    ``k_max``, the longest sequence; a tie check reads the predecessor CSR
-    over the head vertex, whose edges into v are
+    ``succ_vertex``, ``succ_edge``, in edge declaration order); a tie check
+    reads the predecessor CSR over the head vertex, whose edges into v are
     ``pred_edge[pred_indptr[v]:pred_indptr[v + 1]]``, by tail, then edge;
     an eager pass reads ``full_lower``. ``free_pass_lists`` holds the
     (g, parent edges) pairs of n-length lists that finished passes handed
@@ -150,6 +150,7 @@ class EstimatedDigraph:
                           (steps < 0, "est_offsets decrease")):
             if bad.any():
                 raise ValueError(f"edge {int(np.argmax(bad))}: {what}")
+        self.k_max = int(steps.max(initial=1))
         self.indptr = self.succ_vertex = self.succ_edge = None  # built by arrays()
         self.free_pass_lists: list = []
 
@@ -165,7 +166,6 @@ class EstimatedDigraph:
             indptr[1:] = np.cumsum(np.bincount(tail, minlength=n))
             self.succ_edge = np.argsort(tail, kind="stable")
             self.succ_vertex = self.head[self.succ_edge]
-            self.k_max = int(np.diff(self.est_offsets).max(initial=1))
             self.indptr = indptr
         return self
 

@@ -11,6 +11,8 @@ from slbsearch import (
     Metrics,
     ei_ucs,
     beauty,
+    gen_grid_graph,
+    synth_estimators,
     write_metrics_csv,
 )
 
@@ -130,6 +132,33 @@ class TestReadOnlyState:
         assert next_index.tolist() == [1, 2, 2, 2, 2, 1]
         assert tightest_lower.tolist() == arrays.full_lower.tolist()
         assert invoked.sum() == layer_counts.sum() == 10
+
+
+class TestLayering:
+    def test_the_cache_reads_only_the_graph_layout(self):
+        # building, stepping and inspecting a cache builds none of the
+        # search's indexes; the search builds them, with the same answer
+        def stepped():
+            problem = synth_estimators(gen_grid_graph(4, 4, (1, 9), 2), 5)
+            cache = EstimationCache(problem.graph)
+            cache.apply_next(0)
+            cache.apply_final(1)
+            return problem, cache
+
+        problem, cache = stepped()
+        graph = problem.graph
+        assert cache.tightest_upper[1] < math.inf
+        assert cache.final_layer_invocations() >= 1
+        assert cache.snapshot_metrics().invocations == 2
+        assert graph.indptr is None
+        assert not {"pred_indptr", "pred_edge", "full_lower"} & set(vars(graph))
+        result = ei_ucs(problem, cache)
+        assert graph.indptr is not None and "full_lower" in vars(graph)
+        fresh_problem, fresh = stepped()
+        assert ei_ucs(fresh_problem, fresh) == result
+        for name in ("next_index", "tightest_lower", "invoked", "layer_counts"):
+            assert getattr(cache, name).tolist() == getattr(fresh, name).tolist()
+        assert cache.snapshot_metrics() == fresh.snapshot_metrics()
 
 
 class TestMetrics:
